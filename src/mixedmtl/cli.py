@@ -14,8 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .core import (
@@ -103,7 +106,7 @@ def cmd_simulate(args) -> int:
             write_csv(
                 os.path.join(split_dir, file_name),
                 feature_names + ["y"],
-                [list(task.X[r]) + [task.y[r]] for r in range(task.n_samples)],
+                np.column_stack([task.X, task.y]),
             )
             entries.append(
                 {
@@ -495,6 +498,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flag_ranges(args) -> None:
+    """Reject out-of-range flag values as usage errors.
+
+    The ranges are the library's own: Hyperparameters for the penalties,
+    cross_validate for --k, and lambda_sequence for the path's --n-lambda;
+    cross-validation (cv, bench) also takes a one-point grid.
+    """
+    for dest, flag in (("lam", "--lambda"), ("alpha", "--alpha"), ("beta", "--beta")):
+        value = getattr(args, dest, 0.0)
+        if not (math.isfinite(value) and value >= 0.0):
+            raise UsageError(f"{flag} must be a nonnegative real, got {value!r}")
+    if getattr(args, "k", 2) < 2:
+        raise UsageError(f"--k must be >= 2, got {args.k}")
+    min_points = 2 if args.command == "path" else 1
+    if getattr(args, "n_lambda", min_points) < min_points:
+        raise UsageError(f"--n-lambda must be >= {min_points}, got {args.n_lambda}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -502,6 +523,7 @@ def main(argv=None) -> int:
     except SystemExit as exit_info:
         return int(exit_info.code or 0)
     try:
+        _check_flag_ranges(args)
         return args.func(args)
     except UsageError as err:
         print(f"usage-error: {err}", file=sys.stderr)

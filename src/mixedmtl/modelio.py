@@ -28,6 +28,7 @@ save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ from .core import (
     TaskDataset,
     TaskKind,
     TaskStandardization,
-    sigmoid,
+    predict,
 )
 
 __all__ = [
@@ -65,18 +66,31 @@ __all__ = [
 MODEL_FORMAT_VERSION = 1
 
 
+_FLOAT_FORMAT = "%.17g"
+
+
 def format_float(value: float) -> str:
     """17 significant digits: enough for exact float round trips."""
-    return format(float(value), ".17g")
+    return _FLOAT_FORMAT % float(value)
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a CSV with Unix newlines and round-trip-exact numbers."""
+    """Write a CSV with Unix newlines and round-trip-exact numbers.
+
+    rows is a 2-d array or a sequence of equal-length rows.  A column holds
+    text (str) throughout or numbers throughout, as its first row shows;
+    numbers are written as format_float writes them.  Each row is one
+    %-operation with a row format built once per file.
+    """
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else list(rows)
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(cell if isinstance(cell, str) else format_float(cell) for cell in row)
-        )
+    if rows:
+        is_text = [isinstance(cell, str) for cell in rows[0]]
+        text_columns = [c for c, text in enumerate(is_text) if text]
+        if any(not isinstance(row[c], str) for row in rows for c in text_columns):
+            raise TypeError("a column that is text in the first row holds a non-text cell")
+        row_format = ",".join("%s" if text else _FLOAT_FORMAT for text in is_text)
+        lines.extend(row_format % tuple(row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -145,22 +159,53 @@ def read_task_csv(path):
     """Read a headered numeric CSV; returns (header, values).
 
     Rejects duplicated header names, ragged rows, missing values, and
-    non-numeric cells.
+    non-numeric or non-finite cells.
+
+    Without a quote character a CSV record is a line and a cell is the
+    text between commas, so the body is parsed by one np.loadtxt call,
+    then checked once for shape and finiteness.  numpy's parser takes a
+    subset of the cells float() takes (not "1_0" or non-ASCII digits) and
+    gives the same values.  A file it does not take cleanly goes to
+    _scan_task_csv, which loads it as before or names its first bad cell.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            text = fh.read()
     except FileNotFoundError:
         raise DataError(f"data file {path!r} does not exist") from None
-    rows = [row for row in rows if row]
-    if not rows:
+    if '"' in text:
+        return _scan_task_csv(path, text)
+    # csv ends a record at "\r\n", "\r" or "\n" and drops empty records.
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = [line for line in lines if line]
+    header = _checked_header(path, lines[0].split(",") if lines else [], len(lines))
+    try:
+        values = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        return _scan_task_csv(path, text)
+    if values.shape != (len(lines) - 1, len(header)) or not np.isfinite(values).all():
+        return _scan_task_csv(path, text)
+    return header, values
+
+
+def _checked_header(path, first_row, n_rows) -> list:
+    """The stripped header cells of a file's first of n_rows non-empty rows;
+    rejects an empty file, duplicated names, and a header without rows."""
+    if n_rows == 0:
         raise DataError(f"data file {path!r} is empty")
-    header = [cell.strip() for cell in rows[0]]
+    header = [cell.strip() for cell in first_row]
     if len(set(header)) != len(header):
         duplicates = sorted({name for name in header if header.count(name) > 1})
         raise DataError(f"data file {path!r} has duplicated columns: {duplicates}")
-    if len(rows) < 2:
+    if n_rows < 2:
         raise DataError(f"data file {path!r} has a header but no rows")
+    return header
+
+
+def _scan_task_csv(path, text):
+    """read_task_csv cell by cell: csv.reader rows and float() per cell."""
+    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    header = _checked_header(path, rows[0] if rows else [], len(rows))
     values = np.empty((len(rows) - 1, len(header)))
     for r, cells in enumerate(rows[1:]):
         if len(cells) != len(header):
@@ -400,10 +445,14 @@ def model_predictions(model: ModelFile, X: np.ndarray, task_index: int) -> dict:
     scores = model_scores(model, X, task_index)
     kind = model.task_kinds[task_index]
     if kind is TaskKind.CLASSIFICATION:
+        # core.predict maps scores to probabilities and labels.  It gets these
+        # scores as a one-column design with unit weight (s * 1.0 == s): its
+        # own X @ w could round differently from model_scores' product.
+        design = (scores[:, None], np.ones(1), kind)
         return {
             "score": scores,
-            "probability": sigmoid(scores),
-            "label": np.where(scores >= 0.0, 1.0, -1.0),
+            "probability": predict(*design, output="probability"),
+            "label": predict(*design, output="label"),
         }
     prediction = scores
     if model.standardization is not None:

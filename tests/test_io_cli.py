@@ -1,23 +1,30 @@
+import csv
 import json
 import os
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from mixedmtl import (
     CoefficientMatrix,
     DataError,
     MtlProblem,
     ModelFile,
+    SimulationSpec,
     TaskDataset,
     TaskKind,
     auc,
     explained_variance,
     load_model,
     load_problem,
+    model_predictions,
     model_scores,
     save_model,
+    sigmoid,
+    simulate,
     standardize,
 )
 from mixedmtl.cli import main
@@ -87,6 +94,179 @@ def test_read_task_csv_errors(tmp_path):
     _write(path, "a,b\n")
     with pytest.raises(DataError, match="no rows"):
         read_task_csv(path)
+
+
+def test_read_task_csv_error_messages_name_the_first_bad_cell(tmp_path):
+    path = str(tmp_path / "deep.csv")
+    good = "".join(f"{r}.5,-{r},{r}e-3\n" for r in range(6))
+
+    def message(body):
+        _write(path, "a, b ,c\n" + good + body + good)
+        with pytest.raises(DataError) as info:
+            read_task_csv(path)
+        return str(info.value)
+
+    where = f"data file {path!r}, row 8"
+    assert message("1,  ,3\n") == (
+        f"{where}, column 'b': missing value (impute before loading)"
+    )
+    assert message("1,2, 3x \n") == f"{where}, column 'c': non-numeric cell '3x'"
+    assert message(" -inf ,2,3\n") == f"{where}, column 'a': non-finite value '-inf'"
+    assert message("1,2\n") == f"{where}: 2 cells for 3 columns"
+    # The first bad cell in row order is reported, whatever comes after it.
+    assert message("1,nan,3\n1,2\n") == f"{where}, column 'b': non-finite value 'nan'"
+    assert message("1,2,3,4\n1,x,3\n") == f"{where}: 4 cells for 3 columns"
+
+
+def test_read_task_csv_edge_cells(tmp_path):
+    path = tmp_path / "edge.csv"
+    # Quoted cells, underscores and non-ASCII digits load as float() reads them.
+    _write(path, 'a,"b"\n1_0,"2"\n\u0661,3\x1c\n')
+    header, values = read_task_csv(path)
+    assert header == ["a", "b"]
+    npt.assert_array_equal(values, [[10.0, 2.0], [1.0, 3.0]])
+    # Only "\r" and "\n" end a record; other line breaks are cell text.
+    for cell in ("1\x1c2", "1\x0b2", "1\u20282"):
+        _write(path, f"a\n{cell}\n")
+        with pytest.raises(DataError, match="non-numeric"):
+            read_task_csv(path)
+
+
+def _oracle_read_task_csv(path):
+    """csv.reader rows and float(cell.strip()) per cell, in row order."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise DataError(f"data file {path!r} is empty")
+    header = [cell.strip() for cell in rows[0]]
+    if len(set(header)) != len(header):
+        duplicates = sorted({name for name in header if header.count(name) > 1})
+        raise DataError(f"data file {path!r} has duplicated columns: {duplicates}")
+    if len(rows) < 2:
+        raise DataError(f"data file {path!r} has a header but no rows")
+    out = []
+    for r, cells in enumerate(rows[1:], start=2):
+        if len(cells) != len(header):
+            raise DataError(
+                f"data file {path!r}, row {r}: {len(cells)} cells for {len(header)} columns"
+            )
+        out.append([])
+        for name, cell in zip(header, cells):
+            cell = cell.strip()
+            where = f"data file {path!r}, row {r}, column {name!r}"
+            if not cell:
+                raise DataError(f"{where}: missing value (impute before loading)")
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(f"{where}: non-numeric cell {cell!r}") from None
+            if not np.isfinite(value):
+                raise DataError(f"{where}: non-finite value {cell!r}")
+            out[-1].append(value)
+    return header, np.array(out, dtype=float).reshape(len(rows) - 1, len(header))
+
+
+_NUMBER_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(format_float),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from([".5", "5.", "-0", "+1e-3", "1E5", "1_0", "\u0661"]),
+)
+_BAD_TEXT = st.sampled_from(
+    ["", "nan", "inf", "-Infinity", "1e500", "#", "#1", "x", "0x10", "1 2", "1\x00", "1\x1c2",
+     "1\u20282"]
+)
+# About one cell in thirty is bad, so about half of the files load.
+_CELL_TEXT = st.sampled_from([_NUMBER_TEXT] * 29 + [_BAD_TEXT]).flatmap(lambda cells: cells)
+_PADDING = st.sampled_from(["", "", "", " ", "\t", "\u2003", "\x1c"])
+
+
+@st.composite
+def _csv_texts(draw):
+    """CSV texts mixing valid and bad cells, padding, quotes, line endings,
+    blank lines, ragged rows and duplicated header names."""
+    n_cols = draw(st.integers(1, 4))
+    header = draw(st.permutations(["a", "b", "c", " d", "e "]))[:n_cols]
+    if n_cols > 1 and draw(st.integers(0, 9)) == 0:
+        header[-1] = header[0]
+    quote_rate = draw(st.sampled_from([0, 0, 4]))
+    if quote_rate:
+        header = [f'"{name}"' if draw(st.booleans()) else name for name in header]
+    rows = [",".join(header)]
+    for _ in range(draw(st.integers(0, 5))):
+        width = n_cols + draw(st.sampled_from([0] * 15 + [-1, 1]))
+        cells = []
+        for _ in range(width):
+            cell = draw(_PADDING) + draw(_CELL_TEXT) + draw(_PADDING)
+            if quote_rate and draw(st.integers(0, quote_rate)) == 0:
+                cell = '"' + cell + draw(st.sampled_from(["", "\n", "\r\n"])) + '"'
+            cells.append(cell)
+        rows.append(",".join(cells))
+        if draw(st.integers(0, 9)) == 0:
+            rows.append(draw(st.sampled_from(["", " "])))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(rows),
+                            max_size=len(rows)))
+    text = "".join(row + end for row, end in zip(rows, endings))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(text=_csv_texts())
+def test_read_task_csv_matches_cell_by_cell_oracle(tmp_path_factory, text):
+    path = str(tmp_path_factory.getbasetemp() / "oracle.csv")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    try:
+        expected = _oracle_read_task_csv(path)
+    except DataError as err:
+        with pytest.raises(DataError) as info:
+            read_task_csv(path)
+        assert str(info.value) == str(err)
+        return
+    header, values = read_task_csv(path)
+    assert header == expected[0]
+    assert values.shape == expected[1].shape
+    assert values.tobytes() == expected[1].tobytes()
+
+
+def test_write_csv_bytes_are_pinned(tmp_path):
+    path = tmp_path / "pinned.csv"
+    write_csv(path, ["name", "int", "float", "np"], [
+        ["a", 1, 0.1, np.float64(1.0 / 3.0)],
+        ["b", -7, 2.5, np.float64(123456789.125)],
+        ["c", 2**53 + 1, 1e-7, np.float64(1e16)],
+    ])
+    assert path.read_bytes() == (
+        b"name,int,float,np\n"
+        b"a,1,0.10000000000000001,0.33333333333333331\n"
+        b"b,-7,2.5,123456789.125\n"
+        b"c,9007199254740992,9.9999999999999995e-08,10000000000000000\n"
+    )
+    write_csv(path, ["v", "w"], np.array([[-0.0, 5e-324], [1e300, 0.1]]))
+    assert path.read_bytes() == (
+        b"v,w\n-0,4.9406564584124654e-324\n1.0000000000000001e+300,0.10000000000000001\n"
+    )
+    write_csv(path, ["only"], [])
+    assert path.read_bytes() == b"only\n"
+    with pytest.raises(TypeError):
+        write_csv(path, ["name"], [["a"], [0.5]])
+
+
+def test_cli_simulate_csv_matches_per_cell_rendering(tmp_path):
+    out = tmp_path / "sim"
+    assert _run(["simulate", "--p", 12, "--t-classification", 1, "--t-regression", 2,
+                 "--n-per-task", 15, "--seed", 4, "--out-dir", out]) == 0
+    sim = simulate(SimulationSpec(t_classification=1, t_regression=2, p=12, n_per_task=15,
+                                  seed=4))
+    header = ",".join([f"x{j + 1:02d}" for j in range(12)] + ["y"])
+    for split, problem in (("train", sim.train), ("test", sim.test)):
+        for task in problem.tasks:
+            lines = [header] + [
+                ",".join(format_float(v) for v in list(task.X[r]) + [task.y[r]])
+                for r in range(task.n_samples)
+            ]
+            expected = "\n".join(lines) + "\n"
+            assert (out / split / f"{task.name}.csv").read_text() == expected
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +431,28 @@ def test_model_round_trip_predictions(tmp_path):
     again = load_model(path)
     for idx in range(2):
         npt.assert_array_equal(model_scores(model, X, idx), model_scores(again, X, idx))
+
+
+@pytest.mark.parametrize("with_standardization", [False, True])
+def test_model_predictions_keep_the_score_to_output_mapping(with_standardization):
+    model = _small_model(with_standardization)
+    X = np.random.default_rng(3).standard_normal((40, 3)) * 3.0
+    for idx in range(2):
+        scores = model_scores(model, X, idx)
+        columns = model_predictions(model, X, idx)
+        assert columns["score"].tobytes() == scores.tobytes()
+        if idx == 0:  # classification
+            assert list(columns) == ["score", "probability", "label"]
+            assert columns["probability"].tobytes() == sigmoid(scores).tobytes()
+            labels = np.where(scores >= 0.0, 1.0, -1.0)
+            assert columns["label"].tobytes() == labels.tobytes()
+        else:
+            assert list(columns) == ["score", "prediction"]
+    zero = ModelFile(("f1",), ("c",), ("classification",),
+                     CoefficientMatrix(np.zeros((1, 1))), None, False, 1.0, 0.0, 0.0)
+    columns = model_predictions(zero, np.array([[-1.0], [2.0]]), 0)
+    npt.assert_array_equal(columns["probability"], [0.5, 0.5])
+    npt.assert_array_equal(columns["label"], [1.0, 1.0])
 
 
 def test_model_load_rejects_unknown_version(tmp_path):
@@ -545,6 +747,33 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert _run(["fit", "--nope"]) == 2
     assert _run(["bench", "--methods", "banana", "--out-dir", tmp_path / "b"]) == 2
     assert "usage-error" in capsys.readouterr().err
+
+    # usage: out-of-range flag values, rejected before any file is read
+    gone = tmp_path / "gone.json"
+    for argv, message in [
+        (["cv", "--k", 1], "--k must be >= 2, got 1"),
+        (["cv", "--n-lambda", 0], "--n-lambda must be >= 1, got 0"),
+        (["cv", "--alpha", -0.5], "--alpha must be a nonnegative real, got -0.5"),
+        (["path", "--n-lambda", 1], "--n-lambda must be >= 2, got 1"),
+        (["path", "--beta", "inf"], "--beta must be a nonnegative real, got inf"),
+        (["fit", "--lambda", -1], "--lambda must be a nonnegative real, got -1.0"),
+        (["fit", "--lambda", "nan"], "--lambda must be a nonnegative real, got nan"),
+        (["fit", "--lambda", 1, "--alpha", -1], "--alpha must be a nonnegative real"),
+    ]:
+        assert _run(argv[:1] + ["--manifest", gone] + argv[1:]
+                    + ["--out-dir", tmp_path / "u"]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage-error: {message}"), (argv, err)
+    for argv in (["--k", 1], ["--n-lambda", 0], ["--beta", -1]):
+        assert _run(["bench", *argv, "--out-dir", tmp_path / "u"]) == 2, argv
+        assert capsys.readouterr().err.startswith("usage-error: "), argv
+    assert not (tmp_path / "u").exists()
+
+    # cross-validation keeps its one-point grid
+    sim = _simulate_dir(tmp_path)
+    assert _run(["cv", "--manifest", sim / "train" / "manifest.json", "--k", 2,
+                 "--n-lambda", 1, "--out-dir", tmp_path / "cv1"]) == 0
+    assert len((tmp_path / "cv1" / "cv.csv").read_text().splitlines()) == 2
 
     # data error: missing manifest
     assert _run(["fit", "--manifest", tmp_path / "gone.json", "--lambda", 1.0,
