@@ -13,10 +13,11 @@ category in {usage-error, data-error, numerical-error}.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +36,6 @@ from .modelio import (
     load_model,
     load_problem,
     model_predictions,
-    model_scores,
     read_task_csv,
     save_model,
     write_csv,
@@ -57,15 +57,17 @@ def _ensure_out_dir(path) -> str:
     return path
 
 
-def _write_runlog(out_dir, command: str, config: dict) -> None:
-    doc = {"command": command, "config": config, "version": __version__}
-    with open(os.path.join(out_dir, "runlog.json"), "w", encoding="utf-8", newline="\n") as fh:
+def _write_runlog(args, manifest=None) -> None:
+    """runlog.json in --out-dir: the command and every parsed flag, plus the
+    manifest's fit_intercept and standardize options when one was loaded."""
+    config = {key: value for key, value in vars(args).items() if key not in ("command", "func")}
+    if manifest is not None:
+        config |= {"fit_intercept": manifest.fit_intercept, "standardize": manifest.standardize}
+    doc = {"command": args.command, "config": config, "version": __version__}
+    path = os.path.join(args.out_dir, "runlog.json")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _config(args, keys) -> dict:
-    return {key: getattr(args, key) for key in keys}
 
 
 def _load_fit_inputs(manifest_path):
@@ -128,23 +130,7 @@ def cmd_simulate(args) -> int:
         ["feature", "row"],
         [[feature_names[j], str(j)] for j in sim.true_support],
     )
-    _write_runlog(
-        out_dir,
-        "simulate",
-        _config(
-            args,
-            [
-                "t_classification",
-                "t_regression",
-                "p",
-                "n_per_task",
-                "sparsity",
-                "noise_scale",
-                "seed",
-                "out_dir",
-            ],
-        ),
-    )
+    _write_runlog(args)
     return 0
 
 
@@ -167,12 +153,7 @@ def cmd_fit(args) -> int:
         seed=None,
     )
     save_model(model, os.path.join(out_dir, "model.json"))
-    _write_runlog(
-        out_dir,
-        "fit",
-        _config(args, ["manifest", "lam", "alpha", "beta", "tol", "max_iter", "l0", "out_dir"])
-        | {"fit_intercept": manifest.fit_intercept, "standardize": manifest.standardize},
-    )
+    _write_runlog(args, manifest)
     return 0
 
 
@@ -204,26 +185,7 @@ def cmd_path(args) -> int:
                 ["feature"] + task_names,
                 coef_rows,
             )
-    _write_runlog(
-        out_dir,
-        "path",
-        _config(
-            args,
-            [
-                "manifest",
-                "ratio",
-                "n_lambda",
-                "alpha",
-                "beta",
-                "tol",
-                "max_iter",
-                "l0",
-                "save_coefficients",
-                "out_dir",
-            ],
-        )
-        | {"fit_intercept": manifest.fit_intercept, "standardize": manifest.standardize},
-    )
+    _write_runlog(args, manifest)
     return 0
 
 
@@ -249,28 +211,7 @@ def cmd_cv(args) -> int:
     )
     with open(os.path.join(out_dir, "best_lambda.txt"), "w", encoding="utf-8", newline="\n") as fh:
         fh.write(format_float(result.best_lambda) + "\n")
-    _write_runlog(
-        out_dir,
-        "cv",
-        _config(
-            args,
-            [
-                "manifest",
-                "k",
-                "seed",
-                "ratio",
-                "n_lambda",
-                "alpha",
-                "beta",
-                "tol",
-                "max_iter",
-                "l0",
-                "one_se",
-                "out_dir",
-            ],
-        )
-        | {"fit_intercept": manifest.fit_intercept, "standardize": manifest.standardize},
-    )
+    _write_runlog(args, manifest)
     return 0
 
 
@@ -291,7 +232,7 @@ def cmd_predict(args) -> int:
         names,
         list(zip(*[columns[name] for name in names])),
     )
-    _write_runlog(out_dir, "predict", _config(args, ["model", "data", "task", "out_dir"]))
+    _write_runlog(args)
     return 0
 
 
@@ -308,18 +249,14 @@ def cmd_eval(args) -> int:
         idx = model.task_index(task.name)
         if model.task_kinds[idx] is not task.kind:
             raise DataError(f"task {task.name!r}: kind differs between model and data")
-        scores = model_scores(model, task.X, idx)
+        columns = model_predictions(model, task.X, idx)
         if task.kind is TaskKind.CLASSIFICATION:
-            rows.append([task.name, task.kind.value, "auc", auc(scores, task.y)])
+            metric, value = "auc", auc(columns["score"], task.y)
         else:
-            pred = scores
-            if model.standardization is not None:
-                pred = model.standardization.tasks[idx].inverse_outcome(scores)
-            rows.append(
-                [task.name, task.kind.value, "explained_variance", explained_variance(pred, task.y)]
-            )
+            metric, value = "explained_variance", explained_variance(columns["prediction"], task.y)
+        rows.append([task.name, task.kind.value, metric, value])
     write_csv(os.path.join(out_dir, "eval.csv"), ["task", "kind", "metric", "value"], rows)
-    _write_runlog(out_dir, "eval", _config(args, ["model", "manifest", "out_dir"]))
+    _write_runlog(args)
     return 0
 
 
@@ -372,41 +309,9 @@ def cmd_bench(args) -> int:
             "mean_ev_regression",
             "mean_pseudo_ev_classification",
         ],
-        [
-            [
-                row.method,
-                row.ratio,
-                str(row.seed_count),
-                row.mean_recovery,
-                row.mean_ev_regression,
-                row.mean_pseudo_ev_classification,
-            ]
-            for row in rows
-        ],
+        [dataclasses.astuple(row) for row in rows],
     )
-    _write_runlog(
-        out_dir,
-        "bench",
-        _config(
-            args,
-            [
-                "t_classification",
-                "t_regression",
-                "p",
-                "sparsity",
-                "noise_scale",
-                "methods",
-                "ratios",
-                "seeds",
-                "k",
-                "n_lambda",
-                "lambda_ratio",
-                "alpha",
-                "beta",
-                "out_dir",
-            ],
-        ),
-    )
+    _write_runlog(args)
     return 0
 
 
@@ -499,16 +404,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flag_ranges(args) -> None:
-    """Reject out-of-range flag values as usage errors.
+    """Reject out-of-range flag values as usage errors, before any file is read.
 
-    The ranges are the library's own: Hyperparameters for the penalties,
-    cross_validate for --k, and lambda_sequence for the path's --n-lambda;
-    cross-validation (cv, bench) also takes a one-point grid.
+    Most ranges are checked by the library itself: the call that takes a
+    flag's value is made with it, and its message is reported with the flag
+    in place of the parameter name.  --k has cross_validate's range;
+    --n-lambda has lambda_sequence's for the path and also takes a one-point
+    grid for cross-validation (cv, bench).
     """
-    for dest, flag in (("lam", "--lambda"), ("alpha", "--alpha"), ("beta", "--beta")):
-        value = getattr(args, dest, 0.0)
-        if not (math.isfinite(value) and value >= 0.0):
-            raise UsageError(f"{flag} must be a nonnegative real, got {value!r}")
+    # Flag dest -> (the call, its parameter); library defaults fill in the
+    # rest, except that the simulation checks see --t-classification too.
+    spec = partial(SimulationSpec, t_classification=getattr(args, "t_classification", 10))
+    checks = {
+        "lam": (Hyperparameters, "lam"),
+        "alpha": (partial(Hyperparameters, 0.0), "alpha"),
+        "beta": (partial(Hyperparameters, 0.0), "beta"),
+        "max_iter": (SolverOptions, "max_iter"),
+        "tol": (SolverOptions, "tol"),
+        "l0": (SolverOptions, "L0"),
+        "ratio": (partial(lambda_sequence, 1.0), "ratio"),
+        "lambda_ratio": (partial(lambda_sequence, 1.0), "ratio"),
+        **{
+            name: (spec, name)
+            for name in ("t_classification", "t_regression", "p", "n_per_task", "sparsity",
+                         "noise_scale")
+        },
+    }
+    for dest, (check, param) in checks.items():
+        if dest not in vars(args):
+            continue
+        flag = "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+        try:
+            check(**{param: getattr(args, dest)})
+        except ValueError as err:
+            message = str(err)
+            if message.startswith(param + " "):
+                raise UsageError(flag + message[len(param):]) from None
+            raise UsageError(f"{flag}: {message}") from None
     if getattr(args, "k", 2) < 2:
         raise UsageError(f"--k must be >= 2, got {args.k}")
     min_points = 2 if args.command == "path" else 1

@@ -258,17 +258,51 @@ def _row_centered(W: np.ndarray) -> np.ndarray:
     return W - W.mean(axis=1, keepdims=True)
 
 
-def _smooth_objective_raw(problem, W, intercepts, alpha, beta) -> float:
-    total = 0.0
+def _scores(X, w, intercept) -> np.ndarray:
+    """Linear scores X w (+ intercept) of one task."""
+    s = X @ w
+    return s if intercept is None else s + intercept
+
+
+def _task_scores(problem, W, intercepts):
+    """Scores of each task of a problem, in task order."""
     for i, task in enumerate(problem.tasks):
-        s = task.X @ W[:, i]
-        if intercepts is not None:
-            s = s + intercepts[i]
+        yield _scores(task.X, W[:, i], None if intercepts is None else intercepts[i])
+
+
+def _task_losses(problem, W, intercepts) -> list:
+    """Weighted loss of each task: 2 x mean logit loss (classification) or
+    0.5 x mean squared error (regression)."""
+    losses = []
+    for task, s in zip(problem.tasks, _task_scores(problem, W, intercepts)):
         if task.kind is TaskKind.CLASSIFICATION:
-            total += 2.0 * float(np.mean(np.logaddexp(0.0, -task.y * s)))
+            losses.append(2.0 * float(np.mean(np.logaddexp(0.0, -task.y * s))))
         else:
             r = task.y - s
-            total += 0.5 * float(np.mean(r * r))
+            losses.append(0.5 * float(np.mean(r * r)))
+    return losses
+
+
+def _outputs(scores, kind: TaskKind, output: Optional[str]) -> np.ndarray:
+    """Map one task's scores to its output: "score", or for classification
+    "probability" (the default) or hard -1/+1 "label" (score 0 maps to +1)."""
+    if output is None:
+        output = "probability" if kind is TaskKind.CLASSIFICATION else "score"
+    if output == "score":
+        return scores
+    if kind is not TaskKind.CLASSIFICATION:
+        raise ValueError(f"output {output!r} only applies to classification tasks")
+    if output == "probability":
+        return sigmoid(scores)
+    if output == "label":
+        return np.where(scores >= 0.0, 1.0, -1.0)
+    raise ValueError(f"unknown output {output!r}")
+
+
+def _smooth_objective_raw(problem, W, intercepts, alpha, beta) -> float:
+    total = 0.0
+    for loss in _task_losses(problem, W, intercepts):
+        total += loss
     if alpha != 0.0:
         centered = _row_centered(W)
         total += alpha * float(np.vdot(centered, centered))
@@ -280,11 +314,8 @@ def _smooth_objective_raw(problem, W, intercepts, alpha, beta) -> float:
 def _smooth_gradient_raw(problem, W, intercepts, alpha, beta):
     grad = np.empty_like(W)
     grad_b = np.empty(problem.t) if intercepts is not None else None
-    for i, task in enumerate(problem.tasks):
+    for i, (task, s) in enumerate(zip(problem.tasks, _task_scores(problem, W, intercepts))):
         n = task.n_samples
-        s = task.X @ W[:, i]
-        if intercepts is not None:
-            s = s + intercepts[i]
         if task.kind is TaskKind.CLASSIFICATION:
             r = -task.y * sigmoid(-task.y * s)
             weight = 2.0 / n
@@ -347,19 +378,7 @@ def predict(
     w = _as_vector(w, "w")
     if X.shape[1] != w.shape[0]:
         raise ValueError(f"{X.shape[1]} feature columns for {w.shape[0]} coefficients")
-    kind = TaskKind(kind)
-    scores = X @ w + float(intercept)
-    if output is None:
-        output = "probability" if kind is TaskKind.CLASSIFICATION else "score"
-    if output == "score":
-        return scores
-    if kind is not TaskKind.CLASSIFICATION:
-        raise ValueError(f"output {output!r} only applies to classification tasks")
-    if output == "probability":
-        return sigmoid(scores)
-    if output == "label":
-        return np.where(scores >= 0.0, 1.0, -1.0)
-    raise ValueError(f"unknown output {output!r}")
+    return _outputs(_scores(X, w, float(intercept)), TaskKind(kind), output)
 
 
 @dataclass(frozen=True)

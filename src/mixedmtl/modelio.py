@@ -44,6 +44,7 @@ from .core import (
     TaskDataset,
     TaskKind,
     TaskStandardization,
+    _outputs,
     predict,
 )
 
@@ -204,7 +205,10 @@ def _checked_header(path, first_row, n_rows) -> list:
 
 def _scan_task_csv(path, text):
     """read_task_csv cell by cell: csv.reader rows and float() per cell."""
-    rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row]
+    except csv.Error as err:
+        raise DataError(f"data file {path!r}: {err}") from None
     header = _checked_header(path, rows[0] if rows else [], len(rows))
     values = np.empty((len(rows) - 1, len(header)))
     for r, cells in enumerate(rows[1:]):
@@ -425,7 +429,8 @@ def model_scores(model: ModelFile, X: np.ndarray, task_index: int) -> np.ndarray
     """Linear scores of one task column on raw features.
 
     The model's stored standardization (if any) is applied to X first, so
-    raw and pre-standardized inputs give identical scores.
+    raw and pre-standardized inputs give identical scores.  The scores are
+    core.predict's, bit for bit.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(model.feature_names):
@@ -434,26 +439,20 @@ def model_scores(model: ModelFile, X: np.ndarray, task_index: int) -> np.ndarray
         )
     if model.standardization is not None:
         X = model.standardization.tasks[task_index].transform_features(X)
-    scores = X @ model.coef.W[:, task_index]
-    if model.coef.intercepts is not None:
-        scores = scores + model.coef.intercepts[task_index]
-    return scores
+    intercepts = model.coef.intercepts
+    intercept = 0.0 if intercepts is None else intercepts[task_index]
+    kind = model.task_kinds[task_index]
+    return predict(X, model.coef.W[:, task_index], kind, intercept, output="score")
 
 
 def model_predictions(model: ModelFile, X: np.ndarray, task_index: int) -> dict:
-    """Column name -> vector for a prediction report on one task."""
+    """Column name -> vector for a prediction report on one task (regression
+    predictions on the raw outcome scale)."""
     scores = model_scores(model, X, task_index)
     kind = model.task_kinds[task_index]
     if kind is TaskKind.CLASSIFICATION:
-        # core.predict maps scores to probabilities and labels.  It gets these
-        # scores as a one-column design with unit weight (s * 1.0 == s): its
-        # own X @ w could round differently from model_scores' product.
-        design = (scores[:, None], np.ones(1), kind)
-        return {
-            "score": scores,
-            "probability": predict(*design, output="probability"),
-            "label": predict(*design, output="label"),
-        }
+        outputs = ("score", "probability", "label")
+        return {output: _outputs(scores, kind, output) for output in outputs}
     prediction = scores
     if model.standardization is not None:
         prediction = model.standardization.tasks[task_index].inverse_outcome(scores)

@@ -2,7 +2,8 @@
 
 The CV criterion is the same weighted loss the solver minimizes (2 x mean
 logit loss for classification tasks, 0.5 x mean squared error for
-regression tasks), averaged over tasks and then over folds, so the
+regression tasks; core's per-task loss, evaluated on each fold's
+validation problem), averaged over tasks and then over folds, so the
 selected penalty targets the objective that was actually optimized.
 Folds are drawn per task; classification folds are stratified to keep
 both classes in every split.
@@ -22,6 +23,7 @@ from .core import (
     SolverOptions,
     TaskDataset,
     TaskKind,
+    _task_losses,
 )
 from .regpath import LambdaSequence, lam_max, lambda_sequence, path_options, reg_path
 
@@ -109,16 +111,6 @@ def task_folds(problem: MtlProblem, k: int, seed: int) -> list:
     return folds
 
 
-def _weighted_validation_loss(task: TaskDataset, X, y, w, intercept) -> float:
-    s = X @ w
-    if intercept is not None:
-        s = s + intercept
-    if task.kind is TaskKind.CLASSIFICATION:
-        return 2.0 * float(np.mean(np.logaddexp(0.0, -y * s)))
-    r = y - s
-    return 0.5 * float(np.mean(r * r))
-
-
 def cross_validate(
     problem: MtlProblem,
     alpha: float = 0.0,
@@ -152,7 +144,7 @@ def cross_validate(
     fold_errors = np.empty((k, sequence.length))
     for fold in range(k):
         train_tasks = []
-        val_slices = []
+        val_tasks = []
         for i, task in enumerate(problem.tasks):
             val_idx = folds[i][fold]
             mask = np.ones(task.n_samples, dtype=bool)
@@ -163,21 +155,14 @@ def cross_validate(
                     f"fold {fold} leaves task {task.name!r} with a single class"
                 )
             train_tasks.append(TaskDataset(task.X[mask], y_train, task.kind, task.name))
-            val_slices.append((task.X[val_idx], task.y[val_idx]))
+            val_tasks.append(TaskDataset(task.X[val_idx], task.y[val_idx], task.kind, task.name))
 
+        validation = MtlProblem(tuple(val_tasks))
         path = reg_path(MtlProblem(tuple(train_tasks)), sequence, alpha, beta, opts)
         for j, fit in enumerate(path.fits):
-            losses = [
-                _weighted_validation_loss(
-                    problem.tasks[i],
-                    Xv,
-                    yv,
-                    fit.coef.W[:, i],
-                    None if fit.coef.intercepts is None else fit.coef.intercepts[i],
-                )
-                for i, (Xv, yv) in enumerate(val_slices)
-            ]
+            losses = _task_losses(validation, fit.coef.W, fit.coef.intercepts)
             fold_errors[fold, j] = float(np.mean(losses))
+        del validation  # drop this fold's copies before the next fold makes its own
 
     mean_err = fold_errors.mean(axis=0)
     se_err = fold_errors.std(axis=0, ddof=1) / np.sqrt(k)
@@ -244,10 +229,15 @@ def pseudo_explained_variance(scores, labels) -> float:
         raise ValueError("scores and labels must be 1-d arrays of equal length")
     if np.all(labels > 0) or np.all(labels <= 0):
         raise DataError("both classes are required")
-    cs = scores - scores.mean()
-    cl = labels - labels.mean()
-    denom = float(np.vdot(cs, cs)) * float(np.vdot(cl, cl))
+    return _squared_correlation(scores, labels)
+
+
+def _squared_correlation(a: np.ndarray, b: np.ndarray) -> float:
+    """Squared Pearson correlation of two vectors; 0 when either is constant."""
+    ca = a - a.mean()
+    cb = b - b.mean()
+    denom = float(np.vdot(ca, ca)) * float(np.vdot(cb, cb))
     if denom == 0.0:
         return 0.0
-    r = float(np.vdot(cs, cl)) / np.sqrt(denom)
+    r = float(np.vdot(ca, cb)) / np.sqrt(denom)
     return min(r * r, 1.0)

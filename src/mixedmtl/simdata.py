@@ -25,8 +25,14 @@ from .core import (
     SolverOptions,
     TaskDataset,
     TaskKind,
+    _task_scores,
 )
-from .modelselect import cross_validate, explained_variance, pseudo_explained_variance
+from .modelselect import (
+    _squared_correlation,
+    cross_validate,
+    explained_variance,
+    pseudo_explained_variance,
+)
 from .regpath import LambdaSequence, path_options, reg_path
 
 __all__ = [
@@ -64,8 +70,9 @@ class SimulationSpec:
             raise ValueError("task counts must be nonnegative")
         if self.t_classification + self.t_regression < 1:
             raise ValueError("at least one task is required")
-        if self.p < 1 or self.n_per_task < 1:
-            raise ValueError("p and n_per_task must be >= 1")
+        for name in ("p", "n_per_task"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 0.0 < self.sparsity < 1.0:
             raise ValueError("sparsity must lie in (0, 1)")
         if self.noise_scale < 0.0:
@@ -175,15 +182,6 @@ class BenchmarkRow:
     mean_pseudo_ev_classification: float
 
 
-def _squared_correlation(a: np.ndarray, b: np.ndarray) -> float:
-    ca = a - a.mean()
-    cb = b - b.mean()
-    denom = float(np.vdot(ca, ca)) * float(np.vdot(cb, cb))
-    if denom == 0.0:
-        return 0.0
-    return min(float(np.vdot(ca, cb)) ** 2 / denom, 1.0)
-
-
 def _cv_selected_fit(problem, alpha, beta, k, seed, opts, n_lambda, lambda_ratio):
     """CV on the problem, then a warm-started refit down to the chosen penalty."""
     cv = cross_validate(
@@ -229,18 +227,16 @@ def _run_cell(method, sim, alpha, beta, k, seed, opts, n_lambda, lambda_ratio):
         rank_matrix = np.abs(W_stack).mean(axis=1)[:, None]
 
     evs, pevs = [], []
-    for i, test_task in enumerate(test.tasks):
-        s = test_task.X @ coef.W[:, i]
-        if coef.intercepts is not None:
-            s = s + coef.intercepts[i]
-        if test_task.kind is TaskKind.CLASSIFICATION:
+    scores = _task_scores(test, coef.W, coef.intercepts)
+    for test_task, fitted_task, s in zip(test.tasks, fitted.tasks, scores):
+        if fitted_task.kind is TaskKind.REGRESSION:
+            evs.append(explained_variance(s, test_task.y))
+        elif test_task.kind is TaskKind.CLASSIFICATION:
             pevs.append(pseudo_explained_variance(s, test_task.y))
-        elif fitted.tasks[i].kind is TaskKind.CLASSIFICATION:
+        else:
             # The model saw a binarized version of this task; its scores have
             # no outcome scale, so report squared correlation instead.
             evs.append(_squared_correlation(s, test_task.y))
-        else:
-            evs.append(explained_variance(s, test_task.y))
 
     recovery = recovery_accuracy(rank_matrix, sim.true_support)
     mean_ev = float(np.mean(evs)) if evs else float("nan")

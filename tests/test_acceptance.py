@@ -11,6 +11,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from mixedmtl import (
     CoefficientMatrix,
@@ -200,6 +201,7 @@ def test_criterion_6_path_properties():
             assert warm_obj <= cold_obj + 1e-6
 
 
+@pytest.mark.slow
 def test_criterion_7_scaled_benchmark_directions():
     with criterion(7, "joint fit beats binarization (recovery) and single-task (EV) at ratio 0.1 (<10min)"):
         start = time.monotonic()

@@ -22,6 +22,7 @@ from mixedmtl import (
     load_problem,
     model_predictions,
     model_scores,
+    predict,
     save_model,
     sigmoid,
     simulate,
@@ -94,6 +95,22 @@ def test_read_task_csv_errors(tmp_path):
     _write(path, "a,b\n")
     with pytest.raises(DataError, match="no rows"):
         read_task_csv(path)
+
+
+def test_oversized_quoted_cell_is_a_data_error(tmp_path, capsys):
+    # csv's default field limit is 131072 characters.
+    data = tmp_path / "big.csv"
+    _write(data, 'f1,y\n"' + "1" * 140_000 + '",1\n2,3\n')
+    with pytest.raises(DataError, match="big.csv.*field larger than field limit"):
+        read_task_csv(data)
+    man = _manifest(
+        tmp_path,
+        [{"name": "t", "kind": "regression", "data_path": "big.csv", "outcome_column": "y"}],
+    )
+    assert main(["fit", "--manifest", str(man), "--lambda", "1",
+                 "--out-dir", str(tmp_path / "f")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data-error: data file ") and "big.csv" in err
 
 
 def test_read_task_csv_error_messages_name_the_first_bad_cell(tmp_path):
@@ -455,6 +472,22 @@ def test_model_predictions_keep_the_score_to_output_mapping(with_standardization
     npt.assert_array_equal(columns["label"], [1.0, 1.0])
 
 
+def test_model_scores_are_core_predict_scores_bit_for_bit():
+    # A one-row X: X @ W[:, 0] on the strided column and X @ w on a
+    # contiguous copy round differently here (seen with OpenBLAS 0.3.31).
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((1, 35))
+    W = rng.standard_normal((35, 2))
+    for intercepts in (None, np.array([0.25, -1.5])):
+        model = ModelFile([f"f{j}" for j in range(35)], ("c", "r"),
+                          ("classification", "regression"), CoefficientMatrix(W, intercepts),
+                          None, False, 1.0, 0.0, 0.0)
+        for i, kind in enumerate(model.task_kinds):
+            b_i = 0.0 if intercepts is None else intercepts[i]
+            expected = predict(X, W[:, i], kind, b_i, output="score")
+            assert model_scores(model, X, i).tobytes() == expected.tobytes()
+
+
 def test_model_load_rejects_unknown_version(tmp_path):
     model = _small_model()
     path = tmp_path / "m.json"
@@ -759,9 +792,19 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["fit", "--lambda", -1], "--lambda must be a nonnegative real, got -1.0"),
         (["fit", "--lambda", "nan"], "--lambda must be a nonnegative real, got nan"),
         (["fit", "--lambda", 1, "--alpha", -1], "--alpha must be a nonnegative real"),
+        (["path", "--ratio", 1.5], "--ratio must lie in (0, 1), got 1.5"),
+        (["cv", "--ratio", 0], "--ratio must lie in (0, 1), got 0.0"),
+        (["fit", "--lambda", 1, "--tol", 0], "--tol must be positive"),
+        (["fit", "--lambda", 1, "--max-iter", 0], "--max-iter must be >= 1"),
+        (["fit", "--lambda", 1, "--l0", -1], "--l0 must be positive"),
+        (["bench", "--lambda-ratio", 2], "--lambda-ratio must lie in (0, 1), got 2.0"),
+        (["simulate", "--sparsity", 1.5], "--sparsity must lie in (0, 1)"),
+        (["simulate", "--p", 0], "--p must be >= 1"),
+        (["simulate", "--t-classification", 0, "--t-regression", 0],
+         "--t-regression: at least one task is required"),
     ]:
-        assert _run(argv[:1] + ["--manifest", gone] + argv[1:]
-                    + ["--out-dir", tmp_path / "u"]) == 2, argv
+        manifest = [] if argv[0] in ("bench", "simulate") else ["--manifest", gone]
+        assert _run(argv[:1] + manifest + argv[1:] + ["--out-dir", tmp_path / "u"]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith(f"usage-error: {message}"), (argv, err)
     for argv in (["--k", 1], ["--n-lambda", 0], ["--beta", -1]):
