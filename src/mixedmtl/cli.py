@@ -43,6 +43,7 @@ from .modelio import (
 from .modelselect import auc, cross_validate, explained_variance
 from .regpath import lam_max, lambda_sequence, reg_path
 from .simdata import BENCHMARK_METHODS, SimulationSpec, run_benchmark, simulate
+from .simdata import _benchmark_grid
 from .solver import SolverError, fista_fit
 
 __all__ = ["main"]
@@ -260,33 +261,30 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    out_dir = _ensure_out_dir(args.out_dir)
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    for method in methods:
-        if method not in BENCHMARK_METHODS:
-            raise UsageError(
-                f"unknown method {method!r}; choose from {', '.join(BENCHMARK_METHODS)}"
-            )
+def _bench_grid(args) -> tuple:
+    """--methods, --ratios and --seeds as lists checked by run_benchmark's check."""
     try:
         ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError as err:
         raise UsageError(f"could not parse --ratios/--seeds: {err}") from None
-    if not ratios or not seeds:
-        raise UsageError("--ratios and --seeds must be non-empty")
-    for ratio in ratios:
-        if not 0.0 < ratio <= 1.0:
-            raise UsageError(f"ratios must lie in (0, 1], got {ratio}")
+    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
+    try:
+        return _benchmark_grid(methods, ratios, seeds)
+    except ValueError as err:
+        raise UsageError(f"--{err}") from None
 
+
+def cmd_bench(args) -> int:
+    out_dir = _ensure_out_dir(args.out_dir)
+    methods, ratios, seeds = _bench_grid(args)
+    # run_benchmark sets n_per_task and seed per (ratio, seed) cell.
     spec = SimulationSpec(
         t_classification=args.t_classification,
         t_regression=args.t_regression,
         p=args.p,
-        n_per_task=max(1, int(round(ratios[0] * args.p))),
         sparsity=args.sparsity,
         noise_scale=args.noise_scale,
-        seed=seeds[0],
     )
     rows = run_benchmark(
         spec,
@@ -410,7 +408,8 @@ def _check_flag_ranges(args) -> None:
     flag's value is made with it, and its message is reported with the flag
     in place of the parameter name.  --k has cross_validate's range;
     --n-lambda has lambda_sequence's for the path and also takes a one-point
-    grid for cross-validation (cv, bench).
+    grid for cross-validation (cv, bench).  Every --seed takes
+    SimulationSpec's seed range, and bench's lists run_benchmark's checks.
     """
     # Flag dest -> (the call, its parameter); library defaults fill in the
     # rest, except that the simulation checks see --t-classification too.
@@ -427,7 +426,7 @@ def _check_flag_ranges(args) -> None:
         **{
             name: (spec, name)
             for name in ("t_classification", "t_regression", "p", "n_per_task", "sparsity",
-                         "noise_scale")
+                         "noise_scale", "seed")
         },
     }
     for dest, (check, param) in checks.items():
@@ -446,6 +445,8 @@ def _check_flag_ranges(args) -> None:
     min_points = 2 if args.command == "path" else 1
     if getattr(args, "n_lambda", min_points) < min_points:
         raise UsageError(f"--n-lambda must be >= {min_points}, got {args.n_lambda}")
+    if args.command == "bench":
+        _bench_grid(args)
 
 
 def main(argv=None) -> int:

@@ -450,27 +450,20 @@ def standardize(
             raise DataError(
                 f"task {task.name!r}: standardization needs at least 2 samples"
             )
-        mean = task.X.mean(axis=0)
         scale = task.X.std(axis=0, ddof=1)
         constant = scale == 0.0
-        Xs = (task.X - mean) / np.where(constant, 1.0, scale)
-        Xs[:, constant] = 0.0
-
-        y = task.y
         outcome_mean = outcome_scale = None
         if standardize_regression_outcomes and task.kind is TaskKind.REGRESSION:
-            outcome_mean = float(y.mean())
-            outcome_scale = float(y.std(ddof=1))
-            y = np.zeros_like(y) if outcome_scale == 0.0 else (y - outcome_mean) / outcome_scale
-
-        new_tasks.append(TaskDataset(Xs, y, task.kind, task.name))
-        records.append(
-            TaskStandardization(
-                feature_mean=mean,
-                feature_scale=np.where(constant, 1.0, scale),
-                constant_features=constant,
-                outcome_mean=outcome_mean,
-                outcome_scale=outcome_scale,
-            )
+            outcome_mean = float(task.y.mean())
+            outcome_scale = float(task.y.std(ddof=1))
+        record = TaskStandardization(
+            feature_mean=task.X.mean(axis=0),
+            feature_scale=np.where(constant, 1.0, scale),
+            constant_features=constant,
+            outcome_mean=outcome_mean,
+            outcome_scale=outcome_scale,
         )
+        y = task.y if outcome_mean is None else record.transform_outcome(task.y)
+        new_tasks.append(TaskDataset(record.transform_features(task.X), y, task.kind, task.name))
+        records.append(record)
     return MtlProblem(tuple(new_tasks)), StandardizationRecord(tuple(records))

@@ -125,10 +125,12 @@ def parse_manifest(path) -> TaskManifest:
         raise DataError(f"manifest {path!r} does not exist") from None
     except json.JSONDecodeError as err:
         raise DataError(f"manifest {path!r} is not valid JSON: {err}") from None
-    if not isinstance(raw, dict) or "tasks" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("tasks"), list):
         raise DataError(f"manifest {path!r} must be an object with a 'tasks' list")
     tasks = []
     for entry in raw["tasks"]:
+        if not isinstance(entry, dict):
+            raise DataError(f"manifest task entry must be an object, got {entry!r}")
         missing = {"name", "kind", "data_path", "outcome_column"} - set(entry)
         if missing:
             raise DataError(f"manifest task entry is missing {sorted(missing)}")
@@ -394,35 +396,36 @@ def load_model(path) -> ModelFile:
         raise DataError(f"model file {path!r} does not exist") from None
     except json.JSONDecodeError as err:
         raise DataError(f"model file {path!r} is not valid JSON: {err}") from None
+    if not isinstance(doc, dict):
+        raise DataError(f"model file {path!r} must hold a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:
         raise DataError(
             f"model file {path!r} has format version {doc.get('format_version')!r}; "
             f"this build reads version {MODEL_FORMAT_VERSION}"
         )
-    std = doc["standardization"]
-    record = None
-    standardize_outcomes = False
-    if std is not None:
-        record = _standardization_from_dict(std["tasks"])
-        standardize_outcomes = bool(std["standardize_outcomes"])
-    intercepts = doc["intercepts"]
-    coef = CoefficientMatrix(
-        np.array(doc["coefficients"], dtype=float),
-        None if intercepts is None else np.array(intercepts, dtype=float),
-    )
-    return ModelFile(
-        feature_names=tuple(doc["feature_names"]),
-        task_names=tuple(entry["name"] for entry in doc["tasks"]),
-        task_kinds=tuple(entry["kind"] for entry in doc["tasks"]),
-        coef=coef,
-        standardization=record,
-        standardize_outcomes=standardize_outcomes,
-        lam=float(doc["hyperparameters"]["lambda"]),
-        alpha=float(doc["hyperparameters"]["alpha"]),
-        beta=float(doc["hyperparameters"]["beta"]),
-        seed=doc["seed"],
-        version=int(doc["format_version"]),
-    )
+    try:
+        std = doc["standardization"]
+        record = None if std is None else _standardization_from_dict(std["tasks"])
+        intercepts = doc["intercepts"]
+        coef = CoefficientMatrix(
+            np.array(doc["coefficients"], dtype=float),
+            None if intercepts is None else np.array(intercepts, dtype=float),
+        )
+        return ModelFile(
+            feature_names=tuple(doc["feature_names"]),
+            task_names=tuple(entry["name"] for entry in doc["tasks"]),
+            task_kinds=tuple(entry["kind"] for entry in doc["tasks"]),
+            coef=coef,
+            standardization=record,
+            standardize_outcomes=std is not None and bool(std["standardize_outcomes"]),
+            lam=float(doc["hyperparameters"]["lambda"]),
+            alpha=float(doc["hyperparameters"]["alpha"]),
+            beta=float(doc["hyperparameters"]["beta"]),
+            seed=doc["seed"],
+            version=int(doc["format_version"]),
+        )
+    except (KeyError, TypeError, AttributeError) as err:  # a missing or mistyped field
+        raise DataError(f"model file {path!r} is malformed ({type(err).__name__}: {err})") from None
 
 
 def model_scores(model: ModelFile, X: np.ndarray, task_index: int) -> np.ndarray:

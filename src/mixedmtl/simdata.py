@@ -75,8 +75,10 @@ class SimulationSpec:
                 raise ValueError(f"{name} must be >= 1")
         if not 0.0 < self.sparsity < 1.0:
             raise ValueError("sparsity must lie in (0, 1)")
-        if self.noise_scale < 0.0:
-            raise ValueError("noise_scale must be nonnegative")
+        if not 0.0 <= self.noise_scale < np.inf:
+            raise ValueError("noise_scale must be nonnegative and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
     @property
     def t(self) -> int:
@@ -244,6 +246,19 @@ def _run_cell(method, sim, alpha, beta, k, seed, opts, n_lambda, lambda_ratio):
     return recovery, mean_ev, mean_pev
 
 
+def _benchmark_grid(methods, ratios, seeds) -> tuple:
+    """run_benchmark's arguments as checked lists; a ValueError names the one at fault."""
+    methods, ratios, seeds = list(methods), [float(r) for r in ratios], [int(s) for s in seeds]
+    unknown = [method for method in methods if method not in BENCHMARK_METHODS]
+    if unknown:
+        raise ValueError(f"methods must be among {BENCHMARK_METHODS}, got {unknown}")
+    if not ratios or not all(0.0 < ratio <= 1.0 for ratio in ratios):
+        raise ValueError(f"ratios must be non-empty and lie in (0, 1], got {ratios}")
+    if not seeds or min(seeds) < 0:
+        raise ValueError(f"seeds must be non-empty and nonnegative, got {seeds}")
+    return methods, ratios, seeds
+
+
 def run_benchmark(
     spec: SimulationSpec,
     methods: Sequence[str] = BENCHMARK_METHODS,
@@ -264,17 +279,7 @@ def run_benchmark(
     cross-validation on the training problem.  Returns one BenchmarkRow
     per (method, ratio), in input order.
     """
-    methods = list(methods)
-    ratios = [float(r) for r in ratios]
-    seeds = [int(s) for s in seeds]
-    for method in methods:
-        if method not in BENCHMARK_METHODS:
-            raise ValueError(f"unknown method {method!r}; expected one of {BENCHMARK_METHODS}")
-    for ratio in ratios:
-        if not 0.0 < ratio <= 1.0:
-            raise ValueError(f"ratios must lie in (0, 1], got {ratio!r}")
-    if not seeds:
-        raise ValueError("at least one seed is required")
+    methods, ratios, seeds = _benchmark_grid(methods, ratios, seeds)
     opts = opts or path_options()
 
     rows = []

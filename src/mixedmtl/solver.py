@@ -2,18 +2,20 @@
 
 Minimizes F(W) + lam * ||W||_{2,1} where F is the smooth mixed-task
 objective from :mod:`mixedmtl.core`.  Each iteration takes a proximal
-step from a Nesterov search point; the local curvature estimate L is
-grown by doubling until the sufficient-decrease condition
+step from a search point S, the Nesterov point W + mom * (W - W_prev)
+when the momentum mom is nonzero and the iterate W otherwise; the local
+curvature estimate L is grown by doubling until the sufficient-decrease
+condition
 
     F(cand) <= F(S) + <grad F(S), cand - S> + (L/2) ||cand - S||_F^2
 
-holds, and carries over between iterations without decay.  Because the
-accelerated method is not monotone, a step that would increase the full
-objective triggers a momentum restart (the step is retaken from the
-current iterate), which keeps the objective trace non-increasing at
-negligible cost.  ``ista_fit`` is the plain un-accelerated variant; it
-shares fixed points with ``fista_fit`` and serves as a slow-but-simple
-cross-check.
+holds, and carries over between iterations without decay.  The loop
+carries F at its iterate, so a step from the iterate evaluates F only
+at candidates.  A momentum step that would increase the full objective,
+or a momentum point where F is non-finite, restarts the momentum (the
+step is retaken from the iterate), which keeps the objective trace
+non-increasing.  ``ista_fit`` is the same loop at zero momentum; it
+serves as a slow-but-simple cross-check.
 """
 
 from __future__ import annotations
@@ -44,10 +46,6 @@ _NULL_STEP_SQ = 1e-20
 
 class SolverError(RuntimeError):
     """Numerical failure inside the solver."""
-
-
-class _NonFiniteSearchPoint(SolverError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -83,14 +81,12 @@ def prox_l21(V: np.ndarray, tau: float) -> np.ndarray:
     return scale[:, None] * V
 
 
-def _backtrack(problem, hyper, Ws, bs, L_prev):
+def _backtrack(problem, hyper, Ws, bs, f_s, L_prev):
     """Grow L by doubling until sufficient decrease holds at the prox candidate.
 
+    f_s is the smooth objective at the search point (Ws, bs), finite.
     Returns (L, W_cand, b_cand, smooth_value_at_candidate).
     """
-    f_s = _smooth_objective_raw(problem, Ws, bs, hyper.alpha, hyper.beta)
-    if not np.isfinite(f_s):
-        raise _NonFiniteSearchPoint("objective is non-finite at the search point")
     gW, gb = _smooth_gradient_raw(problem, Ws, bs, hyper.alpha, hyper.beta)
     L = float(L_prev)
     for _ in range(MAX_DOUBLINGS + 1):
@@ -129,7 +125,11 @@ def line_search(
     """
     if not L_prev > 0.0:
         raise ValueError("L_prev must be positive")
-    L, Wc, bc, _ = _backtrack(problem, hyper, search_point.W, search_point.intercepts, L_prev)
+    Ws, bs = search_point.W, search_point.intercepts
+    f_s = _smooth_objective_raw(problem, Ws, bs, hyper.alpha, hyper.beta)
+    if not np.isfinite(f_s):
+        raise SolverError("objective is non-finite at the search point")
+    L, Wc, bc, _ = _backtrack(problem, hyper, Ws, bs, f_s, L_prev)
     return L, CoefficientMatrix(Wc, bc)
 
 
@@ -154,54 +154,43 @@ def _resolve_init(problem, opts, w_init):
 def _proximal_loop(problem, hyper, opts, w_init, accelerated):
     W, b = _resolve_init(problem, opts, w_init)
     W_prev, b_prev = W, b
-    obj_prev = _smooth_objective_raw(problem, W, b, hyper.alpha, hyper.beta)
-    obj_prev += hyper.lam * l21_norm(W)
+    f = _smooth_objective_raw(problem, W, b, hyper.alpha, hyper.beta)
+    obj_prev = f + hyper.lam * l21_norm(W)
     if not np.isfinite(obj_prev):
         raise SolverError("objective is non-finite at the initial point")
 
     L = opts.L0
-    t_prev, t_cur = 0.0, 1.0
+    t_prev = t_cur = 1.0
     trace = []
     converged = False
 
-    for it in range(1, opts.max_iter + 1):
-        restarted = False
-        if accelerated:
-            mom = (t_prev - 1.0) / t_cur
-            if mom != 0.0:
-                Ws = W + mom * (W - W_prev)
-                bs = b + mom * (b - b_prev) if b is not None else None
-            else:
-                Ws, bs = W, b
-            try:
-                L, Wc, bc, f_c = _backtrack(problem, hyper, Ws, bs, L)
-                obj = f_c + hyper.lam * l21_norm(Wc)
-            except _NonFiniteSearchPoint:
-                obj = math.inf
-            if obj > obj_prev:
-                # Momentum overshoot: restart from the current iterate.  A
-                # sufficient-decrease step from the iterate itself cannot
-                # increase the objective, so monotonicity is preserved.
-                t_prev, t_cur = 0.0, 1.0
-                restarted = True
-                L, Wc, bc, f_c = _backtrack(problem, hyper, W, b, L)
-                obj = f_c + hyper.lam * l21_norm(Wc)
+    while len(trace) < opts.max_iter:
+        mom = (t_prev - 1.0) / t_cur
+        if mom != 0.0:
+            Ws = W + mom * (W - W_prev)
+            bs = b + mom * (b - b_prev) if b is not None else None
+            f_s = _smooth_objective_raw(problem, Ws, bs, hyper.alpha, hyper.beta)
         else:
-            L, Wc, bc, f_c = _backtrack(problem, hyper, W, b, L)
+            Ws, bs, f_s = W, b, f
+        obj = math.inf
+        if np.isfinite(f_s):
+            L, Wc, bc, f_c = _backtrack(problem, hyper, Ws, bs, f_s, L)
             obj = f_c + hyper.lam * l21_norm(Wc)
-
+        if obj > obj_prev and mom != 0.0:
+            # Momentum overshoot: restart, so the step is retaken from the
+            # iterate.  A sufficient-decrease step from the iterate cannot
+            # increase the objective, so monotonicity is preserved.
+            t_prev = t_cur = 1.0
+            continue
         if obj > obj_prev:
             # Only floating-point noise can land here; keep the iterate.
             converged = True
             break
         if not np.isfinite(obj):
-            raise SolverError(f"objective became non-finite at iteration {it}")
+            raise SolverError(f"objective became non-finite at iteration {len(trace) + 1}")
 
-        if restarted:
-            W_prev, b_prev = Wc, bc
-        else:
-            W_prev, b_prev = W, b
-        W, b = Wc, bc
+        W_prev, b_prev = W, b
+        W, b, f = Wc, bc, f_c
         trace.append(obj)
 
         if abs(obj - obj_prev) <= opts.tol * max(1.0, abs(obj_prev)):
@@ -241,6 +230,7 @@ def ista_fit(
     opts: Optional[SolverOptions] = None,
     w_init: Optional[CoefficientMatrix] = None,
 ) -> FitResult:
-    """Plain proximal gradient variant; monotone trace, same fixed points."""
+    """Plain proximal gradient: fista_fit's loop at zero momentum; monotone
+    trace, same fixed points."""
     opts = opts or SolverOptions()
     return _proximal_loop(problem, hyper, opts, w_init, accelerated=False)

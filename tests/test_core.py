@@ -336,6 +336,28 @@ def test_standardize_record_round_trip():
     npt.assert_allclose(record.tasks[0].inverse_outcome(out.tasks[0].y), y, atol=1e-12)
 
 
+def test_standardize_applies_its_record_bit_for_bit():
+    rng = np.random.default_rng(13)
+    problem = random_mixed_problem(rng, p=5, t=4, c=2, n_lo=4)
+    tasks = list(problem.tasks)
+    X = tasks[0].X.copy()
+    X[:, 1] = 2.5  # a constant column
+    tasks[0] = TaskDataset(X, tasks[0].y, tasks[0].kind, tasks[0].name)
+    last = tasks[-1]
+    tasks[-1] = TaskDataset(last.X, np.full(last.n_samples, 4.0), last.kind, last.name)
+    problem = MtlProblem(tuple(tasks))
+    for outcomes in (False, True):
+        out, record = standardize(problem, standardize_regression_outcomes=outcomes)
+        for task, done, transform in zip(problem.tasks, out.tasks, record.tasks):
+            assert done.X.tobytes() == transform.transform_features(task.X).tobytes()
+            if transform.outcome_mean is None:
+                assert done.y.tobytes() == task.y.tobytes()
+            else:
+                assert done.y.tobytes() == transform.transform_outcome(task.y).tobytes()
+        assert record.tasks[0].constant_features[1]
+        assert (record.tasks[-1].outcome_scale == 0.0) is outcomes
+
+
 def test_standardize_needs_two_samples():
     task = TaskDataset([[1.0, 2.0]], [1.0], "regression", "r")
     with pytest.raises(DataError):

@@ -29,7 +29,7 @@ from mixedmtl import (
     standardize,
 )
 from mixedmtl.cli import main
-from mixedmtl.modelio import format_float, read_task_csv, write_csv
+from mixedmtl.modelio import format_float, parse_manifest, read_task_csv, write_csv
 
 
 def _write(path, text):
@@ -499,6 +499,34 @@ def test_model_load_rejects_unknown_version(tmp_path):
         load_model(path)
 
 
+def test_malformed_json_is_a_data_error(tmp_path, capsys):
+    model = tmp_path / "m.json"
+    save_model(_small_model(), model)
+    doc = json.loads(model.read_text())
+    del doc["standardization"]
+    _write(model, json.dumps(doc))
+    with pytest.raises(DataError, match="malformed"):
+        load_model(model)
+    listed = tmp_path / "listed.json"
+    _write(listed, "[1, 2]")
+    with pytest.raises(DataError, match="JSON object"):
+        load_model(listed)
+    manifest = tmp_path / "manifest.json"
+    for doc in ({"tasks": [1]}, {"tasks": 5}, [{"tasks": []}]):
+        _write(manifest, json.dumps(doc))
+        with pytest.raises(DataError):
+            parse_manifest(manifest)
+
+    data = tmp_path / "d.csv"
+    _write(data, "f1,f2,f3\n1,2,3\n")
+    for path in (model, listed):
+        assert _run(["predict", "--model", path, "--data", data, "--task", "c",
+                     "--out-dir", tmp_path / "p"]) == 3
+        assert capsys.readouterr().err.startswith("data-error: model file")
+    assert _run(["fit", "--manifest", manifest, "--lambda", 1, "--out-dir", tmp_path / "f"]) == 3
+    assert capsys.readouterr().err.startswith("data-error: manifest")
+
+
 def test_model_standardization_applies_at_predict_time():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((30, 4)) * 3.0 + 2.0
@@ -780,6 +808,7 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert _run(["fit", "--nope"]) == 2
     assert _run(["bench", "--methods", "banana", "--out-dir", tmp_path / "b"]) == 2
     assert "usage-error" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
 
     # usage: out-of-range flag values, rejected before any file is read
     gone = tmp_path / "gone.json"
@@ -802,6 +831,18 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["simulate", "--p", 0], "--p must be >= 1"),
         (["simulate", "--t-classification", 0, "--t-regression", 0],
          "--t-regression: at least one task is required"),
+        (["simulate", "--seed", -1], "--seed must be nonnegative"),
+        (["cv", "--seed", -1], "--seed must be nonnegative"),
+        (["simulate", "--noise-scale", "nan"], "--noise-scale must be nonnegative and finite"),
+        (["simulate", "--noise-scale", "inf"], "--noise-scale must be nonnegative and finite"),
+        (["bench", "--noise-scale", "inf"], "--noise-scale must be nonnegative and finite"),
+        (["bench", "--methods", "mtlcomb,banana"], "--methods must be among"),
+        (["bench", "--ratios", "0.1,1.5"], "--ratios must be non-empty and lie in (0, 1], got"),
+        (["bench", "--ratios", ","], "--ratios must be non-empty"),
+        (["bench", "--seeds", ""], "--seeds must be non-empty"),
+        (["bench", "--seeds=-1"], "--seeds must be non-empty and nonnegative, got [-1]"),
+        (["bench", "--seeds", "2,-3"], "--seeds must be non-empty and nonnegative, got [2, -3]"),
+        (["bench", "--seeds", "1.5"], "could not parse --ratios/--seeds"),
     ]:
         manifest = [] if argv[0] in ("bench", "simulate") else ["--manifest", gone]
         assert _run(argv[:1] + manifest + argv[1:] + ["--out-dir", tmp_path / "u"]) == 2, argv

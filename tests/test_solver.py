@@ -1,7 +1,10 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import mixedmtl.solver as solver_module
 from mixedmtl import (
     CoefficientMatrix,
     Hyperparameters,
@@ -184,6 +187,72 @@ def test_ista_trace_is_monotone():
         hyper = Hyperparameters(0.2 * max(lam_max(problem), 0.1), 0.05, 0.01)
         trace = ista_fit(problem, hyper).objective_trace
         assert np.all(np.diff(trace) <= 0.0)
+
+
+def test_ista_evaluates_the_objective_once_at_start_and_once_per_trial(monkeypatch):
+    # The loop carries the smooth objective of its iterate, so a step from
+    # the iterate evaluates it only at line-search candidates, one prox each.
+    calls = {"objective": 0, "prox": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver_module, "_smooth_objective_raw",
+                        counted("objective", solver_module._smooth_objective_raw))
+    monkeypatch.setattr(solver_module, "prox_l21", counted("prox", solver_module.prox_l21))
+    rng = np.random.default_rng(19)
+    for fit_intercept in (False, True):
+        problem = random_mixed_problem(rng, p=6, t=3, n_lo=8)
+        top = lam_max(problem, fit_intercept=fit_intercept)
+        opts = SolverOptions(max_iter=40, L0=0.01, fit_intercept=fit_intercept)
+        calls.update(objective=0, prox=0)
+        result = ista_fit(problem, Hyperparameters(0.1 * max(top, 0.1)), opts)
+        assert result.iterations > 1
+        assert calls["prox"] > result.iterations  # L0 is small enough to double
+        assert calls["objective"] == 1 + calls["prox"]
+
+
+@pytest.mark.parametrize("fit_intercept", [False, True])
+def test_fista_first_two_steps_are_ista_steps(fit_intercept):
+    # The momentum is zero on the first two steps, so both fits take the
+    # same steps from the same iterates.
+    rng = np.random.default_rng(20)
+    for _ in range(6):
+        problem = random_mixed_problem(rng)
+        top = lam_max(problem, fit_intercept=fit_intercept)
+        hyper = Hyperparameters(0.1 * max(top, 0.1), 0.1, 0.05)
+        opts = SolverOptions(max_iter=2, L0=0.5, fit_intercept=fit_intercept)
+        a = fista_fit(problem, hyper, opts)
+        b = ista_fit(problem, hyper, opts)
+        assert a.coef.W.tobytes() == b.coef.W.tobytes()
+        if fit_intercept:
+            assert a.coef.intercepts.tobytes() == b.coef.intercepts.tobytes()
+        assert a.objective_trace.tobytes() == b.objective_trace.tobytes()
+        assert (a.final_L, a.iterations, a.converged) == (b.final_L, b.iterations, b.converged)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), fit_intercept=st.booleans(), accelerated=st.booleans(),
+       random_init=st.booleans())
+def test_objective_trace_never_increases(seed, fit_intercept, accelerated, random_init):
+    rng = np.random.default_rng(seed)
+    problem = random_mixed_problem(rng)
+    top = lam_max(problem, fit_intercept=fit_intercept)
+    hyper = Hyperparameters(float(rng.uniform(0.0, 1.2)) * top,
+                            float(rng.choice([0.0, 0.2])), float(rng.choice([0.0, 0.05])))
+    opts = SolverOptions(max_iter=300, tol=1e-12, L0=float(rng.choice([0.01, 1.0, 100.0])),
+                         fit_intercept=fit_intercept)
+    w_init = CoefficientMatrix.zeros(problem.p, problem.t, fit_intercept)
+    if random_init:
+        w_init = CoefficientMatrix(rng.standard_normal((problem.p, problem.t)),
+                                   rng.standard_normal(problem.t) if fit_intercept else None)
+    fit = fista_fit if accelerated else ista_fit
+    result = fit(problem, hyper, opts, w_init=w_init)
+    trace = np.r_[full_objective(problem, w_init, hyper), result.objective_trace]
+    assert np.all(np.diff(trace) <= 0.0)
 
 
 def test_fista_fixed_point_characterization():
