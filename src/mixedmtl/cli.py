@@ -270,7 +270,7 @@ def _bench_grid(args) -> tuple:
         raise UsageError(f"could not parse --ratios/--seeds: {err}") from None
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     try:
-        return _benchmark_grid(methods, ratios, seeds)
+        return _benchmark_grid(methods, ratios, seeds, args.p, args.k)
     except ValueError as err:
         raise UsageError(f"--{err}") from None
 

@@ -18,11 +18,21 @@ proximal step, not here.
 
 Intercepts, when enabled, are per-task scalars that enter the losses but
 none of the penalties.
+
+Evaluation runs on one padded layout per task kind, built once per
+problem: the kind's outcomes Y and row weights M (the kind's loss weight
+over n_i, exactly 0 on padding rows, so padding adds nothing to a loss or
+a gradient) as (tasks, largest n) arrays, next to references to the
+tasks' own X, which is never copied.  Each task's scores X_i w_i + b_i
+fill a row of a padded score array; losses, residuals and intercept
+gradients then take one numpy call per kind, the gradient one X_i^T r_i
+per task.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -155,6 +165,24 @@ class MtlProblem:
     def p(self) -> int:
         return self.tasks[0].n_features
 
+    @functools.cached_property
+    def _blocks(self) -> tuple:
+        """The per-kind layout of the module docstring, built on first use:
+        one (kind, columns, Xs, Y, M) per kind present, where columns is the
+        kind's slice of W's columns and row j of Xs, Y and M is its j-th task."""
+        blocks = []
+        for columns, weight in ((slice(0, self.c), 2.0), (slice(self.c, self.t), 0.5)):
+            tasks = self.tasks[columns]
+            if tasks:
+                Y = np.zeros((len(tasks), max(task.n_samples for task in tasks)))
+                M = np.zeros_like(Y)
+                for y, m, task in zip(Y, M, tasks):
+                    y[: task.n_samples] = task.y
+                    m[: task.n_samples] = weight / task.n_samples
+                Xs = tuple(task.X for task in tasks)
+                blocks.append((tasks[0].kind, columns, Xs, Y, M))
+        return tuple(blocks)
+
 
 @dataclass(frozen=True)
 class CoefficientMatrix:
@@ -264,23 +292,21 @@ def _scores(X, w, intercept) -> np.ndarray:
     return s if intercept is None else s + intercept
 
 
-def _task_scores(problem, W, intercepts):
+def _padded_scores(problem, W, intercepts):
+    """Each kind block of problem._blocks with its scores S appended: row j
+    of S is the j-th task's X w + b, 0 on padding."""
+    for kind, columns, Xs, Y, M in problem._blocks:
+        S = np.zeros(Y.shape)
+        b = [None] * len(Xs) if intercepts is None else intercepts[columns]
+        for s, X, w, b_i in zip(S, Xs, W.T[columns], b):
+            s[: len(X)] = _scores(X, w, b_i)
+        yield kind, columns, Xs, Y, M, S
+
+
+def _task_scores(problem, W, intercepts) -> list:
     """Scores of each task of a problem, in task order."""
-    for i, task in enumerate(problem.tasks):
-        yield _scores(task.X, W[:, i], None if intercepts is None else intercepts[i])
-
-
-def _task_losses(problem, W, intercepts) -> list:
-    """Weighted loss of each task: 2 x mean logit loss (classification) or
-    0.5 x mean squared error (regression)."""
-    losses = []
-    for task, s in zip(problem.tasks, _task_scores(problem, W, intercepts)):
-        if task.kind is TaskKind.CLASSIFICATION:
-            losses.append(2.0 * float(np.mean(np.logaddexp(0.0, -task.y * s))))
-        else:
-            r = task.y - s
-            losses.append(0.5 * float(np.mean(r * r)))
-    return losses
+    padded = _padded_scores(problem, W, intercepts)
+    return [s[: len(X)] for _, _, Xs, _, _, S in padded for s, X in zip(S, Xs)]
 
 
 def _outputs(scores, kind: TaskKind, output: Optional[str]) -> np.ndarray:
@@ -301,8 +327,12 @@ def _outputs(scores, kind: TaskKind, output: Optional[str]) -> np.ndarray:
 
 def _smooth_objective_raw(problem, W, intercepts, alpha, beta) -> float:
     total = 0.0
-    for loss in _task_losses(problem, W, intercepts):
-        total += loss
+    for kind, _, _, Y, M, S in _padded_scores(problem, W, intercepts):
+        if kind is TaskKind.CLASSIFICATION:
+            losses = np.logaddexp(0.0, -Y * S)
+        else:
+            losses = (S - Y) ** 2
+        total += float(np.vdot(M, losses))
     if alpha != 0.0:
         centered = _row_centered(W)
         total += alpha * float(np.vdot(centered, centered))
@@ -314,17 +344,17 @@ def _smooth_objective_raw(problem, W, intercepts, alpha, beta) -> float:
 def _smooth_gradient_raw(problem, W, intercepts, alpha, beta):
     grad = np.empty_like(W)
     grad_b = np.empty(problem.t) if intercepts is not None else None
-    for i, (task, s) in enumerate(zip(problem.tasks, _task_scores(problem, W, intercepts))):
-        n = task.n_samples
-        if task.kind is TaskKind.CLASSIFICATION:
-            r = -task.y * sigmoid(-task.y * s)
-            weight = 2.0 / n
+    for kind, columns, Xs, Y, M, S in _padded_scores(problem, W, intercepts):
+        # Each row's weighted loss derivative; 0.5 * (tanh(s / 2) - y) is
+        # -y * sigmoid(-y * s) for y = +-1.
+        if kind is TaskKind.CLASSIFICATION:
+            R = 0.5 * M * (np.tanh(0.5 * S) - Y)
         else:
-            r = s - task.y
-            weight = 1.0 / n
-        grad[:, i] = weight * (task.X.T @ r)
+            R = 2.0 * M * (S - Y)
+        for g, X, r in zip(grad.T[columns], Xs, R):
+            g[:] = X.T @ r[: len(X)]
         if grad_b is not None:
-            grad_b[i] = weight * float(r.sum())
+            grad_b[columns] = R.sum(axis=1)
     if alpha != 0.0:
         grad += 2.0 * alpha * _row_centered(W)
     if beta != 0.0:

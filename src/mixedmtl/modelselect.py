@@ -2,9 +2,10 @@
 
 The CV criterion is the same weighted loss the solver minimizes (2 x mean
 logit loss for classification tasks, 0.5 x mean squared error for
-regression tasks; core's per-task loss, evaluated on each fold's
-validation problem), averaged over tasks and then over folds, so the
-selected penalty targets the objective that was actually optimized.
+regression tasks): core's smooth objective without its penalties,
+evaluated on each fold's validation problem, divided by the number of
+tasks and averaged over folds, so the selected penalty targets the
+objective that was actually optimized.
 Folds are drawn per task; classification folds are stratified to keep
 both classes in every split.
 """
@@ -23,7 +24,7 @@ from .core import (
     SolverOptions,
     TaskDataset,
     TaskKind,
-    _task_losses,
+    smooth_objective,
 )
 from .regpath import LambdaSequence, lam_max, lambda_sequence, path_options, reg_path
 
@@ -160,8 +161,7 @@ def cross_validate(
         validation = MtlProblem(tuple(val_tasks))
         path = reg_path(MtlProblem(tuple(train_tasks)), sequence, alpha, beta, opts)
         for j, fit in enumerate(path.fits):
-            losses = _task_losses(validation, fit.coef.W, fit.coef.intercepts)
-            fold_errors[fold, j] = float(np.mean(losses))
+            fold_errors[fold, j] = smooth_objective(validation, fit.coef) / problem.t
         del validation  # drop this fold's copies before the next fold makes its own
 
     mean_err = fold_errors.mean(axis=0)

@@ -200,33 +200,24 @@ def _cv_selected_fit(problem, alpha, beta, k, seed, opts, n_lambda, lambda_ratio
 def _run_cell(method, sim, alpha, beta, k, seed, opts, n_lambda, lambda_ratio):
     train, test = sim.train, sim.test
 
-    if method == "mtlcomb":
-        fitted = train
-        coef = _cv_selected_fit(train, alpha, beta, k, seed, opts, n_lambda, lambda_ratio)
-        rank_matrix = coef.W
-    elif method == "mtlbin":
-        fitted = binarize_problem(train)
+    fitted = binarize_problem(train) if method == "mtlbin" else train
+    if method != "singletask":
         coef = _cv_selected_fit(fitted, alpha, beta, k, seed, opts, n_lambda, lambda_ratio)
         rank_matrix = coef.W
-    else:  # singletask
-        fitted = train
-        columns = []
-        intercepts = []
-        for task in train.tasks:
-            single_coef = _cv_selected_fit(
+    else:
+        fits = [
+            _cv_selected_fit(
                 MtlProblem((task,)), alpha, beta, k, seed, opts, n_lambda, lambda_ratio
             )
-            columns.append(single_coef.W[:, 0])
-            intercepts.append(
-                None if single_coef.intercepts is None else single_coef.intercepts[0]
-            )
-        W_stack = np.column_stack(columns)
+            for task in train.tasks
+        ]
+        intercepts = [fit.intercepts for fit in fits]
         coef = CoefficientMatrix(
-            W_stack,
-            None if intercepts[0] is None else np.array(intercepts, dtype=float),
+            np.hstack([fit.W for fit in fits]),
+            None if intercepts[0] is None else np.concatenate(intercepts),
         )
         # Meta-analysis style aggregation: mean absolute coefficient per feature.
-        rank_matrix = np.abs(W_stack).mean(axis=1)[:, None]
+        rank_matrix = np.abs(coef.W).mean(axis=1)[:, None]
 
     evs, pevs = [], []
     scores = _task_scores(test, coef.W, coef.intercepts)
@@ -246,7 +237,7 @@ def _run_cell(method, sim, alpha, beta, k, seed, opts, n_lambda, lambda_ratio):
     return recovery, mean_ev, mean_pev
 
 
-def _benchmark_grid(methods, ratios, seeds) -> tuple:
+def _benchmark_grid(methods, ratios, seeds, p, k) -> tuple:
     """run_benchmark's arguments as checked lists; a ValueError names the one at fault."""
     methods, ratios, seeds = list(methods), [float(r) for r in ratios], [int(s) for s in seeds]
     unknown = [method for method in methods if method not in BENCHMARK_METHODS]
@@ -254,6 +245,9 @@ def _benchmark_grid(methods, ratios, seeds) -> tuple:
         raise ValueError(f"methods must be among {BENCHMARK_METHODS}, got {unknown}")
     if not ratios or not all(0.0 < ratio <= 1.0 for ratio in ratios):
         raise ValueError(f"ratios must be non-empty and lie in (0, 1], got {ratios}")
+    small = [ratio for ratio in ratios if round(ratio * p) < k]
+    if small:
+        raise ValueError(f"ratios must give round(ratio * p) >= k={k} at p={p}, got {small}")
     if not seeds or min(seeds) < 0:
         raise ValueError(f"seeds must be non-empty and nonnegative, got {seeds}")
     return methods, ratios, seeds
@@ -279,7 +273,7 @@ def run_benchmark(
     cross-validation on the training problem.  Returns one BenchmarkRow
     per (method, ratio), in input order.
     """
-    methods, ratios, seeds = _benchmark_grid(methods, ratios, seeds)
+    methods, ratios, seeds = _benchmark_grid(methods, ratios, seeds, spec.p, k)
     opts = opts or path_options()
 
     rows = []

@@ -843,6 +843,10 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["bench", "--seeds=-1"], "--seeds must be non-empty and nonnegative, got [-1]"),
         (["bench", "--seeds", "2,-3"], "--seeds must be non-empty and nonnegative, got [2, -3]"),
         (["bench", "--seeds", "1.5"], "could not parse --ratios/--seeds"),
+        (["bench", "--p", 20, "--ratios", 0.01, "--seeds", 1],
+         "--ratios must give round(ratio * p) >= k=5 at p=20, got [0.01]"),
+        (["bench", "--p", 20, "--ratios", 0.1, "--k", 5],
+         "--ratios must give round(ratio * p) >= k=5 at p=20, got [0.1]"),
     ]:
         manifest = [] if argv[0] in ("bench", "simulate") else ["--manifest", gone]
         assert _run(argv[:1] + manifest + argv[1:] + ["--out-dir", tmp_path / "u"]) == 2, argv

@@ -220,3 +220,7 @@ def test_benchmark_validates_inputs():
         run_benchmark(_tiny_spec(), methods=("mtlcomb",), ratios=(1.5,), seeds=(1,))
     with pytest.raises(ValueError):
         run_benchmark(_tiny_spec(), methods=("mtlcomb",), ratios=(0.5,), seeds=())
+    # Each cell has round(ratio * p) samples per task: 0 and 2 are too few for 5 folds.
+    for ratio in (0.01, 0.1):
+        with pytest.raises(ValueError, match=r"ratios must give round\(ratio \* p\) >= k=5"):
+            run_benchmark(_tiny_spec(), methods=("mtlcomb",), ratios=(0.8, ratio), seeds=(1,), k=5)
