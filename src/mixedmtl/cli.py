@@ -276,7 +276,6 @@ def _bench_grid(args) -> tuple:
 
 
 def cmd_bench(args) -> int:
-    out_dir = _ensure_out_dir(args.out_dir)
     methods, ratios, seeds = _bench_grid(args)
     # run_benchmark sets n_per_task and seed per (ratio, seed) cell.
     spec = SimulationSpec(
@@ -297,6 +296,8 @@ def cmd_bench(args) -> int:
         alpha=args.alpha,
         beta=args.beta,
     )
+    # Made only now, so a cell that fails leaves no output directory behind.
+    out_dir = _ensure_out_dir(args.out_dir)
     write_csv(
         os.path.join(out_dir, "benchmark.csv"),
         [

@@ -20,13 +20,15 @@ Intercepts, when enabled, are per-task scalars that enter the losses but
 none of the penalties.
 
 Evaluation runs on one padded layout per task kind, built once per
-problem: the kind's outcomes Y and row weights M (the kind's loss weight
-over n_i, exactly 0 on padding rows, so padding adds nothing to a loss or
-a gradient) as (tasks, largest n) arrays, next to references to the
-tasks' own X, which is never copied.  Each task's scores X_i w_i + b_i
-fill a row of a padded score array; losses, residuals and intercept
-gradients then take one numpy call per kind, the gradient one X_i^T r_i
-per task.
+problem: the kind's outcomes Y as a (tasks, largest n) array and the row
+weights M of B members as (B, tasks, largest n) (the kind's loss weight
+over the number of rows a member fits, exactly 0 on padding and on rows
+it leaves out, so they add nothing to a loss or a gradient), next to
+references to the tasks' own X, which is never copied.  A problem alone
+is one member on every row; cross-validation's folds are members too.
+Each task's scores fill a row of a padded score array for all members
+at once; losses, residuals and intercept gradients then take one numpy
+call per kind, the gradient one product per task.
 """
 
 from __future__ import annotations
@@ -167,21 +169,39 @@ class MtlProblem:
 
     @functools.cached_property
     def _blocks(self) -> tuple:
-        """The per-kind layout of the module docstring, built on first use:
-        one (kind, columns, Xs, Y, M) per kind present, where columns is the
-        kind's slice of W's columns and row j of Xs, Y and M is its j-th task."""
-        blocks = []
-        for columns, weight in ((slice(0, self.c), 2.0), (slice(self.c, self.t), 0.5)):
-            tasks = self.tasks[columns]
-            if tasks:
-                Y = np.zeros((len(tasks), max(task.n_samples for task in tasks)))
-                M = np.zeros_like(Y)
-                for y, m, task in zip(Y, M, tasks):
-                    y[: task.n_samples] = task.y
-                    m[: task.n_samples] = weight / task.n_samples
-                Xs = tuple(task.X for task in tasks)
-                blocks.append((tasks[0].kind, columns, Xs, Y, M))
-        return tuple(blocks)
+        """The per-kind layout of the module docstring for one member that
+        fits every row, built on first use."""
+        return _layout(self)
+
+
+def _layout(problem: MtlProblem, rows=None) -> tuple:
+    """One (kind, columns, Xs, Y, M) per kind present: columns is the kind's
+    slice of W's columns, Xs its tasks' X, Y (tasks, n_max) their outcomes
+    and M (B, tasks, n_max) the row weights of B members.  rows holds one
+    (n_i, B) boolean array per task, the rows each member fits; a member
+    weights them by the kind's loss weight over their count.  Without rows
+    there is one member, on every row."""
+    blocks = []
+    for columns, weight in ((slice(0, problem.c), 2.0), (slice(problem.c, problem.t), 0.5)):
+        tasks = problem.tasks[columns]
+        if tasks:
+            fitted = rows[columns] if rows is not None else [
+                np.ones((task.n_samples, 1), dtype=bool) for task in tasks
+            ]
+            Y = np.zeros((len(tasks), max(task.n_samples for task in tasks)))
+            M = np.zeros(fitted[0].shape[1:] + Y.shape)
+            for j, (task, r) in enumerate(zip(tasks, fitted)):
+                Y[j, : task.n_samples] = task.y
+                M[:, j, : task.n_samples] = np.where(r.T, weight / r.sum(axis=0)[:, None], 0.0)
+            blocks.append((tasks[0].kind, columns, tuple(task.X for task in tasks), Y, M))
+    return tuple(blocks)
+
+
+@dataclass(frozen=True)
+class _Members:
+    """A _layout with rows, taken by the evaluation functions in place of an MtlProblem."""
+
+    _blocks: tuple
 
 
 @dataclass(frozen=True)
@@ -283,7 +303,20 @@ def _check_dimensions(problem: MtlProblem, coef: CoefficientMatrix) -> None:
 def _row_centered(W: np.ndarray) -> np.ndarray:
     # Identical to W @ make_centering(t) but cheaper and exactly zero on
     # rows whose cross-task mean is exact (e.g. integer-valued rows).
+    # W is a batch (B, t, p), so a feature's row runs along axis 1.
     return W - W.mean(axis=1, keepdims=True)
+
+
+def _members(W, intercepts):
+    """A (p, t) matrix as a batch (1, t, p) of one member: a batch holds each
+    member's matrix transposed, so a task's coefficients are contiguous."""
+    return W.T[None], None if intercepts is None else intercepts[None]
+
+
+def _member_dots(A, C) -> np.ndarray:
+    """Inner product of A and C per member (their first axis)."""
+    B = A.shape[0]
+    return np.matmul(A.reshape(B, 1, -1), C.reshape(B, -1, 1))[:, 0, 0]
 
 
 def _scores(X, w, intercept) -> np.ndarray:
@@ -293,20 +326,22 @@ def _scores(X, w, intercept) -> np.ndarray:
 
 
 def _padded_scores(problem, W, intercepts):
-    """Each kind block of problem._blocks with its scores S appended: row j
-    of S is the j-th task's X w + b, 0 on padding."""
+    """Each kind block of problem._blocks with its scores S appended:
+    S[b, j] is the j-th task's X w + b under member b's coefficients
+    (W of shape (B, t, p), intercepts (B, t) or None)."""
     for kind, columns, Xs, Y, M in problem._blocks:
-        S = np.zeros(Y.shape)
-        b = [None] * len(Xs) if intercepts is None else intercepts[columns]
-        for s, X, w, b_i in zip(S, Xs, W.T[columns], b):
-            s[: len(X)] = _scores(X, w, b_i)
+        S = np.zeros(W.shape[:1] + Y.shape)
+        for j, X in enumerate(Xs):
+            np.matmul(W[:, columns.start + j], X.T, out=S[:, j, : len(X)])
+        if intercepts is not None:
+            S += intercepts[:, columns, None]
         yield kind, columns, Xs, Y, M, S
 
 
 def _task_scores(problem, W, intercepts) -> list:
-    """Scores of each task of a problem, in task order."""
-    padded = _padded_scores(problem, W, intercepts)
-    return [s[: len(X)] for _, _, Xs, _, _, S in padded for s, X in zip(S, Xs)]
+    """Scores of each task of a problem under one (p, t) matrix, in task order."""
+    padded = _padded_scores(problem, *_members(W, intercepts))
+    return [S[0, j, : len(X)] for _, _, Xs, _, _, S in padded for j, X in enumerate(Xs)]
 
 
 def _outputs(scores, kind: TaskKind, output: Optional[str]) -> np.ndarray:
@@ -325,25 +360,33 @@ def _outputs(scores, kind: TaskKind, output: Optional[str]) -> np.ndarray:
     raise ValueError(f"unknown output {output!r}")
 
 
-def _smooth_objective_raw(problem, W, intercepts, alpha, beta) -> float:
-    total = 0.0
+def _smooth_objective_raw(problem, W, intercepts, alpha, beta):
+    """F of a (p, t) matrix as a float, or of a batch (B, t, p) per member."""
+    single = W.ndim == 2
+    if single:
+        W, intercepts = _members(W, intercepts)
+    total = np.zeros(W.shape[0])
     for kind, _, _, Y, M, S in _padded_scores(problem, W, intercepts):
         if kind is TaskKind.CLASSIFICATION:
             losses = np.logaddexp(0.0, -Y * S)
         else:
             losses = (S - Y) ** 2
-        total += float(np.vdot(M, losses))
+        total += _member_dots(M, losses)
     if alpha != 0.0:
         centered = _row_centered(W)
-        total += alpha * float(np.vdot(centered, centered))
+        total += alpha * _member_dots(centered, centered)
     if beta != 0.0:
-        total += beta * float(np.vdot(W, W))
-    return total
+        total += beta * _member_dots(W, W)
+    return float(total[0]) if single else total
 
 
 def _smooth_gradient_raw(problem, W, intercepts, alpha, beta):
-    grad = np.empty_like(W)
-    grad_b = np.empty(problem.t) if intercepts is not None else None
+    """Gradient of F, shaped like W and intercepts: a (p, t) matrix or a batch."""
+    single = W.ndim == 2
+    if single:
+        W, intercepts = _members(W, intercepts)
+    grad = np.empty(W.shape)
+    grad_b = None if intercepts is None else np.empty(intercepts.shape)
     for kind, columns, Xs, Y, M, S in _padded_scores(problem, W, intercepts):
         # Each row's weighted loss derivative; 0.5 * (tanh(s / 2) - y) is
         # -y * sigmoid(-y * s) for y = +-1.
@@ -351,14 +394,16 @@ def _smooth_gradient_raw(problem, W, intercepts, alpha, beta):
             R = 0.5 * M * (np.tanh(0.5 * S) - Y)
         else:
             R = 2.0 * M * (S - Y)
-        for g, X, r in zip(grad.T[columns], Xs, R):
-            g[:] = X.T @ r[: len(X)]
+        for j, X in enumerate(Xs):
+            np.matmul(R[:, j, : len(X)], X, out=grad[:, columns.start + j])
         if grad_b is not None:
-            grad_b[columns] = R.sum(axis=1)
+            grad_b[:, columns] = R.sum(axis=2)
     if alpha != 0.0:
         grad += 2.0 * alpha * _row_centered(W)
     if beta != 0.0:
         grad += 2.0 * beta * W
+    if single:
+        return grad[0].T.copy(), None if grad_b is None else grad_b[0]
     return grad, grad_b
 
 

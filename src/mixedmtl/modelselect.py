@@ -1,11 +1,16 @@
 """Cross-validated penalty selection and evaluation metrics.
 
-The CV criterion is the same weighted loss the solver minimizes (2 x mean
-logit loss for classification tasks, 0.5 x mean squared error for
-regression tasks): core's smooth objective without its penalties,
-evaluated on each fold's validation problem, divided by the number of
-tasks and averaged over folds, so the selected penalty targets the
-objective that was actually optimized.
+Cross-validation fits one warm-started path of k + 1 members in
+lockstep on the problem's own X: a fold is a member that gives its
+validation rows weight 0 and the rest the kind's loss weight over their
+count, and member k + 1 fits every row, which gives the model at the
+selected penalty without a refit.  The CV criterion is the same
+weighted loss the solver minimizes (2 x mean logit loss for
+classification tasks, 0.5 x mean squared error for regression tasks):
+core's smooth objective without its penalties, under the complementary
+weights (each fold's validation rows over their count), divided by the
+number of tasks and averaged over folds, so the selected penalty
+targets the objective that was actually optimized.
 Folds are drawn per task; classification folds are stratified to keep
 both classes in every split.
 """
@@ -22,11 +27,14 @@ from .core import (
     DataError,
     MtlProblem,
     SolverOptions,
-    TaskDataset,
     TaskKind,
-    smooth_objective,
+    _layout,
+    _Members,
+    _smooth_objective_raw,
 )
-from .regpath import LambdaSequence, lam_max, lambda_sequence, path_options, reg_path
+from .regpath import LambdaSequence, lam_max, lambda_sequence, path_options
+from .regpath import reg_path  # noqa: F401  (perfbench/tracing.py patches it here)
+from .solver import FitResult, SolverError, _proximal_loop
 
 __all__ = [
     "CvResult",
@@ -41,10 +49,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CvResult:
-    """Per-penalty CV error curve and the selected penalty.
+    """Per-penalty CV error curve, the selected penalty and its model.
 
     best_lambda attains the minimum mean error; ties go to the larger
-    penalty (the sparser model).
+    penalty (the sparser model).  fit is the full-data member's fit at
+    best_lambda: the path on every row, warm-started from lam_max.
     """
 
     sequence: LambdaSequence
@@ -53,6 +62,7 @@ class CvResult:
     best_lambda: float
     folds: int
     seed: int
+    fit: FitResult
 
     def __post_init__(self):
         object.__setattr__(self, "mean_cv_error", np.array(self.mean_cv_error, dtype=float))
@@ -142,27 +152,33 @@ def cross_validate(
         sequence = lambda_sequence(lam_top, ratio=ratio, n=n_lambda)
 
     folds = task_folds(problem, k, seed)
-    fold_errors = np.empty((k, sequence.length))
+    # Member m < k fits every row outside fold m; member k fits every row.
+    rows = []
+    for task, task_fold in zip(problem.tasks, folds):
+        fitted = np.ones((task.n_samples, k + 1), dtype=bool)
+        for fold, val_idx in enumerate(task_fold):
+            fitted[val_idx, fold] = False
+        rows.append(fitted)
     for fold in range(k):
-        train_tasks = []
-        val_tasks = []
-        for i, task in enumerate(problem.tasks):
-            val_idx = folds[i][fold]
-            mask = np.ones(task.n_samples, dtype=bool)
-            mask[val_idx] = False
-            y_train = task.y[mask]
-            if task.kind is TaskKind.CLASSIFICATION and len(np.unique(y_train)) < 2:
-                raise DataError(
-                    f"fold {fold} leaves task {task.name!r} with a single class"
-                )
-            train_tasks.append(TaskDataset(task.X[mask], y_train, task.kind, task.name))
-            val_tasks.append(TaskDataset(task.X[val_idx], task.y[val_idx], task.kind, task.name))
+        for task, fitted in zip(problem.tasks, rows):
+            single_class = len(np.unique(task.y[fitted[:, fold]])) < 2
+            if task.kind is TaskKind.CLASSIFICATION and single_class:
+                raise DataError(f"fold {fold} leaves task {task.name!r} with a single class")
+    members = _Members(_layout(problem, rows))
+    validation = _Members(_layout(problem, [~fitted[:, :k] for fitted in rows]))
 
-        validation = MtlProblem(tuple(val_tasks))
-        path = reg_path(MtlProblem(tuple(train_tasks)), sequence, alpha, beta, opts)
-        for j, fit in enumerate(path.fits):
-            fold_errors[fold, j] = smooth_objective(validation, fit.coef) / problem.t
-        del validation  # drop this fold's copies before the next fold makes its own
+    W = np.zeros((k + 1, problem.t, problem.p))
+    b = np.zeros((k + 1, problem.t)) if opts.fit_intercept else None
+    fold_errors = np.empty((k, sequence.length))
+    fits = []
+    for j, lam in enumerate(sequence.values):
+        try:
+            W, b, batch = _proximal_loop(members, [lam] * (k + 1), alpha, beta, opts, W, b, True)
+        except SolverError as err:
+            raise SolverError(f"path fit failed at lambda={float(lam)!r}: {err}") from err
+        b_folds = None if b is None else b[:k]
+        fold_errors[:, j] = _smooth_objective_raw(validation, W[:k], b_folds, 0.0, 0.0) / problem.t
+        fits.append(batch[k])
 
     mean_err = fold_errors.mean(axis=0)
     se_err = fold_errors.std(axis=0, ddof=1) / np.sqrt(k)
@@ -177,6 +193,7 @@ def cross_validate(
         best_lambda=float(sequence.values[best_idx]),
         folds=k,
         seed=int(seed),
+        fit=fits[best_idx],
     )
 
 

@@ -33,7 +33,8 @@ from .modelselect import (
     explained_variance,
     pseudo_explained_variance,
 )
-from .regpath import LambdaSequence, path_options, reg_path
+from .regpath import path_options
+from .regpath import reg_path  # noqa: F401  (perfbench/tracing.py patches it here)
 
 __all__ = [
     "SimulationSpec",
@@ -184,33 +185,21 @@ class BenchmarkRow:
     mean_pseudo_ev_classification: float
 
 
-def _cv_selected_fit(problem, alpha, beta, k, seed, opts, n_lambda, lambda_ratio):
-    """CV on the problem, then a warm-started refit down to the chosen penalty."""
-    cv = cross_validate(
-        problem, alpha=alpha, beta=beta, k=k, seed=seed, opts=opts,
-        n_lambda=n_lambda, ratio=lambda_ratio,
-    )
-    best_idx = int(np.flatnonzero(cv.sequence.values == cv.best_lambda)[0])
-    values = cv.sequence.values[: best_idx + 1]
-    seq = LambdaSequence(values=values, ratio=float(values[-1] / values[0]))
-    path = reg_path(problem, seq, alpha=alpha, beta=beta, opts=opts)
-    return path.fits[-1].coef
-
-
 def _run_cell(method, sim, alpha, beta, k, seed, opts, n_lambda, lambda_ratio):
     train, test = sim.train, sim.test
 
+    def selected(problem):
+        return cross_validate(
+            problem, alpha=alpha, beta=beta, k=k, seed=seed, opts=opts,
+            n_lambda=n_lambda, ratio=lambda_ratio,
+        ).fit.coef
+
     fitted = binarize_problem(train) if method == "mtlbin" else train
     if method != "singletask":
-        coef = _cv_selected_fit(fitted, alpha, beta, k, seed, opts, n_lambda, lambda_ratio)
+        coef = selected(fitted)
         rank_matrix = coef.W
     else:
-        fits = [
-            _cv_selected_fit(
-                MtlProblem((task,)), alpha, beta, k, seed, opts, n_lambda, lambda_ratio
-            )
-            for task in train.tasks
-        ]
+        fits = [selected(MtlProblem((task,))) for task in train.tasks]
         intercepts = [fit.intercepts for fit in fits]
         coef = CoefficientMatrix(
             np.hstack([fit.W for fit in fits]),

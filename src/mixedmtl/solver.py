@@ -16,6 +16,13 @@ or a momentum point where F is non-finite, restarts the momentum (the
 step is retaken from the iterate), which keeps the objective trace
 non-increasing.  ``ista_fit`` is the same loop at zero momentum; it
 serves as a slow-but-simple cross-check.
+
+The loop fits a batch of B members in lockstep, each with its own lam,
+L, momentum, restart and stopping test; a stopped member is frozen.
+Each turn evaluates F or its gradient once for all members, one
+X_i @ (p x B) product per task, on the problem's rows or on per-member
+row weights (``core._Members``: cross-validation's k folds and the
+full-data fit).  ``fista_fit`` and ``ista_fit`` are the batch of one.
 """
 
 from __future__ import annotations
@@ -31,9 +38,10 @@ from .core import (
     Hyperparameters,
     MtlProblem,
     SolverOptions,
+    _member_dots,
+    _members,
     _smooth_gradient_raw,
     _smooth_objective_raw,
-    l21_norm,
 )
 
 __all__ = ["SolverError", "FitResult", "prox_l21", "line_search", "fista_fit", "ista_fit"]
@@ -42,6 +50,7 @@ MAX_DOUBLINGS = 60
 # Squared step size below which the proximal step is accepted as numerically
 # null (the backtracking test is noise-dominated there).
 _NULL_STEP_SQ = 1e-20
+_TINY = np.nextafter(0.0, 1.0)
 
 
 class SolverError(RuntimeError):
@@ -70,41 +79,67 @@ def prox_l21(V: np.ndarray, tau: float) -> np.ndarray:
     Solves min_Y 0.5 ||Y - V||_F^2 + tau * ||Y||_{2,1} row by row: each row
     is shrunk by factor (1 - tau / max(||v||, tau)), so rows with norm at
     most tau come out exactly zero.
+
+    A batch V (B, t, p), each member's matrix transposed, takes one tau
+    per member and also returns the result's row norms, max(||v|| - tau, 0)
+    as the shrink factor times ||v||, shape (B, p).
     """
     V = np.asarray(V, dtype=float)
-    if tau < 0.0:
+    tau = np.asarray(tau, dtype=float)
+    if (tau < 0.0).any():
         raise ValueError("tau must be nonnegative")
-    if tau == 0.0:
-        return V.copy()
-    norms = np.linalg.norm(V, axis=1)
-    scale = 1.0 - tau / np.maximum(norms, tau)
-    return scale[:, None] * V
+    tau = tau.reshape((-1,) + (1,) * (V.ndim - 1))
+    norms = np.sqrt(np.add.reduce(V * V, axis=1, keepdims=True))
+    # The floor keeps a zero row at zero at tau = 0 too (0 / floor = 0).
+    scale = 1.0 - tau / np.maximum(norms, np.maximum(tau, _TINY))
+    Y = scale * V
+    if V.ndim == 2:
+        return Y
+    return Y, (scale * norms)[:, 0]
 
 
-def _backtrack(problem, hyper, Ws, bs, f_s, L_prev):
-    """Grow L by doubling until sufficient decrease holds at the prox candidate.
+def _backtrack(problem, lam, alpha, beta, Ws, bs, f_s, L, pending):
+    """Grow each pending member's L by doubling until sufficient decrease
+    holds at its prox candidate; the others keep L and get no candidate.
 
-    f_s is the smooth objective at the search point (Ws, bs), finite.
-    Returns (L, W_cand, b_cand, smooth_value_at_candidate).
+    f_s (F at the search point (Ws, bs)), L and pending are lists.
+    Returns (L, W_cand, b_cand, F at the candidate, the candidate's
+    row-norm sum), the last two as lists.
     """
-    gW, gb = _smooth_gradient_raw(problem, Ws, bs, hyper.alpha, hyper.beta)
-    L = float(L_prev)
+    gW, gb = _smooth_gradient_raw(problem, Ws, bs, alpha, beta)
+    accepted = None
     for _ in range(MAX_DOUBLINGS + 1):
-        Wc = prox_l21(Ws - gW / L, hyper.lam / L)
-        dW = Wc - Ws
-        linear = float(np.vdot(gW, dW))
-        step_sq = float(np.vdot(dW, dW))
+        L_arr = np.array(L)
+        Wy, norms = prox_l21(Ws - gW / L_arr[:, None, None], lam / L_arr)
+        dW = Wy - Ws
+        linear = _member_dots(gW, dW)
+        step_sq = _member_dots(dW, dW)
         if bs is not None:
-            bc = bs - gb / L
-            db = bc - bs
-            linear += float(np.dot(gb, db))
-            step_sq += float(np.dot(db, db))
+            by = bs - gb / L_arr[:, None]
+            db = by - bs
+            linear += _member_dots(gb, db)
+            step_sq += _member_dots(db, db)
         else:
-            bc = None
-        f_c = _smooth_objective_raw(problem, Wc, bc, hyper.alpha, hyper.beta)
-        if step_sq <= _NULL_STEP_SQ or f_c <= f_s + linear + 0.5 * L * step_sq:
-            return L, Wc, bc, f_c
-        L *= 2.0
+            by = None
+        f_y = _smooth_objective_raw(problem, Wy, by, alpha, beta)
+        trial = (Wy, by, f_y, norms.sum(axis=1))
+        ok = [
+            pend and (sq <= _NULL_STEP_SQ or fy <= fs + lin + 0.5 * Lm * sq)
+            for pend, fy, fs, lin, sq, Lm in zip(
+                pending, f_y.tolist(), f_s, linear.tolist(), step_sq.tolist(), L
+            )
+        ]
+        if accepted is None:
+            accepted = trial
+        elif any(ok):
+            for kept, new in zip(accepted, trial):
+                if kept is not None:
+                    np.copyto(kept, new, where=np.reshape(ok, (-1,) + (1,) * (new.ndim - 1)))
+        pending = [pend and not good for pend, good in zip(pending, ok)]
+        if not any(pending):
+            Wc, bc, f_c, penalty = accepted
+            return L, Wc, bc, f_c.tolist(), penalty.tolist()
+        L = [2.0 * Lm if pend else Lm for Lm, pend in zip(L, pending)]
     raise SolverError(
         f"line search did not reach sufficient decrease within {MAX_DOUBLINGS} "
         "doublings; the data or the gradient is ill-conditioned"
@@ -125,88 +160,128 @@ def line_search(
     """
     if not L_prev > 0.0:
         raise ValueError("L_prev must be positive")
-    Ws, bs = search_point.W, search_point.intercepts
+    Ws, bs = _members(search_point.W, search_point.intercepts)
     f_s = _smooth_objective_raw(problem, Ws, bs, hyper.alpha, hyper.beta)
-    if not np.isfinite(f_s):
+    if not np.isfinite(f_s[0]):
         raise SolverError("objective is non-finite at the search point")
-    L, Wc, bc, _ = _backtrack(problem, hyper, Ws, bs, f_s, L_prev)
-    return L, CoefficientMatrix(Wc, bc)
+    L, Wc, bc, _, _ = _backtrack(
+        problem, np.array([hyper.lam]), hyper.alpha, hyper.beta, Ws, bs, [f_s[0]],
+        [float(L_prev)], [True],
+    )
+    return L[0], CoefficientMatrix(Wc[0].T.copy(), None if bc is None else bc[0])
 
 
 def _resolve_init(problem, opts, w_init):
+    """The start of a single fit as a batch of one."""
     p, t = problem.p, problem.t
-    if w_init is None:
-        W0 = np.zeros((p, t))
-        b0 = np.zeros(t) if opts.fit_intercept else None
-        return W0, b0
+    w_init = w_init or CoefficientMatrix.zeros(p, t, opts.fit_intercept)
     if w_init.W.shape != (p, t):
         raise ValueError(f"w_init shape {w_init.W.shape} does not match problem ({p}, {t})")
-    W0 = w_init.W.copy()
+    b0 = w_init.intercepts
+    if b0 is not None and not opts.fit_intercept:
+        raise ValueError("w_init carries intercepts but fit_intercept is off")
     if opts.fit_intercept:
-        b0 = w_init.intercepts.copy() if w_init.intercepts is not None else np.zeros(t)
-    else:
-        if w_init.intercepts is not None:
-            raise ValueError("w_init carries intercepts but fit_intercept is off")
-        b0 = None
-    return W0, b0
+        b0 = np.zeros((1, t)) if b0 is None else b0[None].copy()
+    return w_init.W.T.copy()[None], b0
 
 
-def _proximal_loop(problem, hyper, opts, w_init, accelerated):
-    W, b = _resolve_init(problem, opts, w_init)
+def _proximal_loop(problem, lam, alpha, beta, opts, W, b, accelerated):
+    """Fit B members from the batch (W, b) of shapes (B, t, p) and (B, t)
+    (or None), member m at penalty lam[m], on an MtlProblem or a
+    core._Members.  Returns the fitted batch and one FitResult per member.
+    Per-member scalars are Python floats; arrays hold all members."""
+    B = W.shape[0]
+    lam = np.asarray(lam, dtype=float)
+    lam_m = lam.tolist()
     W_prev, b_prev = W, b
-    f = _smooth_objective_raw(problem, W, b, hyper.alpha, hyper.beta)
-    obj_prev = f + hyper.lam * l21_norm(W)
-    if not np.isfinite(obj_prev):
+    f = _smooth_objective_raw(problem, W, b, alpha, beta)
+    obj_prev = (f + lam * np.sqrt(np.add.reduce(W * W, axis=1)).sum(axis=1)).tolist()
+    if not all(map(math.isfinite, obj_prev)):
         raise SolverError("objective is non-finite at the initial point")
 
-    L = opts.L0
-    t_prev = t_cur = 1.0
-    trace = []
-    converged = False
+    f = f.tolist()
+    L = [opts.L0] * B
+    t_prev = [1.0] * B
+    t_cur = [1.0] * B
+    traces = [[] for _ in range(B)]
+    converged = [False] * B
+    active = [True] * B
 
-    while len(trace) < opts.max_iter:
-        mom = (t_prev - 1.0) / t_cur
-        if mom != 0.0:
-            Ws = W + mom * (W - W_prev)
-            bs = b + mom * (b - b_prev) if b is not None else None
-            f_s = _smooth_objective_raw(problem, Ws, bs, hyper.alpha, hyper.beta)
+    while any(active):
+        mom = [(tp - 1.0) / tc if on else 0.0 for tp, tc, on in zip(t_prev, t_cur, active)]
+        if any(mom):
+            m = np.array(mom)
+            Ws = W - W_prev
+            Ws *= m[:, None, None]
+            Ws += W
+            bs = b + m[:, None] * (b - b_prev) if b is not None else None
+            f_m = _smooth_objective_raw(problem, Ws, bs, alpha, beta).tolist()
+            f_s = [fm if mo != 0.0 else fi for fm, mo, fi in zip(f_m, mom, f)]
         else:
             Ws, bs, f_s = W, b, f
-        obj = math.inf
-        if np.isfinite(f_s):
-            L, Wc, bc, f_c = _backtrack(problem, hyper, Ws, bs, f_s, L)
-            obj = f_c + hyper.lam * l21_norm(Wc)
-        if obj > obj_prev and mom != 0.0:
-            # Momentum overshoot: restart, so the step is retaken from the
-            # iterate.  A sufficient-decrease step from the iterate cannot
-            # increase the objective, so monotonicity is preserved.
-            t_prev = t_cur = 1.0
-            continue
-        if obj > obj_prev:
-            # Only floating-point noise can land here; keep the iterate.
-            converged = True
-            break
-        if not np.isfinite(obj):
-            raise SolverError(f"objective became non-finite at iteration {len(trace) + 1}")
+        pending = [on and math.isfinite(fs) for on, fs in zip(active, f_s)]
+        if any(pending):
+            L, Wc, bc, f_c, penalty = _backtrack(
+                problem, lam, alpha, beta, Ws, bs, f_s, L, pending
+            )
+        step = [False] * B
+        for i in range(B):
+            if not active[i]:
+                continue
+            obj = f_c[i] + lam_m[i] * penalty[i] if pending[i] else math.inf
+            if obj > obj_prev[i]:
+                # Momentum overshoot restarts (the step is retaken from the
+                # iterate, where sufficient decrease cannot increase the
+                # objective); without momentum only floating-point noise
+                # lands here, and the member keeps its iterate.
+                if mom[i] != 0.0:
+                    t_prev[i] = t_cur[i] = 1.0
+                else:
+                    converged[i], active[i] = True, False
+                continue
+            if not math.isfinite(obj):
+                raise SolverError(
+                    f"objective became non-finite at iteration {len(traces[i]) + 1}"
+                )
+            step[i] = True
+            traces[i].append(obj)
+            if abs(obj - obj_prev[i]) <= opts.tol * max(1.0, abs(obj_prev[i])):
+                converged[i] = True
+            active[i] = not converged[i] and len(traces[i]) < opts.max_iter
+            obj_prev[i] = obj
+            if accelerated:
+                t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_cur[i] * t_cur[i]))
+                t_prev[i], t_cur[i] = t_cur[i], t_next
 
-        W_prev, b_prev = W, b
-        W, b, f = Wc, bc, f_c
-        trace.append(obj)
+        if any(step):
+            # The stepping members move on; the others are put back.
+            before = (W, W_prev, b, b_prev)
+            W_prev, W, b_prev, b = W, Wc, b, bc
+            f = [fc if moved else fi for fc, moved, fi in zip(f_c, step, f)]
+            if not all(step):
+                kept = np.logical_not(step)
+                for now, then in zip((W, W_prev, b, b_prev), before):
+                    if now is not None:
+                        np.copyto(now, then, where=kept.reshape((-1,) + (1,) * (now.ndim - 1)))
 
-        if abs(obj - obj_prev) <= opts.tol * max(1.0, abs(obj_prev)):
-            converged = True
-            break
-        obj_prev = obj
-        if accelerated:
-            t_prev, t_cur = t_cur, 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_cur * t_cur))
+    fits = [
+        FitResult(
+            coef=CoefficientMatrix(W[m].T.copy(), None if b is None else b[m]),
+            objective_trace=np.array(traces[m], dtype=float),
+            final_L=L[m],
+            iterations=len(traces[m]),
+            converged=converged[m],
+        )
+        for m in range(B)
+    ]
+    return W, b, fits
 
-    return FitResult(
-        coef=CoefficientMatrix(W, b),
-        objective_trace=np.array(trace, dtype=float),
-        final_L=L,
-        iterations=len(trace),
-        converged=converged,
-    )
+
+def _single_fit(problem, hyper, opts, w_init, accelerated) -> FitResult:
+    W, b = _resolve_init(problem, opts, w_init)
+    lam, alpha, beta = [hyper.lam], hyper.alpha, hyper.beta
+    _, _, fits = _proximal_loop(problem, lam, alpha, beta, opts, W, b, accelerated)
+    return fits[0]
 
 
 def fista_fit(
@@ -220,8 +295,7 @@ def fista_fit(
     w_init defaults to all zeros (with zero intercepts when enabled).
     Deterministic: identical inputs give bit-identical results.
     """
-    opts = opts or SolverOptions()
-    return _proximal_loop(problem, hyper, opts, w_init, accelerated=True)
+    return _single_fit(problem, hyper, opts or SolverOptions(), w_init, accelerated=True)
 
 
 def ista_fit(
@@ -232,5 +306,4 @@ def ista_fit(
 ) -> FitResult:
     """Plain proximal gradient: fista_fit's loop at zero momentum; monotone
     trace, same fixed points."""
-    opts = opts or SolverOptions()
-    return _proximal_loop(problem, hyper, opts, w_init, accelerated=False)
+    return _single_fit(problem, hyper, opts or SolverOptions(), w_init, accelerated=False)

@@ -2,10 +2,12 @@
 
 The smooth objective and gradient of a mixed problem decompose by task
 and equal the per-task formulas written out task by task, whatever the
-padding of the per-kind layout; cross-validation scores each path fit
-with the very objective the solver minimizes, evaluated on the fold's
-validation tasks.
+padding of the per-kind layout; cross-validation scores each fold
+member of its batched path with the very objective the solver
+minimizes, evaluated on the fold's validation tasks.
 """
+
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -20,10 +22,10 @@ from mixedmtl import (
     TaskKind,
     cross_validate,
     path_options,
-    reg_path,
     smooth_gradient,
     smooth_objective,
 )
+from mixedmtl import modelselect
 from mixedmtl.core import _task_scores
 from mixedmtl.modelselect import task_folds
 
@@ -127,20 +129,26 @@ def test_cv_error_is_the_validation_objective_of_each_fold_fit(seed, fit_interce
     assume(all(min(np.sum(task.y > 0), np.sum(task.y < 0)) >= 2
                for task in problem.tasks if task.kind is TaskKind.CLASSIFICATION))
     opts = path_options(fit_intercept)
-    cv = cross_validate(problem, k=k, seed=seed, opts=opts, n_lambda=4, ratio=0.1)
+    # The fold fits are the batched path's members, one call per penalty.
+    batches = []
+
+    def recording(*args):
+        batch = proximal_loop(*args)
+        batches.append(batch[2])
+        return batch
+
+    proximal_loop = modelselect._proximal_loop
+    with mock.patch.object(modelselect, "_proximal_loop", recording):
+        cv = cross_validate(problem, k=k, seed=seed, opts=opts, n_lambda=4, ratio=0.1)
+    assert len(batches) == cv.sequence.length
 
     folds = task_folds(problem, k, seed)
     expected = np.zeros(cv.sequence.length)
     for fold in range(k):
-        train, validation = [], []
-        for task, task_fold in zip(problem.tasks, folds):
-            val_idx = task_fold[fold]
-            mask = np.ones(task.n_samples, dtype=bool)
-            mask[val_idx] = False
-            train.append(TaskDataset(task.X[mask], task.y[mask], task.kind, task.name))
-            validation.append(TaskDataset(task.X[val_idx], task.y[val_idx], task.kind, task.name))
-        validation = MtlProblem(tuple(validation))
-        path = reg_path(MtlProblem(tuple(train)), cv.sequence, opts=opts)
-        for j, fit in enumerate(path.fits):
-            expected[j] += smooth_objective(validation, fit.coef) / problem.t
+        validation = MtlProblem(tuple(
+            TaskDataset(task.X[task_fold[fold]], task.y[task_fold[fold]], task.kind, task.name)
+            for task, task_fold in zip(problem.tasks, folds)
+        ))
+        for j, fits in enumerate(batches):
+            expected[j] += smooth_objective(validation, fits[fold].coef) / problem.t
     npt.assert_allclose(cv.mean_cv_error, expected / k, rtol=1e-12, atol=0.0)

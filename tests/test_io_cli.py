@@ -857,6 +857,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("usage-error: "), argv
     assert not (tmp_path / "u").exists()
 
+    # data error: a fold leaves a task with a single class; no --out-dir is left
+    assert _run(["bench", "--p", 20, "--t-classification", 1, "--t-regression", 1,
+                 "--ratios", 0.25, "--k", 5, "--seeds", 1, "--n-lambda", 3,
+                 "--methods", "mtlcomb", "--out-dir", tmp_path / "d"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data-error: fold 4 leaves task 'clf01' with a single class"), err
+    assert not (tmp_path / "d").exists()
+
     # cross-validation keeps its one-point grid
     sim = _simulate_dir(tmp_path)
     assert _run(["cv", "--manifest", sim / "train" / "manifest.json", "--k", 2,

@@ -4,14 +4,18 @@ import pytest
 
 from mixedmtl import (
     DataError,
+    Hyperparameters,
+    LambdaSequence,
     MtlProblem,
     SimulationSpec,
     TaskDataset,
     auc,
     cross_validate,
     explained_variance,
+    full_objective,
     kfold_split,
     pseudo_explained_variance,
+    reg_path,
     simulate,
 )
 from mixedmtl.modelselect import task_folds
@@ -149,6 +153,44 @@ def test_cross_validate_one_se_rule_picks_larger_lambda():
     plain = cross_validate(problem, k=4, seed=1, n_lambda=15)
     one_se = cross_validate(problem, k=4, seed=1, n_lambda=15, one_se=True)
     assert one_se.best_lambda >= plain.best_lambda
+
+
+def _noise_problem(seed):
+    rng = np.random.default_rng(100 + seed)
+    return MtlProblem((
+        TaskDataset(rng.standard_normal((25, 30)), random_labels(rng, 25), "classification", "c0"),
+        TaskDataset(rng.standard_normal((25, 30)), rng.standard_normal(25), "regression", "r0"),
+    ))
+
+
+@pytest.mark.parametrize("problem, k, seed, n_lambda, one_se, index", [
+    (("signal", 1), 3, 2, 8, False, 4),
+    (("signal", 2), 3, 0, 10, False, 6),
+    (("signal", 3), 4, 1, 15, False, 8),
+    (("signal", 3), 4, 1, 15, True, 6),
+    *[(("signal", 200 + s), 5, s, 20, False, i) for s, i in enumerate([12, 12, 10, 12, 12])],
+    *[(("noise", s), 5, s, 20, False, i) for s, i in enumerate([0, 0, 2, 0, 0])],
+])
+def test_cross_validate_keeps_the_per_fold_selection(problem, k, seed, n_lambda, one_se, index):
+    # The grid indices the per-fold implementation (a copied problem and a
+    # separate path per fold, then a refit) selected on the fixtures above.
+    kind, problem_seed = problem
+    problem = _signal_problem(problem_seed) if kind == "signal" else _noise_problem(problem_seed)
+    result = cross_validate(problem, k=k, seed=seed, n_lambda=n_lambda, one_se=one_se)
+    assert result.best_lambda == result.sequence.values[index]
+
+
+def test_cross_validate_fit_is_the_full_data_path_at_the_selected_penalty():
+    problem = _signal_problem(2)
+    result = cross_validate(problem, k=3, seed=0, n_lambda=10)
+    index = int(np.flatnonzero(result.sequence.values == result.best_lambda)[0])
+    values = result.sequence.values[: index + 1]
+    sequence = LambdaSequence(values, ratio=values[-1] / values[0])
+    refit = reg_path(problem, sequence).fits[-1]
+    hyper = Hyperparameters(result.best_lambda)
+    assert result.fit.iterations > 0
+    assert abs(full_objective(problem, result.fit.coef, hyper)
+               - full_objective(problem, refit.coef, hyper)) <= 1e-10
 
 
 def test_cross_validate_single_class_fold_raises():

@@ -1,25 +1,30 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import mixedmtl.solver as solver_module
 from mixedmtl import (
     CoefficientMatrix,
     Hyperparameters,
+    LambdaSequence,
     MtlProblem,
     SolverError,
     SolverOptions,
     TaskDataset,
+    TaskKind,
     fista_fit,
     full_objective,
     ista_fit,
     lam_max,
     line_search,
     prox_l21,
+    reg_path,
     smooth_gradient,
 )
+from mixedmtl.core import _layout, _Members
+from mixedmtl.modelselect import task_folds
 
 from util import random_mixed_problem
 
@@ -88,6 +93,28 @@ def test_prox_nonexpansive():
 def test_prox_rejects_negative_tau():
     with pytest.raises(ValueError):
         prox_l21(np.ones((2, 2)), -0.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), row_at_tau=st.booleans(), zero_tau=st.booleans())
+def test_prox_batch_returns_the_row_norms_of_its_output(seed, row_at_tau, zero_tau):
+    # A batch (B, t, p) holds each member's matrix transposed: a row is V[b, :, j].
+    rng = np.random.default_rng(seed)
+    B, t, p = (int(n) for n in rng.integers(1, [5, 8, 30]))
+    V = rng.standard_normal((B, t, p)) * rng.uniform(0.1, 3.0)
+    V[:, :, rng.integers(p)] = 0.0
+    in_norms = np.linalg.norm(V, axis=1)
+    tau = rng.uniform(0.0, 2.0, size=B)
+    if row_at_tau:
+        tau[0] = in_norms[0, rng.integers(p)]
+    if zero_tau:
+        tau[-1] = 0.0
+    out, norms = prox_l21(V, tau)
+    scale = max(in_norms.max(), 1.0)
+    npt.assert_allclose(norms, np.linalg.norm(out, axis=1), rtol=1e-12, atol=1e-12 * scale)
+    assert np.all(norms[in_norms <= tau[:, None]] == 0.0)
+    for member, member_tau in zip(range(B), tau):
+        npt.assert_allclose(out[member].T, prox_l21(V[member].T, member_tau), rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -365,3 +392,51 @@ def test_w_init_validation():
             SolverOptions(fit_intercept=False),
             w_init=CoefficientMatrix.zeros(4, 2, fit_intercept=True),
         )
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), fit_intercept=st.booleans())
+def test_each_batch_member_matches_reg_path_on_its_own_rows(seed, fit_intercept):
+    # Members as cross-validation builds them: member m < k fits every row
+    # outside fold m, member k every row, all on the problem's own X.  Each
+    # runs its own two-point warm-started path; member 0 sits above its
+    # lam_max, so it stops earlier than the others.
+    rng = np.random.default_rng(seed)
+    problem = random_mixed_problem(rng, p=int(rng.integers(2, 11)), t=int(rng.integers(1, 4)),
+                                   n_lo=8, n_hi=20)
+    k = int(rng.integers(2, 4))
+    rows = []
+    for task, task_fold in zip(problem.tasks, task_folds(problem, k, seed)):
+        fitted = np.ones((task.n_samples, k + 1), dtype=bool)
+        for fold, val_idx in enumerate(task_fold):
+            fitted[val_idx, fold] = False
+        rows.append(fitted)
+    copies = [
+        MtlProblem(tuple(TaskDataset(task.X[fitted[:, m]], task.y[fitted[:, m]], task.kind,
+                                     task.name) for task, fitted in zip(problem.tasks, rows)))
+        for m in range(k + 1)
+    ]
+    assume(all(len(np.unique(task.y)) == 2 for copy in copies for task in copy.tasks
+               if task.kind is TaskKind.CLASSIFICATION))
+    alpha, beta = rng.uniform(0, 0.3), rng.uniform(0, 0.3)
+    tops = np.array([max(lam_max(copy, fit_intercept=fit_intercept), 0.1) for copy in copies])
+    factors = np.tile([0.5, 0.2], (k + 1, 1))
+    factors[0] = [2.0, 1.5]
+    lams = tops[:, None] * factors
+    tight = SolverOptions(max_iter=20000, tol=1e-14, fit_intercept=fit_intercept)
+
+    members = _Members(_layout(problem, rows))
+    W = np.zeros((k + 1, problem.t, problem.p))
+    b = np.zeros((k + 1, problem.t)) if fit_intercept else None
+    for point in range(2):
+        W, b, fits = solver_module._proximal_loop(
+            members, lams[:, point], alpha, beta, tight, W, b, True
+        )
+        for m, (copy, fit) in enumerate(zip(copies, fits)):
+            hyper = Hyperparameters(lams[m, point], alpha, beta)
+            sequence = LambdaSequence(lams[m], ratio=factors[m, 1] / factors[m, 0])
+            alone = reg_path(copy, sequence, alpha, beta, tight).fits[point]
+            gap = full_objective(copy, fit.coef, hyper) - full_objective(copy, alone.coef, hyper)
+            assert abs(gap) <= 1e-8, (m, point, gap)
+        if not fit_intercept:
+            assert fits[0].iterations == 1 < max(fit.iterations for fit in fits)
