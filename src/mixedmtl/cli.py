@@ -285,19 +285,26 @@ def cmd_bench(args) -> int:
         sparsity=args.sparsity,
         noise_scale=args.noise_scale,
     )
-    rows = run_benchmark(
-        spec,
-        methods=methods,
-        ratios=ratios,
-        seeds=seeds,
-        k=args.k,
-        n_lambda=args.n_lambda,
-        lambda_ratio=args.lambda_ratio,
-        alpha=args.alpha,
-        beta=args.beta,
-    )
-    # Made only now, so a cell that fails leaves no output directory behind.
+    # Made before the grid runs, so an unusable --out-dir fails at once, and
+    # removed again if this run made it and a cell fails.
+    made = not os.path.isdir(args.out_dir)
     out_dir = _ensure_out_dir(args.out_dir)
+    try:
+        rows = run_benchmark(
+            spec,
+            methods=methods,
+            ratios=ratios,
+            seeds=seeds,
+            k=args.k,
+            n_lambda=args.n_lambda,
+            lambda_ratio=args.lambda_ratio,
+            alpha=args.alpha,
+            beta=args.beta,
+        )
+    except BaseException:
+        if made:
+            os.rmdir(out_dir)
+        raise
     write_csv(
         os.path.join(out_dir, "benchmark.csv"),
         [

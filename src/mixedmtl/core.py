@@ -198,13 +198,6 @@ def _layout(problem: MtlProblem, rows=None) -> tuple:
 
 
 @dataclass(frozen=True)
-class _Members:
-    """A _layout with rows, taken by the evaluation functions in place of an MtlProblem."""
-
-    _blocks: tuple
-
-
-@dataclass(frozen=True)
 class CoefficientMatrix:
     """Coefficient matrix W (p x t) plus optional per-task intercepts (length t)."""
 
@@ -325,11 +318,11 @@ def _scores(X, w, intercept) -> np.ndarray:
     return s if intercept is None else s + intercept
 
 
-def _padded_scores(problem, W, intercepts):
-    """Each kind block of problem._blocks with its scores S appended:
+def _padded_scores(blocks, W, intercepts):
+    """Each block of a _layout with its scores S appended:
     S[b, j] is the j-th task's X w + b under member b's coefficients
     (W of shape (B, t, p), intercepts (B, t) or None)."""
-    for kind, columns, Xs, Y, M in problem._blocks:
+    for kind, columns, Xs, Y, M in blocks:
         S = np.zeros(W.shape[:1] + Y.shape)
         for j, X in enumerate(Xs):
             np.matmul(W[:, columns.start + j], X.T, out=S[:, j, : len(X)])
@@ -340,7 +333,7 @@ def _padded_scores(problem, W, intercepts):
 
 def _task_scores(problem, W, intercepts) -> list:
     """Scores of each task of a problem under one (p, t) matrix, in task order."""
-    padded = _padded_scores(problem, *_members(W, intercepts))
+    padded = _padded_scores(problem._blocks, *_members(W, intercepts))
     return [S[0, j, : len(X)] for _, _, Xs, _, _, S in padded for j, X in enumerate(Xs)]
 
 
@@ -360,13 +353,11 @@ def _outputs(scores, kind: TaskKind, output: Optional[str]) -> np.ndarray:
     raise ValueError(f"unknown output {output!r}")
 
 
-def _smooth_objective_raw(problem, W, intercepts, alpha, beta):
-    """F of a (p, t) matrix as a float, or of a batch (B, t, p) per member."""
-    single = W.ndim == 2
-    if single:
-        W, intercepts = _members(W, intercepts)
+def _batch_objective(blocks, W, intercepts, alpha, beta) -> np.ndarray:
+    """F of each member of a batch W (B, t, p), intercepts (B, t) or None,
+    on a _layout of as many members."""
     total = np.zeros(W.shape[0])
-    for kind, _, _, Y, M, S in _padded_scores(problem, W, intercepts):
+    for kind, _, _, Y, M, S in _padded_scores(blocks, W, intercepts):
         if kind is TaskKind.CLASSIFICATION:
             losses = np.logaddexp(0.0, -Y * S)
         else:
@@ -377,17 +368,14 @@ def _smooth_objective_raw(problem, W, intercepts, alpha, beta):
         total += alpha * _member_dots(centered, centered)
     if beta != 0.0:
         total += beta * _member_dots(W, W)
-    return float(total[0]) if single else total
+    return total
 
 
-def _smooth_gradient_raw(problem, W, intercepts, alpha, beta):
-    """Gradient of F, shaped like W and intercepts: a (p, t) matrix or a batch."""
-    single = W.ndim == 2
-    if single:
-        W, intercepts = _members(W, intercepts)
+def _batch_gradient(blocks, W, intercepts, alpha, beta):
+    """Gradient of F per member, shaped like the batch W and intercepts."""
     grad = np.empty(W.shape)
     grad_b = None if intercepts is None else np.empty(intercepts.shape)
-    for kind, columns, Xs, Y, M, S in _padded_scores(problem, W, intercepts):
+    for kind, columns, Xs, Y, M, S in _padded_scores(blocks, W, intercepts):
         # Each row's weighted loss derivative; 0.5 * (tanh(s / 2) - y) is
         # -y * sigmoid(-y * s) for y = +-1.
         if kind is TaskKind.CLASSIFICATION:
@@ -402,9 +390,12 @@ def _smooth_gradient_raw(problem, W, intercepts, alpha, beta):
         grad += 2.0 * alpha * _row_centered(W)
     if beta != 0.0:
         grad += 2.0 * beta * W
-    if single:
-        return grad[0].T.copy(), None if grad_b is None else grad_b[0]
     return grad, grad_b
+
+
+def _smooth_objective_raw(problem, W, intercepts, alpha, beta) -> float:
+    """F of one (p, t) matrix, unchecked."""
+    return float(_batch_objective(problem._blocks, *_members(W, intercepts), alpha, beta)[0])
 
 
 def smooth_objective(
@@ -426,7 +417,8 @@ def smooth_gradient(
     2*beta*W.  Intercept gradients use the same loss weights and no penalty.
     """
     _check_dimensions(problem, coef)
-    return _smooth_gradient_raw(problem, coef.W, coef.intercepts, alpha, beta)
+    grad, grad_b = _batch_gradient(problem._blocks, *_members(coef.W, coef.intercepts), alpha, beta)
+    return grad[0].T.copy(), None if grad_b is None else grad_b[0]
 
 
 def full_objective(

@@ -28,13 +28,12 @@ from .core import (
     MtlProblem,
     SolverOptions,
     TaskKind,
+    _batch_objective,
     _layout,
-    _Members,
-    _smooth_objective_raw,
 )
-from .regpath import LambdaSequence, lam_max, lambda_sequence, path_options
-from .regpath import reg_path  # noqa: F401  (perfbench/tracing.py patches it here)
-from .solver import FitResult, SolverError, _proximal_loop
+from .regpath import LambdaSequence, _lam_max, _path, lambda_sequence, path_options
+from .regpath import lam_max, reg_path  # noqa: F401  (perfbench/tracing.py patches these here)
+from .solver import FitResult
 
 __all__ = [
     "CvResult",
@@ -143,14 +142,6 @@ def cross_validate(
         raise ValueError("k must be >= 2")
     opts = opts or path_options()
 
-    lam_top = lam_max(problem, fit_intercept=opts.fit_intercept)
-    if n_lambda == 1:
-        if not lam_top > 0.0:
-            raise DataError("lam_max is zero; the data has no usable signal")
-        sequence = LambdaSequence(values=np.array([lam_top]), ratio=1.0)
-    else:
-        sequence = lambda_sequence(lam_top, ratio=ratio, n=n_lambda)
-
     folds = task_folds(problem, k, seed)
     # Member m < k fits every row outside fold m; member k fits every row.
     rows = []
@@ -164,20 +155,26 @@ def cross_validate(
             single_class = len(np.unique(task.y[fitted[:, fold]])) < 2
             if task.kind is TaskKind.CLASSIFICATION and single_class:
                 raise DataError(f"fold {fold} leaves task {task.name!r} with a single class")
-    members = _Members(_layout(problem, rows))
-    validation = _Members(_layout(problem, [~fitted[:, :k] for fitted in rows]))
+    members = _layout(problem, rows)
+    validation = _layout(problem, [~fitted[:, :k] for fitted in rows])
+
+    # lam_max as the batch evaluates it, so without intercepts the full-data
+    # fit at the head of the grid is exactly zero.
+    lam_top = _lam_max(problem, opts.fit_intercept, members)
+    if n_lambda == 1:
+        if not lam_top > 0.0:
+            raise DataError("lam_max is zero; the data has no usable signal")
+        sequence = LambdaSequence(values=np.array([lam_top]), ratio=1.0)
+    else:
+        sequence = lambda_sequence(lam_top, ratio=ratio, n=n_lambda)
 
     W = np.zeros((k + 1, problem.t, problem.p))
     b = np.zeros((k + 1, problem.t)) if opts.fit_intercept else None
     fold_errors = np.empty((k, sequence.length))
     fits = []
-    for j, lam in enumerate(sequence.values):
-        try:
-            W, b, batch = _proximal_loop(members, [lam] * (k + 1), alpha, beta, opts, W, b, True)
-        except SolverError as err:
-            raise SolverError(f"path fit failed at lambda={float(lam)!r}: {err}") from err
+    for j, (W, b, batch) in enumerate(_path(members, sequence.values, alpha, beta, opts, W, b)):
         b_folds = None if b is None else b[:k]
-        fold_errors[:, j] = _smooth_objective_raw(validation, W[:k], b_folds, 0.0, 0.0) / problem.t
+        fold_errors[:, j] = _batch_objective(validation, W[:k], b_folds, 0.0, 0.0) / problem.t
         fits.append(batch[k])
 
     mean_err = fold_errors.mean(axis=0)

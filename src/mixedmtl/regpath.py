@@ -10,7 +10,9 @@ is the negative loss gradient at W = 0 for classification and regression
 tasks alike, so a single lam_max = max_j ||C[j, :]||_2 anchors both task
 types.  The sequence is then interpolated geometrically down to
 ratio * lam_max, and models are fitted in descending order, each warm
-started from the previous solution.
+started from the previous solution.  One path loop runs a batch of
+members in lockstep: reg_path is its batch of one, cross-validation
+runs its k folds and the full-data fit as k + 1 members.
 """
 
 from __future__ import annotations
@@ -21,15 +23,14 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    CoefficientMatrix,
     DataError,
-    Hyperparameters,
     MtlProblem,
     SolverOptions,
     TaskKind,
-    _smooth_gradient_raw,
+    _batch_gradient,
 )
-from .solver import SolverError, fista_fit
+from .solver import SolverError, _proximal_loop, _resolve_init
+from .solver import fista_fit  # noqa: F401  (perfbench/tracing.py patches it here)
 
 __all__ = [
     "NONZERO_ROW_THRESHOLD",
@@ -126,10 +127,18 @@ def lam_max(problem: MtlProblem, fit_intercept: bool = False) -> float:
     Returns 0.0 for degenerate all-zero cross products; callers must not
     build a path from that.
     """
-    W0 = np.zeros((problem.p, problem.t))
-    b0 = _optimal_zero_intercepts(problem) if fit_intercept else None
-    grad, _ = _smooth_gradient_raw(problem, W0, b0, 0.0, 0.0)
-    return float(np.max(np.linalg.norm(grad, axis=1)))
+    return _lam_max(problem, fit_intercept, problem._blocks)
+
+
+def _lam_max(problem, fit_intercept, blocks) -> float:
+    """lam_max of the last member of a core._layout of the problem (its
+    own, or cross-validation's with the full-data fit last), taken with
+    the solver's batched gradient and prox_l21's row norms: without
+    intercepts, a path from zero then stays exactly zero at this penalty."""
+    B = blocks[0][4].shape[0]  # a block's row weights M are (B, tasks, n_max)
+    b0 = np.tile(_optimal_zero_intercepts(problem), (B, 1)) if fit_intercept else None
+    grad, _ = _batch_gradient(blocks, np.zeros((B, problem.t, problem.p)), b0, 0.0, 0.0)
+    return float(np.sqrt(np.add.reduce(grad * grad, axis=1))[-1].max())
 
 
 def lambda_sequence(lam_max_val: float, ratio: float = 0.01, n: int = 100) -> LambdaSequence:
@@ -157,15 +166,19 @@ def reg_path(
     from the previous solution.
     """
     opts = opts or path_options()
-    coef = CoefficientMatrix.zeros(problem.p, problem.t, opts.fit_intercept)
-    fits = []
-    nonzero = []
-    for lam in sequence.values:
+    W, b = _resolve_init(problem, opts, None)
+    path = _path(problem._blocks, sequence.values, alpha, beta, opts, W, b)
+    fits = [batch[0] for _, _, batch in path]
+    nonzero = [count_nonzero_rows(fit.coef.W) for fit in fits]
+    return PathResult(sequence=sequence, fits=tuple(fits), nonzero_rows=np.array(nonzero))
+
+
+def _path(blocks, lams, alpha, beta, opts, W, b):
+    """Warm-started path of the batch (W, b) on a core._layout, all members
+    at each penalty in turn: yields the fitted batch (W, b, fits) per point."""
+    for lam in lams:
         try:
-            result = fista_fit(problem, Hyperparameters(lam, alpha, beta), opts, w_init=coef)
+            W, b, fits = _proximal_loop(blocks, [lam] * len(W), alpha, beta, opts, W, b, True)
         except SolverError as err:
             raise SolverError(f"path fit failed at lambda={float(lam)!r}: {err}") from err
-        coef = result.coef
-        fits.append(result)
-        nonzero.append(count_nonzero_rows(coef.W))
-    return PathResult(sequence=sequence, fits=tuple(fits), nonzero_rows=np.array(nonzero))
+        yield W, b, fits

@@ -21,8 +21,9 @@ The loop fits a batch of B members in lockstep, each with its own lam,
 L, momentum, restart and stopping test; a stopped member is frozen.
 Each turn evaluates F or its gradient once for all members, one
 X_i @ (p x B) product per task, on the problem's rows or on per-member
-row weights (``core._Members``: cross-validation's k folds and the
-full-data fit).  ``fista_fit`` and ``ista_fit`` are the batch of one.
+row weights (a ``core._layout`` with rows: cross-validation's k folds
+and the full-data fit).  ``fista_fit`` and ``ista_fit`` are the batch of
+one.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from .core import (
     Hyperparameters,
     MtlProblem,
     SolverOptions,
+    _batch_gradient,
+    _batch_objective,
     _member_dots,
     _members,
-    _smooth_gradient_raw,
-    _smooth_objective_raw,
 )
 
 __all__ = ["SolverError", "FitResult", "prox_l21", "line_search", "fista_fit", "ista_fit"]
@@ -79,26 +80,24 @@ def prox_l21(V: np.ndarray, tau: float) -> np.ndarray:
     Solves min_Y 0.5 ||Y - V||_F^2 + tau * ||Y||_{2,1} row by row: each row
     is shrunk by factor (1 - tau / max(||v||, tau)), so rows with norm at
     most tau come out exactly zero.
-
-    A batch V (B, t, p), each member's matrix transposed, takes one tau
-    per member and also returns the result's row norms, max(||v|| - tau, 0)
-    as the shrink factor times ||v||, shape (B, p).
     """
-    V = np.asarray(V, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if (tau < 0.0).any():
+    if tau < 0.0:
         raise ValueError("tau must be nonnegative")
-    tau = tau.reshape((-1,) + (1,) * (V.ndim - 1))
+    return _prox_batch(np.asarray(V, dtype=float).T[None], np.array([tau]))[0][0].T
+
+
+def _prox_batch(V, tau):
+    """prox_l21 of each member of a batch V (B, t, p), at tau[m] for member
+    m.  Also returns the result's row norms (B, p), max(||v|| - tau, 0) as
+    the shrink factor times ||v||, so a penalty needs no second pass."""
+    tau = tau[:, None, None]
     norms = np.sqrt(np.add.reduce(V * V, axis=1, keepdims=True))
     # The floor keeps a zero row at zero at tau = 0 too (0 / floor = 0).
     scale = 1.0 - tau / np.maximum(norms, np.maximum(tau, _TINY))
-    Y = scale * V
-    if V.ndim == 2:
-        return Y
-    return Y, (scale * norms)[:, 0]
+    return scale * V, (scale * norms)[:, 0]
 
 
-def _backtrack(problem, lam, alpha, beta, Ws, bs, f_s, L, pending):
+def _backtrack(blocks, lam, alpha, beta, Ws, bs, f_s, L, pending):
     """Grow each pending member's L by doubling until sufficient decrease
     holds at its prox candidate; the others keep L and get no candidate.
 
@@ -106,22 +105,21 @@ def _backtrack(problem, lam, alpha, beta, Ws, bs, f_s, L, pending):
     Returns (L, W_cand, b_cand, F at the candidate, the candidate's
     row-norm sum), the last two as lists.
     """
-    gW, gb = _smooth_gradient_raw(problem, Ws, bs, alpha, beta)
+    gW, gb = _batch_gradient(blocks, Ws, bs, alpha, beta)
     accepted = None
     for _ in range(MAX_DOUBLINGS + 1):
         L_arr = np.array(L)
-        Wy, norms = prox_l21(Ws - gW / L_arr[:, None, None], lam / L_arr)
+        Wy, norms = _prox_batch(Ws - gW / L_arr[:, None, None], lam / L_arr)
         dW = Wy - Ws
         linear = _member_dots(gW, dW)
         step_sq = _member_dots(dW, dW)
+        by = None
         if bs is not None:
             by = bs - gb / L_arr[:, None]
             db = by - bs
             linear += _member_dots(gb, db)
             step_sq += _member_dots(db, db)
-        else:
-            by = None
-        f_y = _smooth_objective_raw(problem, Wy, by, alpha, beta)
+        f_y = _batch_objective(blocks, Wy, by, alpha, beta)
         trial = (Wy, by, f_y, norms.sum(axis=1))
         ok = [
             pend and (sq <= _NULL_STEP_SQ or fy <= fs + lin + 0.5 * Lm * sq)
@@ -161,11 +159,11 @@ def line_search(
     if not L_prev > 0.0:
         raise ValueError("L_prev must be positive")
     Ws, bs = _members(search_point.W, search_point.intercepts)
-    f_s = _smooth_objective_raw(problem, Ws, bs, hyper.alpha, hyper.beta)
+    f_s = _batch_objective(problem._blocks, Ws, bs, hyper.alpha, hyper.beta)
     if not np.isfinite(f_s[0]):
         raise SolverError("objective is non-finite at the search point")
     L, Wc, bc, _, _ = _backtrack(
-        problem, np.array([hyper.lam]), hyper.alpha, hyper.beta, Ws, bs, [f_s[0]],
+        problem._blocks, np.array([hyper.lam]), hyper.alpha, hyper.beta, Ws, bs, [f_s[0]],
         [float(L_prev)], [True],
     )
     return L[0], CoefficientMatrix(Wc[0].T.copy(), None if bc is None else bc[0])
@@ -185,16 +183,17 @@ def _resolve_init(problem, opts, w_init):
     return w_init.W.T.copy()[None], b0
 
 
-def _proximal_loop(problem, lam, alpha, beta, opts, W, b, accelerated):
+def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
     """Fit B members from the batch (W, b) of shapes (B, t, p) and (B, t)
-    (or None), member m at penalty lam[m], on an MtlProblem or a
-    core._Members.  Returns the fitted batch and one FitResult per member.
-    Per-member scalars are Python floats; arrays hold all members."""
+    (or None), member m at penalty lam[m], on a core._layout of B members
+    (problem._blocks for one).  Returns the fitted batch and one FitResult
+    per member.  Per-member scalars are Python floats; arrays hold all
+    members."""
     B = W.shape[0]
     lam = np.asarray(lam, dtype=float)
     lam_m = lam.tolist()
     W_prev, b_prev = W, b
-    f = _smooth_objective_raw(problem, W, b, alpha, beta)
+    f = _batch_objective(blocks, W, b, alpha, beta)
     obj_prev = (f + lam * np.sqrt(np.add.reduce(W * W, axis=1)).sum(axis=1)).tolist()
     if not all(map(math.isfinite, obj_prev)):
         raise SolverError("objective is non-finite at the initial point")
@@ -215,14 +214,14 @@ def _proximal_loop(problem, lam, alpha, beta, opts, W, b, accelerated):
             Ws *= m[:, None, None]
             Ws += W
             bs = b + m[:, None] * (b - b_prev) if b is not None else None
-            f_m = _smooth_objective_raw(problem, Ws, bs, alpha, beta).tolist()
+            f_m = _batch_objective(blocks, Ws, bs, alpha, beta).tolist()
             f_s = [fm if mo != 0.0 else fi for fm, mo, fi in zip(f_m, mom, f)]
         else:
             Ws, bs, f_s = W, b, f
         pending = [on and math.isfinite(fs) for on, fs in zip(active, f_s)]
         if any(pending):
             L, Wc, bc, f_c, penalty = _backtrack(
-                problem, lam, alpha, beta, Ws, bs, f_s, L, pending
+                blocks, lam, alpha, beta, Ws, bs, f_s, L, pending
             )
         step = [False] * B
         for i in range(B):
@@ -254,15 +253,15 @@ def _proximal_loop(problem, lam, alpha, beta, opts, W, b, accelerated):
                 t_prev[i], t_cur[i] = t_cur[i], t_next
 
         if any(step):
-            # The stepping members move on; the others are put back.
-            before = (W, W_prev, b, b_prev)
+            # The stepping members move on; the others keep their iterate.
+            # (Their W_prev goes unused: one that stays active restarted.)
             W_prev, W, b_prev, b = W, Wc, b, bc
             f = [fc if moved else fi for fc, moved, fi in zip(f_c, step, f)]
             if not all(step):
                 kept = np.logical_not(step)
-                for now, then in zip((W, W_prev, b, b_prev), before):
-                    if now is not None:
-                        np.copyto(now, then, where=kept.reshape((-1,) + (1,) * (now.ndim - 1)))
+                np.copyto(W, W_prev, where=kept[:, None, None])
+                if b is not None:
+                    np.copyto(b, b_prev, where=kept[:, None])
 
     fits = [
         FitResult(
@@ -280,7 +279,7 @@ def _proximal_loop(problem, lam, alpha, beta, opts, W, b, accelerated):
 def _single_fit(problem, hyper, opts, w_init, accelerated) -> FitResult:
     W, b = _resolve_init(problem, opts, w_init)
     lam, alpha, beta = [hyper.lam], hyper.alpha, hyper.beta
-    _, _, fits = _proximal_loop(problem, lam, alpha, beta, opts, W, b, accelerated)
+    _, _, fits = _proximal_loop(problem._blocks, lam, alpha, beta, opts, W, b, accelerated)
     return fits[0]
 
 

@@ -25,7 +25,7 @@ from mixedmtl import (
     smooth_gradient,
     smooth_objective,
 )
-from mixedmtl import modelselect
+from mixedmtl import regpath
 from mixedmtl.core import _task_scores
 from mixedmtl.modelselect import task_folds
 
@@ -137,8 +137,8 @@ def test_cv_error_is_the_validation_objective_of_each_fold_fit(seed, fit_interce
         batches.append(batch[2])
         return batch
 
-    proximal_loop = modelselect._proximal_loop
-    with mock.patch.object(modelselect, "_proximal_loop", recording):
+    proximal_loop = regpath._proximal_loop
+    with mock.patch.object(regpath, "_proximal_loop", recording):
         cv = cross_validate(problem, k=k, seed=seed, opts=opts, n_lambda=4, ratio=0.1)
     assert len(batches) == cv.sequence.length
 

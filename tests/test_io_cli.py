@@ -858,12 +858,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert not (tmp_path / "u").exists()
 
     # data error: a fold leaves a task with a single class; no --out-dir is left
-    assert _run(["bench", "--p", 20, "--t-classification", 1, "--t-regression", 1,
-                 "--ratios", 0.25, "--k", 5, "--seeds", 1, "--n-lambda", 3,
-                 "--methods", "mtlcomb", "--out-dir", tmp_path / "d"]) == 3
+    single_class = ["bench", "--p", 20, "--t-classification", 1, "--t-regression", 1,
+                    "--ratios", 0.25, "--k", 5, "--seeds", 1, "--n-lambda", 3,
+                    "--methods", "mtlcomb", "--out-dir"]
+    assert _run(single_class + [tmp_path / "d"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data-error: fold 4 leaves task 'clf01' with a single class"), err
     assert not (tmp_path / "d").exists()
+    # an --out-dir that is a file fails before any cell runs, and stays a file
+    _write(tmp_path / "f", "kept\n")
+    assert _run(single_class + [tmp_path / "f"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data-error: [Errno 17] File exists"), err
+    assert (tmp_path / "f").read_text() == "kept\n"
 
     # cross-validation keeps its one-point grid
     sim = _simulate_dir(tmp_path)

@@ -193,6 +193,22 @@ def test_cross_validate_fit_is_the_full_data_path_at_the_selected_penalty():
                - full_objective(problem, refit.coef, hyper)) <= 1e-10
 
 
+@pytest.mark.parametrize("kind", ["classification", "regression"])
+def test_cross_validate_fit_at_lam_max_is_exactly_zero(kind):
+    # One task, as singletask fits it: at the head of the grid the
+    # full-data member stays at W = 0 exactly, as a fit from zero at
+    # lam_max does, so its scores are constant rather than rounding noise.
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        n, p = int(rng.integers(20, 41)), int(rng.integers(50, 201))
+        y = random_labels(rng, n) if kind == "classification" else rng.standard_normal(n)
+        y[:2] = [1.0, -1.0]
+        problem = MtlProblem((TaskDataset(rng.standard_normal((n, p)), y, kind, "task"),))
+        for k in (3, 5):
+            fit = cross_validate(problem, k=k, seed=int(rng.integers(100)), n_lambda=1).fit
+            assert fit.iterations == 1 and not fit.coef.W.any()
+
+
 def test_cross_validate_single_class_fold_raises():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((10, 4))

@@ -23,7 +23,7 @@ from mixedmtl import (
     reg_path,
     smooth_gradient,
 )
-from mixedmtl.core import _layout, _Members
+from mixedmtl.core import _layout
 from mixedmtl.modelselect import task_folds
 
 from util import random_mixed_problem
@@ -109,7 +109,7 @@ def test_prox_batch_returns_the_row_norms_of_its_output(seed, row_at_tau, zero_t
         tau[0] = in_norms[0, rng.integers(p)]
     if zero_tau:
         tau[-1] = 0.0
-    out, norms = prox_l21(V, tau)
+    out, norms = solver_module._prox_batch(V, tau)
     scale = max(in_norms.max(), 1.0)
     npt.assert_allclose(norms, np.linalg.norm(out, axis=1), rtol=1e-12, atol=1e-12 * scale)
     assert np.all(norms[in_norms <= tau[:, None]] == 0.0)
@@ -227,9 +227,9 @@ def test_ista_evaluates_the_objective_once_at_start_and_once_per_trial(monkeypat
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(solver_module, "_smooth_objective_raw",
-                        counted("objective", solver_module._smooth_objective_raw))
-    monkeypatch.setattr(solver_module, "prox_l21", counted("prox", solver_module.prox_l21))
+    monkeypatch.setattr(solver_module, "_batch_objective",
+                        counted("objective", solver_module._batch_objective))
+    monkeypatch.setattr(solver_module, "_prox_batch", counted("prox", solver_module._prox_batch))
     rng = np.random.default_rng(19)
     for fit_intercept in (False, True):
         problem = random_mixed_problem(rng, p=6, t=3, n_lo=8)
@@ -425,7 +425,7 @@ def test_each_batch_member_matches_reg_path_on_its_own_rows(seed, fit_intercept)
     lams = tops[:, None] * factors
     tight = SolverOptions(max_iter=20000, tol=1e-14, fit_intercept=fit_intercept)
 
-    members = _Members(_layout(problem, rows))
+    members = _layout(problem, rows)
     W = np.zeros((k + 1, problem.t, problem.p))
     b = np.zeros((k + 1, problem.t)) if fit_intercept else None
     for point in range(2):
