@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 from functools import partial
@@ -39,6 +38,7 @@ from .modelio import (
     read_task_csv,
     save_model,
     write_csv,
+    write_json,
 )
 from .modelselect import auc, cross_validate, explained_variance
 from .regpath import lam_max, lambda_sequence, reg_path
@@ -65,10 +65,7 @@ def _write_runlog(args, manifest=None) -> None:
     if manifest is not None:
         config |= {"fit_intercept": manifest.fit_intercept, "standardize": manifest.standardize}
     doc = {"command": args.command, "config": config, "version": __version__}
-    path = os.path.join(args.out_dir, "runlog.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(args.out_dir, "runlog.json"), doc)
 
 
 def _load_fit_inputs(manifest_path):
@@ -120,11 +117,7 @@ def cmd_simulate(args) -> int:
                 }
             )
         manifest = {"standardize": False, "fit_intercept": False, "tasks": entries}
-        with open(
-            os.path.join(split_dir, "manifest.json"), "w", encoding="utf-8", newline="\n"
-        ) as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(os.path.join(split_dir, "manifest.json"), manifest)
 
     write_csv(
         os.path.join(out_dir, "true_support.csv"),
@@ -262,22 +255,14 @@ def cmd_eval(args) -> int:
 
 
 def _bench_grid(args) -> tuple:
-    """--methods, --ratios and --seeds as lists checked by run_benchmark's check."""
+    """The spec (run_benchmark sets each cell's n_per_task and seed) and the
+    --methods, --ratios and --seeds lists, checked by run_benchmark's check."""
     try:
         ratios = [float(r) for r in args.ratios.split(",") if r.strip()]
         seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     except ValueError as err:
         raise UsageError(f"could not parse --ratios/--seeds: {err}") from None
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    try:
-        return _benchmark_grid(methods, ratios, seeds, args.p, args.k)
-    except ValueError as err:
-        raise UsageError(f"--{err}") from None
-
-
-def cmd_bench(args) -> int:
-    methods, ratios, seeds = _bench_grid(args)
-    # run_benchmark sets n_per_task and seed per (ratio, seed) cell.
     spec = SimulationSpec(
         t_classification=args.t_classification,
         t_regression=args.t_regression,
@@ -285,9 +270,21 @@ def cmd_bench(args) -> int:
         sparsity=args.sparsity,
         noise_scale=args.noise_scale,
     )
-    # Made before the grid runs, so an unusable --out-dir fails at once, and
-    # removed again if this run made it and a cell fails.
-    made = not os.path.isdir(args.out_dir)
+    try:
+        return (spec, *_benchmark_grid(spec, methods, ratios, seeds, args.k))
+    except ValueError as err:
+        raise UsageError(f"--{err}") from None
+
+
+def cmd_bench(args) -> int:
+    spec, methods, ratios, seeds = _bench_grid(args)
+    # Made before the grid runs, so an unusable --out-dir fails at once; if a
+    # cell fails, the directories this run made are removed, leaf first.
+    made = []
+    path = os.path.abspath(args.out_dir)
+    while not os.path.lexists(path):
+        made.append(path)
+        path = os.path.dirname(path)
     out_dir = _ensure_out_dir(args.out_dir)
     try:
         rows = run_benchmark(
@@ -302,8 +299,8 @@ def cmd_bench(args) -> int:
             beta=args.beta,
         )
     except BaseException:
-        if made:
-            os.rmdir(out_dir)
+        for path in made:
+            os.rmdir(path)
         raise
     write_csv(
         os.path.join(out_dir, "benchmark.csv"),

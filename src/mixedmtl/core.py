@@ -253,10 +253,10 @@ class SolverOptions:
     def __post_init__(self):
         if int(self.max_iter) < 1:
             raise ValueError("max_iter must be >= 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
-        if not self.L0 > 0.0:
-            raise ValueError("L0 must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be positive and finite")
+        if not 0.0 < self.L0 < np.inf:
+            raise ValueError("L0 must be positive and finite")
         object.__setattr__(self, "max_iter", int(self.max_iter))
         object.__setattr__(self, "tol", float(self.tol))
         object.__setattr__(self, "L0", float(self.L0))
@@ -306,16 +306,16 @@ def _members(W, intercepts):
     return W.T[None], None if intercepts is None else intercepts[None]
 
 
+def _row_norms(W) -> np.ndarray:
+    """Euclidean norm of each feature's row, per member of a batch W
+    (B, t, p): an array (B, p)."""
+    return np.sqrt(np.add.reduce(W * W, axis=1))
+
+
 def _member_dots(A, C) -> np.ndarray:
     """Inner product of A and C per member (their first axis)."""
     B = A.shape[0]
     return np.matmul(A.reshape(B, 1, -1), C.reshape(B, -1, 1))[:, 0, 0]
-
-
-def _scores(X, w, intercept) -> np.ndarray:
-    """Linear scores X w (+ intercept) of one task."""
-    s = X @ w
-    return s if intercept is None else s + intercept
 
 
 def _padded_scores(blocks, W, intercepts):
@@ -329,12 +329,6 @@ def _padded_scores(blocks, W, intercepts):
         if intercepts is not None:
             S += intercepts[:, columns, None]
         yield kind, columns, Xs, Y, M, S
-
-
-def _task_scores(problem, W, intercepts) -> list:
-    """Scores of each task of a problem under one (p, t) matrix, in task order."""
-    padded = _padded_scores(problem._blocks, *_members(W, intercepts))
-    return [S[0, j, : len(X)] for _, _, Xs, _, _, S in padded for j, X in enumerate(Xs)]
 
 
 def _outputs(scores, kind: TaskKind, output: Optional[str]) -> np.ndarray:
@@ -445,7 +439,7 @@ def predict(
     w = _as_vector(w, "w")
     if X.shape[1] != w.shape[0]:
         raise ValueError(f"{X.shape[1]} feature columns for {w.shape[0]} coefficients")
-    return _outputs(_scores(X, w, float(intercept)), TaskKind(kind), output)
+    return _outputs(X @ w + float(intercept), TaskKind(kind), output)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,7 @@ __all__ = [
     "model_predictions",
     "format_float",
     "write_csv",
+    "write_json",
 ]
 
 MODEL_FORMAT_VERSION = 1
@@ -94,6 +95,14 @@ def write_csv(path, header, rows) -> None:
         lines.extend(row_format % tuple(row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_json(path, doc) -> None:
+    """Write doc as canonical JSON: sorted keys, two-space indent, repr-exact
+    floats, a final newline; a non-finite float raises ValueError."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -151,11 +160,11 @@ def parse_manifest(path) -> TaskManifest:
         )
     if not tasks:
         raise DataError(f"manifest {path!r} lists no tasks")
-    return TaskManifest(
-        tasks=tuple(tasks),
-        standardize=bool(raw.get("standardize", False)),
-        fit_intercept=bool(raw.get("fit_intercept", False)),
-    )
+    options = {key: raw.get(key, False) for key in ("standardize", "fit_intercept")}
+    for key, value in options.items():
+        if not isinstance(value, bool):
+            raise DataError(f"manifest {path!r}: {key!r} must be true or false, got {value!r}")
+    return TaskManifest(tasks=tuple(tasks), **options)
 
 
 def read_task_csv(path):
@@ -383,9 +392,7 @@ def save_model(model: ModelFile, path) -> None:
         "hyperparameters": {"lambda": model.lam, "alpha": model.alpha, "beta": model.beta},
         "seed": model.seed,
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
+    write_json(path, doc)
 
 
 def load_model(path) -> ModelFile:

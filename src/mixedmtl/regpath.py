@@ -28,6 +28,7 @@ from .core import (
     SolverOptions,
     TaskKind,
     _batch_gradient,
+    _row_norms,
 )
 from .solver import SolverError, _proximal_loop, _resolve_init
 from .solver import fista_fit  # noqa: F401  (perfbench/tracing.py patches it here)
@@ -40,7 +41,6 @@ __all__ = [
     "lam_max",
     "lambda_sequence",
     "reg_path",
-    "count_nonzero_rows",
 ]
 
 # Row norm above which a feature counts as selected in path reports.
@@ -94,10 +94,6 @@ class PathResult:
         object.__setattr__(self, "nonzero_rows", np.array(self.nonzero_rows, dtype=int))
 
 
-def count_nonzero_rows(W: np.ndarray, threshold: float = NONZERO_ROW_THRESHOLD) -> int:
-    return int(np.sum(np.linalg.norm(W, axis=1) > threshold))
-
-
 def _optimal_zero_intercepts(problem: MtlProblem) -> np.ndarray:
     """Per-task intercepts that are optimal while all coefficients are zero.
 
@@ -138,7 +134,7 @@ def _lam_max(problem, fit_intercept, blocks) -> float:
     B = blocks[0][4].shape[0]  # a block's row weights M are (B, tasks, n_max)
     b0 = np.tile(_optimal_zero_intercepts(problem), (B, 1)) if fit_intercept else None
     grad, _ = _batch_gradient(blocks, np.zeros((B, problem.t, problem.p)), b0, 0.0, 0.0)
-    return float(np.sqrt(np.add.reduce(grad * grad, axis=1))[-1].max())
+    return float(_row_norms(grad)[-1].max())
 
 
 def lambda_sequence(lam_max_val: float, ratio: float = 0.01, n: int = 100) -> LambdaSequence:
@@ -169,8 +165,8 @@ def reg_path(
     W, b = _resolve_init(problem, opts, None)
     path = _path(problem._blocks, sequence.values, alpha, beta, opts, W, b)
     fits = [batch[0] for _, _, batch in path]
-    nonzero = [count_nonzero_rows(fit.coef.W) for fit in fits]
-    return PathResult(sequence=sequence, fits=tuple(fits), nonzero_rows=np.array(nonzero))
+    nonzero = [np.sum(np.linalg.norm(f.coef.W, axis=1) > NONZERO_ROW_THRESHOLD) for f in fits]
+    return PathResult(sequence=sequence, fits=tuple(fits), nonzero_rows=nonzero)
 
 
 def _path(blocks, lams, alpha, beta, opts, W, b):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,10 +22,9 @@ from .core import (
     CoefficientMatrix,
     DataError,
     MtlProblem,
-    SolverOptions,
     TaskDataset,
     TaskKind,
-    _task_scores,
+    predict,
 )
 from .modelselect import (
     _squared_correlation,
@@ -128,12 +127,13 @@ def simulate(spec: SimulationSpec) -> SimulationOutput:
     )
 
 
-def binarize_problem(problem: MtlProblem, at_zero: bool = False) -> MtlProblem:
+def binarize_problem(problem: MtlProblem) -> MtlProblem:
     """Turn every regression task into a classification task.
 
-    Outcomes above the per-task median (or above zero with at_zero) become
-    +1, the rest -1.  Classification tasks pass through unchanged; task
-    order is preserved (every output task is a classification task).
+    Outcomes above the per-task median become +1, the rest -1, so the
+    classes are about equal in size.  Classification tasks pass through
+    unchanged; task order is preserved (every output task is a
+    classification task).
     """
     tasks = []
     for task in problem.tasks:
@@ -142,8 +142,7 @@ def binarize_problem(problem: MtlProblem, at_zero: bool = False) -> MtlProblem:
             continue
         if np.all(task.y == task.y[0]):
             raise DataError(f"task {task.name!r}: constant outcomes cannot be binarized")
-        threshold = 0.0 if at_zero else float(np.median(task.y))
-        labels = np.where(task.y > threshold, 1.0, -1.0)
+        labels = np.where(task.y > float(np.median(task.y)), 1.0, -1.0)
         if len(np.unique(labels)) < 2:
             raise DataError(f"task {task.name!r}: binarization produced a single class")
         tasks.append(TaskDataset(task.X, labels, TaskKind.CLASSIFICATION, task.name))
@@ -185,12 +184,12 @@ class BenchmarkRow:
     mean_pseudo_ev_classification: float
 
 
-def _run_cell(method, sim, alpha, beta, k, seed, opts, n_lambda, lambda_ratio):
+def _run_cell(method, sim, alpha, beta, k, seed, n_lambda, lambda_ratio):
     train, test = sim.train, sim.test
 
     def selected(problem):
         return cross_validate(
-            problem, alpha=alpha, beta=beta, k=k, seed=seed, opts=opts,
+            problem, alpha=alpha, beta=beta, k=k, seed=seed, opts=path_options(),
             n_lambda=n_lambda, ratio=lambda_ratio,
         ).fit.coef
 
@@ -209,8 +208,9 @@ def _run_cell(method, sim, alpha, beta, k, seed, opts, n_lambda, lambda_ratio):
         rank_matrix = np.abs(coef.W).mean(axis=1)[:, None]
 
     evs, pevs = [], []
-    scores = _task_scores(test, coef.W, coef.intercepts)
-    for test_task, fitted_task, s in zip(test.tasks, fitted.tasks, scores):
+    for i, (test_task, fitted_task) in enumerate(zip(test.tasks, fitted.tasks)):
+        b = 0.0 if coef.intercepts is None else coef.intercepts[i]
+        s = predict(test_task.X, coef.W[:, i], test_task.kind, b, output="score")
         if fitted_task.kind is TaskKind.REGRESSION:
             evs.append(explained_variance(s, test_task.y))
         elif test_task.kind is TaskKind.CLASSIFICATION:
@@ -226,9 +226,14 @@ def _run_cell(method, sim, alpha, beta, k, seed, opts, n_lambda, lambda_ratio):
     return recovery, mean_ev, mean_pev
 
 
-def _benchmark_grid(methods, ratios, seeds, p, k) -> tuple:
+def _benchmark_grid(spec, methods, ratios, seeds, k) -> tuple:
     """run_benchmark's arguments as checked lists; a ValueError names the one at fault."""
     methods, ratios, seeds = list(methods), [float(r) for r in ratios], [int(s) for s in seeds]
+    p = spec.p
+    if spec.support_size < 1:
+        raise ValueError(
+            f"sparsity must give round((1 - sparsity) * p) >= 1 at p={p}, got {spec.sparsity}"
+        )
     unknown = [method for method in methods if method not in BENCHMARK_METHODS]
     if unknown:
         raise ValueError(f"methods must be among {BENCHMARK_METHODS}, got {unknown}")
@@ -252,7 +257,6 @@ def run_benchmark(
     lambda_ratio: float = 0.01,
     alpha: float = 0.0,
     beta: float = 0.0,
-    opts: Optional[SolverOptions] = None,
 ) -> list:
     """Average prediction and support-recovery quality over seeds.
 
@@ -262,8 +266,7 @@ def run_benchmark(
     cross-validation on the training problem.  Returns one BenchmarkRow
     per (method, ratio), in input order.
     """
-    methods, ratios, seeds = _benchmark_grid(methods, ratios, seeds, spec.p, k)
-    opts = opts or path_options()
+    methods, ratios, seeds = _benchmark_grid(spec, methods, ratios, seeds, k)
 
     rows = []
     for method in methods:
@@ -275,7 +278,7 @@ def run_benchmark(
                 )
                 sim = simulate(cell_spec)
                 rec, ev, pev = _run_cell(
-                    method, sim, alpha, beta, k, seed, opts, n_lambda, lambda_ratio
+                    method, sim, alpha, beta, k, seed, n_lambda, lambda_ratio
                 )
                 recoveries.append(rec)
                 evs.append(ev)

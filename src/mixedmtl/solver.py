@@ -43,6 +43,7 @@ from .core import (
     _batch_objective,
     _member_dots,
     _members,
+    _row_norms,
 )
 
 __all__ = ["SolverError", "FitResult", "prox_l21", "line_search", "fista_fit", "ista_fit"]
@@ -91,7 +92,7 @@ def _prox_batch(V, tau):
     m.  Also returns the result's row norms (B, p), max(||v|| - tau, 0) as
     the shrink factor times ||v||, so a penalty needs no second pass."""
     tau = tau[:, None, None]
-    norms = np.sqrt(np.add.reduce(V * V, axis=1, keepdims=True))
+    norms = _row_norms(V)[:, None]
     # The floor keeps a zero row at zero at tau = 0 too (0 / floor = 0).
     scale = 1.0 - tau / np.maximum(norms, np.maximum(tau, _TINY))
     return scale * V, (scale * norms)[:, 0]
@@ -99,14 +100,15 @@ def _prox_batch(V, tau):
 
 def _backtrack(blocks, lam, alpha, beta, Ws, bs, f_s, L, pending):
     """Grow each pending member's L by doubling until sufficient decrease
-    holds at its prox candidate; the others keep L and get no candidate.
+    holds at its prox candidate; the others keep L.
 
     f_s (F at the search point (Ws, bs)), L and pending are lists.
     Returns (L, W_cand, b_cand, F at the candidate, the candidate's
-    row-norm sum), the last two as lists.
+    row-norm sum), the last two as lists, all from the last trial: a
+    member that passed earlier kept its L, so every later trial
+    recomputed its candidate bit for bit.
     """
     gW, gb = _batch_gradient(blocks, Ws, bs, alpha, beta)
-    accepted = None
     for _ in range(MAX_DOUBLINGS + 1):
         L_arr = np.array(L)
         Wy, norms = _prox_batch(Ws - gW / L_arr[:, None, None], lam / L_arr)
@@ -120,23 +122,16 @@ def _backtrack(blocks, lam, alpha, beta, Ws, bs, f_s, L, pending):
             linear += _member_dots(gb, db)
             step_sq += _member_dots(db, db)
         f_y = _batch_objective(blocks, Wy, by, alpha, beta)
-        trial = (Wy, by, f_y, norms.sum(axis=1))
-        ok = [
-            pend and (sq <= _NULL_STEP_SQ or fy <= fs + lin + 0.5 * Lm * sq)
+        pending = [
+            pend and not (sq <= _NULL_STEP_SQ or fy <= fs + lin + 0.5 * Lm * sq)
             for pend, fy, fs, lin, sq, Lm in zip(
                 pending, f_y.tolist(), f_s, linear.tolist(), step_sq.tolist(), L
             )
         ]
-        if accepted is None:
-            accepted = trial
-        elif any(ok):
-            for kept, new in zip(accepted, trial):
-                if kept is not None:
-                    np.copyto(kept, new, where=np.reshape(ok, (-1,) + (1,) * (new.ndim - 1)))
-        pending = [pend and not good for pend, good in zip(pending, ok)]
         if not any(pending):
-            Wc, bc, f_c, penalty = accepted
-            return L, Wc, bc, f_c.tolist(), penalty.tolist()
+            # Only pending members double L, and a member's arithmetic reads
+            # only its own slice, so this trial repeats each earlier acceptance.
+            return L, Wy, by, f_y.tolist(), norms.sum(axis=1).tolist()
         L = [2.0 * Lm if pend else Lm for Lm, pend in zip(L, pending)]
     raise SolverError(
         f"line search did not reach sufficient decrease within {MAX_DOUBLINGS} "
@@ -194,7 +189,7 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
     lam_m = lam.tolist()
     W_prev, b_prev = W, b
     f = _batch_objective(blocks, W, b, alpha, beta)
-    obj_prev = (f + lam * np.sqrt(np.add.reduce(W * W, axis=1)).sum(axis=1)).tolist()
+    obj_prev = (f + lam * _row_norms(W).sum(axis=1)).tolist()
     if not all(map(math.isfinite, obj_prev)):
         raise SolverError("objective is non-finite at the initial point")
 

@@ -26,7 +26,6 @@ from mixedmtl import (
     smooth_objective,
 )
 from mixedmtl import regpath
-from mixedmtl.core import _task_scores
 from mixedmtl.modelselect import task_folds
 
 from util import random_mixed_problem
@@ -70,10 +69,10 @@ def test_objective_and_gradient_decompose_by_task(seed, fit_intercept):
 
 
 def _per_task_reference(problem, coef):
-    """Scores, weighted losses and gradients, task by task: 2 x mean logit
-    loss with residual -y / (1 + exp(y s)), 0.5 x mean squared error with
+    """Weighted losses and gradients, task by task: 2 x mean logit loss
+    with residual -y / (1 + exp(y s)), 0.5 x mean squared error with
     residual s - y, and (weight / n) X^T r with weight 2 or 1."""
-    scores, losses = [], []
+    losses = []
     grad, grad_b = np.empty(coef.W.shape), np.empty(problem.t)
     for i, task in enumerate(problem.tasks):
         s = task.X @ coef.W[:, i]
@@ -85,10 +84,9 @@ def _per_task_reference(problem, coef):
         else:
             losses.append(0.5 * np.mean((task.y - s) ** 2))
             r, weight = s - task.y, 1.0
-        scores.append(s)
         grad[:, i] = weight / task.n_samples * (task.X.T @ r)
         grad_b[i] = weight / task.n_samples * r.sum()
-    return scores, np.array(losses), grad, grad_b
+    return np.array(losses), grad, grad_b
 
 
 @pytest.mark.parametrize("t, c", [(1, None), (None, 0), (None, "t"), (None, None)],
@@ -101,10 +99,7 @@ def test_padded_engine_matches_per_task_reference(t, c, seed, fit_intercept):
     t = int(rng.integers(2, 7)) if t is None else t
     problem = random_mixed_problem(rng, t=t, c=t if c == "t" else c)
     coef = _random_coef(rng, problem.p, problem.t, fit_intercept)
-    scores, losses, grad_ref, grad_b_ref = _per_task_reference(problem, coef)
-
-    for s, ref in zip(_task_scores(problem, coef.W, coef.intercepts), scores, strict=True):
-        npt.assert_array_equal(s, ref)
+    losses, grad_ref, grad_b_ref = _per_task_reference(problem, coef)
     npt.assert_allclose(smooth_objective(problem, coef), losses.sum(), rtol=1e-12)
     for i, task in enumerate(problem.tasks):
         alone = smooth_objective(MtlProblem((task,)), _column(coef, i))

@@ -28,6 +28,7 @@ from mixedmtl import (
     simulate,
     standardize,
 )
+from mixedmtl import lam_max, lambda_sequence, path_options, reg_path
 from mixedmtl.cli import main
 from mixedmtl.modelio import format_float, parse_manifest, read_task_csv, write_csv
 
@@ -527,6 +528,26 @@ def test_malformed_json_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("data-error: manifest")
 
 
+@pytest.mark.parametrize("key", ["standardize", "fit_intercept"])
+@pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
+def test_manifest_options_must_be_json_booleans(tmp_path, capsys, key, value):
+    _write(tmp_path / "a.csv", "f1,y\n1,0.5\n2,-0.5\n")
+    tasks = [{"name": "t", "kind": "regression", "data_path": "a.csv", "outcome_column": "y"}]
+    man = _manifest(tmp_path, tasks, **{key: value})
+    with pytest.raises(DataError, match=f"'{key}' must be true or false, got {value!r}"):
+        parse_manifest(man)
+    out = tmp_path / "fit"
+    assert _run(["fit", "--manifest", man, "--lambda", 0.1, "--out-dir", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data-error: manifest") and repr(key) in err, err
+    assert not (out / "model.json").exists()
+    # JSON true and false, and an absent key, are the accepted spellings.
+    for flag in (True, False):
+        assert getattr(parse_manifest(_manifest(tmp_path, tasks, **{key: flag})), key) is flag
+    _write(tmp_path / "bare.json", json.dumps({"tasks": tasks}))
+    assert getattr(parse_manifest(tmp_path / "bare.json"), key) is False
+
+
 def test_model_standardization_applies_at_predict_time():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((30, 4)) * 3.0 + 2.0
@@ -803,6 +824,39 @@ def test_cli_full_pipeline_is_byte_identical(tmp_path):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
+def test_cli_path_save_coefficients(tmp_path):
+    rng = np.random.default_rng(7)
+    # Columns out of canonical order, and the regression task listed first.
+    rows_c = [[*x, y] for x, y in zip(rng.standard_normal((12, 3)), [1, -1] * 6)]
+    rows_r = [[*x, y] for x, y in zip(rng.standard_normal((10, 3)), rng.standard_normal(10))]
+    write_csv(tmp_path / "c.csv", ["b", "y", "a", "c"], [[r[1], r[3], r[0], r[2]] for r in rows_c])
+    write_csv(tmp_path / "r.csv", ["c", "a", "b", "y"], [[r[2], r[0], r[1], r[3]] for r in rows_r])
+    man = _manifest(tmp_path, [
+        {"name": "reg", "kind": "regression", "data_path": "r.csv", "outcome_column": "y"},
+        {"name": "clf", "kind": "classification", "data_path": "c.csv", "outcome_column": "y"},
+    ], fit_intercept=True)
+    argv = ["path", "--manifest", man, "--n-lambda", 4, "--ratio", 0.05, "--save-coefficients"]
+    assert _run(argv + ["--out-dir", tmp_path / "o1"]) == 0
+    assert _run(argv + ["--out-dir", tmp_path / "o2"]) == 0
+
+    problem, features, _ = load_problem(man)
+    assert features == ["a", "b", "c"]
+    sequence = lambda_sequence(lam_max(problem, fit_intercept=True), ratio=0.05, n=4)
+    path = reg_path(problem, sequence, opts=path_options(fit_intercept=True))
+    coef_dir = tmp_path / "o1" / "coefficients"
+    assert sorted(os.listdir(coef_dir)) == [f"lambda_{i:04d}.csv" for i in range(4)]
+    for i, fit in enumerate(path.fits):
+        name = f"lambda_{i:04d}.csv"
+        text = (coef_dir / name).read_text()
+        assert text == (tmp_path / "o2" / "coefficients" / name).read_text()
+        lines = [line.split(",") for line in text.splitlines()]
+        assert lines[0] == ["feature", "clf", "reg"]
+        assert [line[0] for line in lines[1:]] == ["a", "b", "c", "(intercept)"]
+        values = np.array([[float(cell) for cell in line[1:]] for line in lines[1:]])
+        npt.assert_array_equal(values[:3], fit.coef.W)
+        npt.assert_array_equal(values[3], fit.coef.intercepts)
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     # usage: unknown flag (argparse) and bad bench method
     assert _run(["fit", "--nope"]) == 2
@@ -826,6 +880,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["fit", "--lambda", 1, "--tol", 0], "--tol must be positive"),
         (["fit", "--lambda", 1, "--max-iter", 0], "--max-iter must be >= 1"),
         (["fit", "--lambda", 1, "--l0", -1], "--l0 must be positive"),
+        (["fit", "--lambda", 1, "--tol", "inf"], "--tol must be positive and finite"),
+        (["path", "--l0", "inf"], "--l0 must be positive and finite"),
         (["bench", "--lambda-ratio", 2], "--lambda-ratio must lie in (0, 1), got 2.0"),
         (["simulate", "--sparsity", 1.5], "--sparsity must lie in (0, 1)"),
         (["simulate", "--p", 0], "--p must be >= 1"),
@@ -847,6 +903,8 @@ def test_cli_exit_codes(tmp_path, capsys):
          "--ratios must give round(ratio * p) >= k=5 at p=20, got [0.01]"),
         (["bench", "--p", 20, "--ratios", 0.1, "--k", 5],
          "--ratios must give round(ratio * p) >= k=5 at p=20, got [0.1]"),
+        (["bench", "--p", 20, "--sparsity", 0.99, "--ratios", 0.5, "--seeds", 1],
+         "--sparsity must give round((1 - sparsity) * p) >= 1 at p=20, got 0.99"),
     ]:
         manifest = [] if argv[0] in ("bench", "simulate") else ["--manifest", gone]
         assert _run(argv[:1] + manifest + argv[1:] + ["--out-dir", tmp_path / "u"]) == 2, argv
@@ -865,6 +923,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data-error: fold 4 leaves task 'clf01' with a single class"), err
     assert not (tmp_path / "d").exists()
+    # every directory it made goes, leaf first; one that existed stays
+    assert _run(single_class + [tmp_path / "n1" / "n2" / "n3"]) == 3
+    assert capsys.readouterr().err.startswith("data-error: fold 4")
+    assert not (tmp_path / "n1").exists()
+    (tmp_path / "kept").mkdir()
+    assert _run(single_class + [tmp_path / "kept" / "n2" / "n3"]) == 3
+    assert capsys.readouterr().err.startswith("data-error: fold 4")
+    assert os.listdir(tmp_path / "kept") == []
     # an --out-dir that is a file fails before any cell runs, and stays a file
     _write(tmp_path / "f", "kept\n")
     assert _run(single_class + [tmp_path / "f"]) == 3
@@ -877,6 +943,27 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert _run(["cv", "--manifest", sim / "train" / "manifest.json", "--k", 2,
                  "--n-lambda", 1, "--out-dir", tmp_path / "cv1"]) == 0
     assert len((tmp_path / "cv1" / "cv.csv").read_text().splitlines()) == 2
+    # simulate keeps accepting a spec with no true support row
+    assert _run(["simulate", "--p", 5, "--t-classification", 1, "--t-regression", 1,
+                 "--n-per-task", 4, "--out-dir", tmp_path / "s5"]) == 0
+    assert (tmp_path / "s5" / "true_support.csv").read_text() == "feature,row\n"
+
+    # data error: eval data whose features or task kinds differ from the model's
+    assert _run(["fit", "--manifest", sim / "train" / "manifest.json", "--lambda", 1.0,
+                 "--out-dir", tmp_path / "m"]) == 0
+    model = tmp_path / "m" / "model.json"
+    _write(tmp_path / "other.csv", "x01,z,y\n1,2,1\n3,4,-1\n")
+    clf01 = str(sim / "test" / "clf01.csv")
+    for data_path, kind, message in [
+        ("other.csv", "classification",
+         "data-error: evaluation data features do not match the model's features"),
+        (clf01, "regression", "data-error: task 'clf01': kind differs between model and data"),
+    ]:
+        man = _manifest(tmp_path, [{"name": "clf01", "kind": kind, "data_path": data_path,
+                                    "outcome_column": "y"}], name="eval.json")
+        assert _run(["eval", "--model", model, "--manifest", man,
+                     "--out-dir", tmp_path / "e"]) == 3, kind
+        assert capsys.readouterr().err.startswith(message), kind
 
     # data error: missing manifest
     assert _run(["fit", "--manifest", tmp_path / "gone.json", "--lambda", 1.0,

@@ -111,12 +111,6 @@ def test_binarize_constant_outcome_raises():
         binarize_problem(MtlProblem((task,)))
 
 
-def test_binarize_at_zero():
-    task = TaskDataset(np.eye(4), [-2.0, -1.0, 1.0, 2.0], "regression", "r")
-    out = binarize_problem(MtlProblem((task,)), at_zero=True)
-    npt.assert_array_equal(out.tasks[0].y, [-1.0, -1.0, 1.0, 1.0])
-
-
 def test_binarize_output_is_valid_classification_problem():
     rng = np.random.default_rng(4)
     tasks = (
