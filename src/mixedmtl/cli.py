@@ -129,7 +129,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    out_dir = _ensure_out_dir(args.out_dir)
     problem, feature_names, manifest, record = _load_fit_inputs(args.manifest)
     opts = _solver_options(args, manifest.fit_intercept)
     hyper = Hyperparameters(args.lam, args.alpha, args.beta)
@@ -146,13 +145,12 @@ def cmd_fit(args) -> int:
         beta=hyper.beta,
         seed=None,
     )
-    save_model(model, os.path.join(out_dir, "model.json"))
+    save_model(model, os.path.join(_ensure_out_dir(args.out_dir), "model.json"))
     _write_runlog(args, manifest)
     return 0
 
 
 def cmd_path(args) -> int:
-    out_dir = _ensure_out_dir(args.out_dir)
     problem, feature_names, manifest, _ = _load_fit_inputs(args.manifest)
     opts = _solver_options(args, manifest.fit_intercept)
     top = lam_max(problem, fit_intercept=opts.fit_intercept)
@@ -163,6 +161,7 @@ def cmd_path(args) -> int:
     for lam, fit, nonzero in zip(sequence.values, path.fits, path.nonzero_rows):
         objective = full_objective(problem, fit.coef, Hyperparameters(lam, args.alpha, args.beta))
         rows.append([lam, objective, str(int(nonzero))])
+    out_dir = _ensure_out_dir(args.out_dir)
     write_csv(os.path.join(out_dir, "path.csv"), ["lambda", "objective", "nonzero_rows"], rows)
 
     if args.save_coefficients:
@@ -184,7 +183,6 @@ def cmd_path(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    out_dir = _ensure_out_dir(args.out_dir)
     problem, _, manifest, _ = _load_fit_inputs(args.manifest)
     opts = _solver_options(args, manifest.fit_intercept)
     result = cross_validate(
@@ -198,6 +196,7 @@ def cmd_cv(args) -> int:
         ratio=args.ratio,
         one_se=args.one_se,
     )
+    out_dir = _ensure_out_dir(args.out_dir)
     write_csv(
         os.path.join(out_dir, "cv.csv"),
         ["lambda", "mean_error", "se_error"],
@@ -210,7 +209,6 @@ def cmd_cv(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    out_dir = _ensure_out_dir(args.out_dir)
     model = load_model(args.model)
     task_idx = model.task_index(args.task)
     header, values = read_task_csv(args.data)
@@ -222,7 +220,7 @@ def cmd_predict(args) -> int:
     columns = model_predictions(model, X, task_idx)
     names = list(columns)
     write_csv(
-        os.path.join(out_dir, "predictions.csv"),
+        os.path.join(_ensure_out_dir(args.out_dir), "predictions.csv"),
         names,
         list(zip(*[columns[name] for name in names])),
     )
@@ -231,7 +229,6 @@ def cmd_predict(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    out_dir = _ensure_out_dir(args.out_dir)
     model = load_model(args.model)
     # Evaluation applies the model's stored standardization to raw inputs;
     # the manifest's own standardize flag is deliberately ignored here.
@@ -249,6 +246,7 @@ def cmd_eval(args) -> int:
         else:
             metric, value = "explained_variance", explained_variance(columns["prediction"], task.y)
         rows.append([task.name, task.kind.value, metric, value])
+    out_dir = _ensure_out_dir(args.out_dir)
     write_csv(os.path.join(out_dir, "eval.csv"), ["task", "kind", "metric", "value"], rows)
     _write_runlog(args)
     return 0

@@ -29,12 +29,22 @@ is one member on every row; cross-validation's folds are members too.
 Each task's scores fill a row of a padded score array for all members
 at once; losses, residuals and intercept gradients then take one numpy
 call per kind, the gradient one product per task.
+
+The kernels take a batch of fits, W of shape (fits, t_fit, p): a fit is
+either one member's joint fit over all t columns (t_fit = t, fits = B)
+or one member's single task column (t_fit = 1, fits = B * t, member
+major), and each returns one smooth objective per fit.  The scores see
+the same (B, t, p) array either way.  A layout for single-column fits
+keeps a block per run of tasks of one kind and one sample count, so no
+fit's loss sums padding and each equals its one-task problem's bit for
+bit.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -174,27 +184,45 @@ class MtlProblem:
         return _layout(self)
 
 
-def _layout(problem: MtlProblem, rows=None) -> tuple:
+def _layout(problem: MtlProblem, rows=None, by_size: bool = False) -> tuple:
     """One (kind, columns, Xs, Y, M) per kind present: columns is the kind's
     slice of W's columns, Xs its tasks' X, Y (tasks, n_max) their outcomes
     and M (B, tasks, n_max) the row weights of B members.  rows holds one
     (n_i, B) boolean array per task, the rows each member fits; a member
     weights them by the kind's loss weight over their count.  Without rows
-    there is one member, on every row."""
-    blocks = []
-    for columns, weight in ((slice(0, problem.c), 2.0), (slice(problem.c, problem.t), 0.5)):
-        tasks = problem.tasks[columns]
-        if tasks:
-            fitted = rows[columns] if rows is not None else [
-                np.ones((task.n_samples, 1), dtype=bool) for task in tasks
-            ]
-            Y = np.zeros((len(tasks), max(task.n_samples for task in tasks)))
-            M = np.zeros(fitted[0].shape[1:] + Y.shape)
-            for j, (task, r) in enumerate(zip(tasks, fitted)):
-                Y[j, : task.n_samples] = task.y
-                M[:, j, : task.n_samples] = np.where(r.T, weight / r.sum(axis=0)[:, None], 0.0)
-            blocks.append((tasks[0].kind, columns, tuple(task.X for task in tasks), Y, M))
+    there is one member, on every row.  by_size splits a kind into runs of
+    tasks with equal sample counts, one block each, so nothing is padded."""
+    blocks, start = [], 0
+    for (kind, _), run in itertools.groupby(
+        problem.tasks, lambda task: (task.kind, by_size and task.n_samples)
+    ):
+        tasks = tuple(run)
+        columns = slice(start, start + len(tasks))
+        start = columns.stop
+        weight = 2.0 if kind is TaskKind.CLASSIFICATION else 0.5
+        fitted = rows[columns] if rows is not None else [
+            np.ones((task.n_samples, 1), dtype=bool) for task in tasks
+        ]
+        Y = np.zeros((len(tasks), max(task.n_samples for task in tasks)))
+        M = np.zeros(fitted[0].shape[1:] + Y.shape)
+        for j, (task, r) in enumerate(zip(tasks, fitted)):
+            Y[j, : task.n_samples] = task.y
+            M[:, j, : task.n_samples] = np.where(r.T, weight / r.sum(axis=0)[:, None], 0.0)
+        blocks.append((kind, columns, tuple(task.X for task in tasks), Y, M))
     return tuple(blocks)
+
+
+def _task_subset(blocks, keep) -> tuple:
+    """The layout restricted to the tasks at positions keep (ascending)."""
+    subset, start = [], 0
+    for kind, columns, Xs, Y, M in blocks:
+        local = [j - columns.start for j in keep if columns.start <= j < columns.stop]
+        if len(local) < len(Xs):
+            Xs, Y, M = tuple(Xs[j] for j in local), Y[local], M[:, local]
+        if local:
+            subset.append((kind, slice(start, start + len(local)), Xs, Y, M))
+            start += len(local)
+    return tuple(subset)
 
 
 @dataclass(frozen=True)
@@ -307,8 +335,8 @@ def _members(W, intercepts):
 
 
 def _row_norms(W) -> np.ndarray:
-    """Euclidean norm of each feature's row, per member of a batch W
-    (B, t, p): an array (B, p)."""
+    """Euclidean norm of each feature's row, per fit of a batch W
+    (fits, t_fit, p): an array (fits, p)."""
     return np.sqrt(np.add.reduce(W * W, axis=1))
 
 
@@ -318,10 +346,17 @@ def _member_dots(A, C) -> np.ndarray:
     return np.matmul(A.reshape(B, 1, -1), C.reshape(B, -1, 1))[:, 0, 0]
 
 
+def _by_member(blocks, A):
+    """A batch of fits A (fits, t_fit, ...) as (B, t, ...) for the B members
+    of a layout: the same array for joint fits, a reshape for task columns."""
+    return None if A is None else A.reshape((blocks[0][4].shape[0], -1) + A.shape[2:])
+
+
 def _padded_scores(blocks, W, intercepts):
     """Each block of a _layout with its scores S appended:
     S[b, j] is the j-th task's X w + b under member b's coefficients
-    (W of shape (B, t, p), intercepts (B, t) or None)."""
+    (a batch of fits W, intercepts or None, seen as (B, t, p) and (B, t))."""
+    W, intercepts = _by_member(blocks, W), _by_member(blocks, intercepts)
     for kind, columns, Xs, Y, M in blocks:
         S = np.zeros(W.shape[:1] + Y.shape)
         for j, X in enumerate(Xs):
@@ -348,15 +383,23 @@ def _outputs(scores, kind: TaskKind, output: Optional[str]) -> np.ndarray:
 
 
 def _batch_objective(blocks, W, intercepts, alpha, beta) -> np.ndarray:
-    """F of each member of a batch W (B, t, p), intercepts (B, t) or None,
-    on a _layout of as many members."""
+    """F of each fit of a batch W (fits, t_fit, p), intercepts (fits, t_fit)
+    or None, on a _layout of its members."""
     total = np.zeros(W.shape[0])
-    for kind, _, _, Y, M, S in _padded_scores(blocks, W, intercepts):
+    per_member = _by_member(blocks, total)
+    for kind, columns, _, Y, M, S in _padded_scores(blocks, W, intercepts):
         if kind is TaskKind.CLASSIFICATION:
             losses = np.logaddexp(0.0, -Y * S)
         else:
             losses = (S - Y) ** 2
-        total += _member_dots(M, losses)
+        if W.shape[1] == 1:
+            # A task column sums its own task's rows, a joint fit all of them.
+            n = M.shape[2]
+            per_member[:, columns] += _member_dots(
+                M.reshape(-1, n), losses.reshape(-1, n)
+            ).reshape(M.shape[:2])
+        else:
+            total += _member_dots(M, losses)
     if alpha != 0.0:
         centered = _row_centered(W)
         total += alpha * _member_dots(centered, centered)
@@ -366,9 +409,10 @@ def _batch_objective(blocks, W, intercepts, alpha, beta) -> np.ndarray:
 
 
 def _batch_gradient(blocks, W, intercepts, alpha, beta):
-    """Gradient of F per member, shaped like the batch W and intercepts."""
+    """Gradient of F per fit, shaped like the batch W and intercepts."""
     grad = np.empty(W.shape)
     grad_b = None if intercepts is None else np.empty(intercepts.shape)
+    grad_m, grad_bm = _by_member(blocks, grad), _by_member(blocks, grad_b)
     for kind, columns, Xs, Y, M, S in _padded_scores(blocks, W, intercepts):
         # Each row's weighted loss derivative; 0.5 * (tanh(s / 2) - y) is
         # -y * sigmoid(-y * s) for y = +-1.
@@ -377,9 +421,9 @@ def _batch_gradient(blocks, W, intercepts, alpha, beta):
         else:
             R = 2.0 * M * (S - Y)
         for j, X in enumerate(Xs):
-            np.matmul(R[:, j, : len(X)], X, out=grad[:, columns.start + j])
+            np.matmul(R[:, j, : len(X)], X, out=grad_m[:, columns.start + j])
         if grad_b is not None:
-            grad_b[:, columns] = R.sum(axis=2)
+            grad_bm[:, columns] = R.sum(axis=2)
     if alpha != 0.0:
         grad += 2.0 * alpha * _row_centered(W)
     if beta != 0.0:

@@ -13,6 +13,13 @@ number of tasks and averaged over folds, so the selected penalty
 targets the objective that was actually optimized.
 Folds are drawn per task; classification folds are stratified to keep
 both classes in every split.
+
+The single-task baseline runs the same body with one fit per member and
+task: (k + 1) * t single-task fits in one batch, each task on its own
+lam_max-anchored grid, with a task leaving the batch once its fits have
+stopped.  Each task's selection equals cross-validation of that task
+alone, bit for bit, and so do its errors: task by task, its folds
+before its grid.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    CoefficientMatrix,
     DataError,
     MtlProblem,
     SolverOptions,
@@ -53,6 +61,8 @@ class CvResult:
     best_lambda attains the minimum mean error; ties go to the larger
     penalty (the sparser model).  fit is the full-data member's fit at
     best_lambda: the path on every row, warm-started from lam_max.
+    unconverged counts the member fits along the path (folds and the
+    full-data fit, every penalty) that stopped at max_iter.
     """
 
     sequence: LambdaSequence
@@ -62,6 +72,7 @@ class CvResult:
     folds: int
     seed: int
     fit: FitResult
+    unconverged: int
 
     def __post_init__(self):
         object.__setattr__(self, "mean_cv_error", np.array(self.mean_cv_error, dtype=float))
@@ -106,19 +117,46 @@ def _task_seed(seed: int, name: str) -> list:
     return [int(seed), zlib.crc32(name.encode("utf-8"))]
 
 
+def _task_fold(task, k: int, seed: int) -> list:
+    if task.n_samples < k:
+        raise DataError(f"task {task.name!r}: {task.n_samples} samples cannot form {k} folds")
+    if task.kind is TaskKind.CLASSIFICATION:
+        return _stratified_kfold_split(task.y, k, _task_seed(seed, task.name))
+    return kfold_split(task.n_samples, k, _task_seed(seed, task.name))
+
+
 def task_folds(problem: MtlProblem, k: int, seed: int) -> list:
     """Fold index sets per task (stratified for classification tasks)."""
-    folds = []
-    for task in problem.tasks:
-        if task.n_samples < k:
-            raise DataError(
-                f"task {task.name!r}: {task.n_samples} samples cannot form {k} folds"
-            )
-        if task.kind is TaskKind.CLASSIFICATION:
-            folds.append(_stratified_kfold_split(task.y, k, _task_seed(seed, task.name)))
+    return [_task_fold(task, k, seed) for task in problem.tasks]
+
+
+def _member_rows(task, task_fold, k: int) -> np.ndarray:
+    """The rows each member fits, (n, k + 1): member m < k every row
+    outside fold m, member k every row."""
+    fitted = np.ones((task.n_samples, k + 1), dtype=bool)
+    for fold, val_idx in enumerate(task_fold):
+        fitted[val_idx, fold] = False
+    return fitted
+
+
+def _check_fold(task, fitted, fold: int) -> None:
+    if task.kind is TaskKind.CLASSIFICATION and len(np.unique(task.y[fitted[:, fold]])) < 2:
+        raise DataError(f"fold {fold} leaves task {task.name!r} with a single class")
+
+
+def _grids(problem, members, opts, n_lambda, ratio, per_task) -> list:
+    """The penalty grid of each selection (the joint one, or one per task in
+    task order), from lam_max as the batch evaluates it, so without
+    intercepts the full-data fit at the head of a grid is exactly zero."""
+    sequences = []
+    for top in _lam_max(problem, opts.fit_intercept, members, per_task):
+        if n_lambda != 1:
+            sequences.append(lambda_sequence(top, ratio=ratio, n=n_lambda))
+        elif top > 0.0:
+            sequences.append(LambdaSequence(values=np.array([top]), ratio=1.0))
         else:
-            folds.append(kfold_split(task.n_samples, k, _task_seed(seed, task.name)))
-    return folds
+            raise DataError("lam_max is zero; the data has no usable signal")
+    return sequences
 
 
 def cross_validate(
@@ -138,60 +176,85 @@ def cross_validate(
     across folds.  one_se switches to the one-standard-error rule (the
     largest penalty whose mean error is within one SE of the minimum).
     """
+    return _cross_validate(problem, alpha, beta, k, seed, opts, n_lambda, ratio, one_se)[0][0]
+
+
+def _cross_validate(
+    problem, alpha, beta, k, seed, opts, n_lambda, ratio, one_se, per_task=False
+) -> tuple:
+    """cross_validate's body.  per_task selects each task's penalty as
+    cross_validate of that task alone would, in one batch.  Returns the
+    CvResults (one, or one per task) and the selected full-data fits as
+    one (p, t) CoefficientMatrix."""
     if k < 2:
         raise ValueError("k must be >= 2")
     opts = opts or path_options()
 
-    folds = task_folds(problem, k, seed)
-    # Member m < k fits every row outside fold m; member k fits every row.
-    rows = []
-    for task, task_fold in zip(problem.tasks, folds):
-        fitted = np.ones((task.n_samples, k + 1), dtype=bool)
-        for fold, val_idx in enumerate(task_fold):
-            fitted[val_idx, fold] = False
-        rows.append(fitted)
-    for fold in range(k):
-        for task, fitted in zip(problem.tasks, rows):
-            single_class = len(np.unique(task.y[fitted[:, fold]])) < 2
-            if task.kind is TaskKind.CLASSIFICATION and single_class:
-                raise DataError(f"fold {fold} leaves task {task.name!r} with a single class")
-    members = _layout(problem, rows)
-    validation = _layout(problem, [~fitted[:, :k] for fitted in rows])
-
-    # lam_max as the batch evaluates it, so without intercepts the full-data
-    # fit at the head of the grid is exactly zero.
-    lam_top = _lam_max(problem, opts.fit_intercept, members)
-    if n_lambda == 1:
-        if not lam_top > 0.0:
-            raise DataError("lam_max is zero; the data has no usable signal")
-        sequence = LambdaSequence(values=np.array([lam_top]), ratio=1.0)
+    tasks = problem.tasks
+    if per_task:
+        # Task by task, as separate cross-validations fail: a task's folds,
+        # then its grid, before the next task's folds.
+        rows = []
+        try:
+            for task in tasks:
+                fitted = _member_rows(task, _task_fold(task, k, seed), k)
+                for fold in range(k):
+                    _check_fold(task, fitted, fold)
+                rows.append(fitted)
+        except DataError:
+            if rows:
+                checked = MtlProblem(tasks[: len(rows)])
+                _grids(checked, _layout(checked, rows, by_size=True), opts, n_lambda, ratio, True)
+            raise
     else:
-        sequence = lambda_sequence(lam_top, ratio=ratio, n=n_lambda)
+        rows = [_member_rows(task, _task_fold(task, k, seed), k) for task in tasks]
+        for fold in range(k):
+            for task, fitted in zip(tasks, rows):
+                _check_fold(task, fitted, fold)
+    members = _layout(problem, rows, by_size=per_task)
+    validation = _layout(problem, [~fitted[:, :k] for fitted in rows], by_size=per_task)
+    sequences = _grids(problem, members, opts, n_lambda, ratio, per_task)
 
-    W = np.zeros((k + 1, problem.t, problem.p))
-    b = np.zeros((k + 1, problem.t)) if opts.fit_intercept else None
-    fold_errors = np.empty((k, sequence.length))
-    fits = []
-    for j, (W, b, batch) in enumerate(_path(members, sequence.values, alpha, beta, opts, W, b)):
-        b_folds = None if b is None else b[:k]
-        fold_errors[:, j] = _batch_objective(validation, W[:k], b_folds, 0.0, 0.0) / problem.t
-        fits.append(batch[k])
+    # Fit m * units + u is member m's fit of selection u (the joint fit, or task u).
+    units = len(sequences)
+    t_fit = problem.t // units
+    W = np.zeros(((k + 1) * units, t_fit, problem.p))
+    b = np.zeros(W.shape[:2]) if opts.fit_intercept else None
+    lams = np.tile(np.stack([sequence.values for sequence in sequences], axis=1), (1, k + 1))
+    fold_errors = np.empty((units, k, len(lams)))
+    full = []
+    unconverged = [0] * units
+    for j, (W, b, batch) in enumerate(_path(members, lams, alpha, beta, opts, W, b)):
+        b_folds = None if b is None else b[: k * units]
+        errors = _batch_objective(validation, W[: k * units], b_folds, 0.0, 0.0) / t_fit
+        fold_errors[:, :, j] = errors.reshape(k, units).T
+        full.append(batch[k * units :])
+        for m, fit in enumerate(batch):
+            unconverged[m % units] += not fit.converged
 
-    mean_err = fold_errors.mean(axis=0)
-    se_err = fold_errors.std(axis=0, ddof=1) / np.sqrt(k)
-    best_idx = int(np.argmin(mean_err))
-    if one_se:
-        threshold = mean_err[best_idx] + se_err[best_idx]
-        best_idx = int(np.flatnonzero(mean_err <= threshold)[0])
-    return CvResult(
-        sequence=sequence,
-        mean_cv_error=mean_err,
-        se_cv_error=se_err,
-        best_lambda=float(sequence.values[best_idx]),
-        folds=k,
-        seed=int(seed),
-        fit=fits[best_idx],
-    )
+    results = []
+    for u, sequence in enumerate(sequences):
+        mean_err = fold_errors[u].mean(axis=0)
+        se_err = fold_errors[u].std(axis=0, ddof=1) / np.sqrt(k)
+        best_idx = int(np.argmin(mean_err))
+        if one_se:
+            threshold = mean_err[best_idx] + se_err[best_idx]
+            best_idx = int(np.flatnonzero(mean_err <= threshold)[0])
+        results.append(CvResult(
+            sequence=sequence,
+            mean_cv_error=mean_err,
+            se_cv_error=se_err,
+            best_lambda=float(sequence.values[best_idx]),
+            folds=k,
+            seed=int(seed),
+            fit=full[best_idx][u],
+            unconverged=unconverged[u],
+        ))
+    chosen = [result.fit.coef for result in results]
+    if units == 1:
+        return results, chosen[0]
+    intercepts = None if b is None else np.concatenate([coef.intercepts for coef in chosen])
+    return results, CoefficientMatrix(np.hstack([coef.W for coef in chosen]), intercepts)
 
 
 def auc(scores, labels) -> float:

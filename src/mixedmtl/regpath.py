@@ -11,8 +11,10 @@ tasks alike, so a single lam_max = max_j ||C[j, :]||_2 anchors both task
 types.  The sequence is then interpolated geometrically down to
 ratio * lam_max, and models are fitted in descending order, each warm
 started from the previous solution.  One path loop runs a batch of
-members in lockstep: reg_path is its batch of one, cross-validation
-runs its k folds and the full-data fit as k + 1 members.
+fits in lockstep, each on its own penalty grid: reg_path is its batch
+of one, cross-validation runs its k folds and the full-data fit as
+k + 1 members, each one joint fit or one fit per task (the single-task
+baseline, where each task follows its own lam_max-anchored grid).
 """
 
 from __future__ import annotations
@@ -123,18 +125,22 @@ def lam_max(problem: MtlProblem, fit_intercept: bool = False) -> float:
     Returns 0.0 for degenerate all-zero cross products; callers must not
     build a path from that.
     """
-    return _lam_max(problem, fit_intercept, problem._blocks)
+    return _lam_max(problem, fit_intercept, problem._blocks)[0]
 
 
-def _lam_max(problem, fit_intercept, blocks) -> float:
+def _lam_max(problem, fit_intercept, blocks, per_task=False) -> list:
     """lam_max of the last member of a core._layout of the problem (its
-    own, or cross-validation's with the full-data fit last), taken with
-    the solver's batched gradient and prox_l21's row norms: without
-    intercepts, a path from zero then stays exactly zero at this penalty."""
-    B = blocks[0][4].shape[0]  # a block's row weights M are (B, tasks, n_max)
-    b0 = np.tile(_optimal_zero_intercepts(problem), (B, 1)) if fit_intercept else None
-    grad, _ = _batch_gradient(blocks, np.zeros((B, problem.t, problem.p)), b0, 0.0, 0.0)
-    return float(_row_norms(grad)[-1].max())
+    own, or cross-validation's with the full-data fit last): one value for
+    its joint fit, or one per task; taken with the solver's batched
+    gradient and prox_l21's row norms, so without intercepts a path from
+    zero then stays exactly zero at this penalty."""
+    B, t, p = blocks[0][4].shape[0], problem.t, problem.p
+    shape = (B * t, 1, p) if per_task else (B, t, p)  # a batch of fits, as the solver's
+    b0 = None
+    if fit_intercept:
+        b0 = np.tile(_optimal_zero_intercepts(problem), (B, 1)).reshape(shape[:2])
+    grad, _ = _batch_gradient(blocks, np.zeros(shape), b0, 0.0, 0.0)
+    return _row_norms(grad)[-(shape[0] // B):].max(axis=1).tolist()
 
 
 def lambda_sequence(lam_max_val: float, ratio: float = 0.01, n: int = 100) -> LambdaSequence:
@@ -163,18 +169,19 @@ def reg_path(
     """
     opts = opts or path_options()
     W, b = _resolve_init(problem, opts, None)
-    path = _path(problem._blocks, sequence.values, alpha, beta, opts, W, b)
+    path = _path(problem._blocks, sequence.values[:, None], alpha, beta, opts, W, b)
     fits = [batch[0] for _, _, batch in path]
     nonzero = [np.sum(np.linalg.norm(f.coef.W, axis=1) > NONZERO_ROW_THRESHOLD) for f in fits]
     return PathResult(sequence=sequence, fits=tuple(fits), nonzero_rows=nonzero)
 
 
 def _path(blocks, lams, alpha, beta, opts, W, b):
-    """Warm-started path of the batch (W, b) on a core._layout, all members
-    at each penalty in turn: yields the fitted batch (W, b, fits) per point."""
+    """Warm-started path of the batch of fits (W, b) on a core._layout, fit
+    m at lams[j][m] at point j: yields the fitted batch (W, b, fits) per
+    point."""
     for lam in lams:
         try:
-            W, b, fits = _proximal_loop(blocks, [lam] * len(W), alpha, beta, opts, W, b, True)
+            W, b, fits = _proximal_loop(blocks, lam, alpha, beta, opts, W, b, True)
         except SolverError as err:
-            raise SolverError(f"path fit failed at lambda={float(lam)!r}: {err}") from err
+            raise SolverError(f"path fit failed at lambda={float(lam[err.fit])!r}: {err}") from err
         yield W, b, fits

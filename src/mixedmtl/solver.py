@@ -17,13 +17,17 @@ step is retaken from the iterate), which keeps the objective trace
 non-increasing.  ``ista_fit`` is the same loop at zero momentum; it
 serves as a slow-but-simple cross-check.
 
-The loop fits a batch of B members in lockstep, each with its own lam,
-L, momentum, restart and stopping test; a stopped member is frozen.
-Each turn evaluates F or its gradient once for all members, one
-X_i @ (p x B) product per task, on the problem's rows or on per-member
-row weights (a ``core._layout`` with rows: cross-validation's k folds
-and the full-data fit).  ``fista_fit`` and ``ista_fit`` are the batch of
-one.
+The loop fits a batch of fits in lockstep, each with its own lam, L,
+momentum, restart and stopping test; a stopped fit is frozen.  The fits
+belong to B members, each on the problem's rows or on its own row
+weights (a ``core._layout`` with rows: cross-validation's k folds and
+the full-data fit), and a fit owns either all t columns of its member
+(the joint fit) or one of them (a single-task fit, B * t fits).  Each
+turn evaluates F or its gradient once for all fits, one X_i @ (p x B)
+product per task.  With single-task fits, a task whose fits have all
+stopped leaves the batch: the layout is re-sliced to the tasks still
+running on the turns where that set shrinks.  ``fista_fit`` and
+``ista_fit`` are the batch of one.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .core import (
     _member_dots,
     _members,
     _row_norms,
+    _task_subset,
 )
 
 __all__ = ["SolverError", "FitResult", "prox_l21", "line_search", "fista_fit", "ista_fit"]
@@ -56,7 +61,12 @@ _TINY = np.nextafter(0.0, 1.0)
 
 
 class SolverError(RuntimeError):
-    """Numerical failure inside the solver."""
+    """Numerical failure inside the solver; fit is the position of the
+    failing fit in its batch."""
+
+    def __init__(self, message, fit=0):
+        super().__init__(message)
+        self.fit = fit
 
 
 @dataclass(frozen=True)
@@ -88,9 +98,9 @@ def prox_l21(V: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _prox_batch(V, tau):
-    """prox_l21 of each member of a batch V (B, t, p), at tau[m] for member
-    m.  Also returns the result's row norms (B, p), max(||v|| - tau, 0) as
-    the shrink factor times ||v||, so a penalty needs no second pass."""
+    """prox_l21 of each fit of a batch V (fits, t_fit, p), at tau[m] for fit
+    m.  Also returns the result's row norms (fits, p), max(||v|| - tau, 0)
+    as the shrink factor times ||v||, so a penalty needs no second pass."""
     tau = tau[:, None, None]
     norms = _row_norms(V)[:, None]
     # The floor keeps a zero row at zero at tau = 0 too (0 / floor = 0).
@@ -98,15 +108,22 @@ def _prox_batch(V, tau):
     return scale * V, (scale * norms)[:, 0]
 
 
+def _task_fits(B, alive):
+    """The tasks flagged in alive and the positions of their fits in a
+    batch of single-task fits, B members per task, member-major."""
+    keep = np.flatnonzero(alive)
+    return keep, (np.arange(B)[:, None] * len(alive) + keep).ravel()
+
+
 def _backtrack(blocks, lam, alpha, beta, Ws, bs, f_s, L, pending):
-    """Grow each pending member's L by doubling until sufficient decrease
+    """Grow each pending fit's L by doubling until sufficient decrease
     holds at its prox candidate; the others keep L.
 
     f_s (F at the search point (Ws, bs)), L and pending are lists.
     Returns (L, W_cand, b_cand, F at the candidate, the candidate's
     row-norm sum), the last two as lists, all from the last trial: a
-    member that passed earlier kept its L, so every later trial
-    recomputed its candidate bit for bit.
+    fit that passed earlier kept its L, so every later trial recomputed
+    its candidate bit for bit.
     """
     gW, gb = _batch_gradient(blocks, Ws, bs, alpha, beta)
     for _ in range(MAX_DOUBLINGS + 1):
@@ -129,13 +146,14 @@ def _backtrack(blocks, lam, alpha, beta, Ws, bs, f_s, L, pending):
             )
         ]
         if not any(pending):
-            # Only pending members double L, and a member's arithmetic reads
-            # only its own slice, so this trial repeats each earlier acceptance.
+            # Only pending fits double L, and a fit's arithmetic reads only
+            # its own slice, so this trial repeats each earlier acceptance.
             return L, Wy, by, f_y.tolist(), norms.sum(axis=1).tolist()
         L = [2.0 * Lm if pend else Lm for Lm, pend in zip(L, pending)]
     raise SolverError(
         f"line search did not reach sufficient decrease within {MAX_DOUBLINGS} "
-        "doublings; the data or the gradient is ill-conditioned"
+        "doublings; the data or the gradient is ill-conditioned",
+        pending.index(True),
     )
 
 
@@ -179,27 +197,40 @@ def _resolve_init(problem, opts, w_init):
 
 
 def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
-    """Fit B members from the batch (W, b) of shapes (B, t, p) and (B, t)
-    (or None), member m at penalty lam[m], on a core._layout of B members
-    (problem._blocks for one).  Returns the fitted batch and one FitResult
-    per member.  Per-member scalars are Python floats; arrays hold all
-    members."""
-    B = W.shape[0]
+    """Fit the batch of fits (W, b), shapes (fits, t_fit, p) and
+    (fits, t_fit) (or None), fit m at penalty lam[m], on a core._layout of
+    their B members (problem._blocks for one): B joint fits (t_fit = t) or
+    B * t single-task fits (t_fit = 1, member-major).  Returns the fitted
+    batch and one FitResult per fit.  Per-fit scalars are Python floats;
+    arrays hold all fits of the tasks still running."""
+    n_fits, B = W.shape[0], blocks[0][4].shape[0]
     lam = np.asarray(lam, dtype=float)
     lam_m = lam.tolist()
     W_prev, b_prev = W, b
     f = _batch_objective(blocks, W, b, alpha, beta)
     obj_prev = (f + lam * _row_norms(W).sum(axis=1)).tolist()
-    if not all(map(math.isfinite, obj_prev)):
-        raise SolverError("objective is non-finite at the initial point")
+    finite = list(map(math.isfinite, obj_prev))
+    if not all(finite):
+        raise SolverError("objective is non-finite at the initial point", finite.index(False))
 
     f = f.tolist()
-    L = [opts.L0] * B
-    t_prev = [1.0] * B
-    t_cur = [1.0] * B
-    traces = [[] for _ in range(B)]
-    converged = [False] * B
-    active = [True] * B
+    L = [opts.L0] * n_fits
+    t_prev = [1.0] * n_fits
+    t_cur = [1.0] * n_fits
+    traces = [[] for _ in range(n_fits)]
+    converged = [False] * n_fits
+    active = [True] * n_fits
+    live = list(range(n_fits))  # the fit at each position of the batch
+    fits = [None] * n_fits
+
+    def result(i):
+        return FitResult(
+            coef=CoefficientMatrix(W[i].T.copy(), None if b is None else b[i]),
+            objective_trace=np.array(traces[i], dtype=float),
+            final_L=L[i],
+            iterations=len(traces[i]),
+            converged=converged[i],
+        )
 
     while any(active):
         mom = [(tp - 1.0) / tc if on else 0.0 for tp, tc, on in zip(t_prev, t_cur, active)]
@@ -215,11 +246,15 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
             Ws, bs, f_s = W, b, f
         pending = [on and math.isfinite(fs) for on, fs in zip(active, f_s)]
         if any(pending):
-            L, Wc, bc, f_c, penalty = _backtrack(
-                blocks, lam, alpha, beta, Ws, bs, f_s, L, pending
-            )
-        step = [False] * B
-        for i in range(B):
+            try:
+                L, Wc, bc, f_c, penalty = _backtrack(
+                    blocks, lam, alpha, beta, Ws, bs, f_s, L, pending
+                )
+            except SolverError as err:
+                raise SolverError(str(err), live[err.fit]) from None
+        step = [False] * len(live)
+        stopped = False
+        for i in range(len(live)):
             if not active[i]:
                 continue
             obj = f_c[i] + lam_m[i] * penalty[i] if pending[i] else math.inf
@@ -227,28 +262,30 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
                 # Momentum overshoot restarts (the step is retaken from the
                 # iterate, where sufficient decrease cannot increase the
                 # objective); without momentum only floating-point noise
-                # lands here, and the member keeps its iterate.
+                # lands here, and the fit keeps its iterate.
                 if mom[i] != 0.0:
                     t_prev[i] = t_cur[i] = 1.0
                 else:
                     converged[i], active[i] = True, False
+                    stopped = True
                 continue
             if not math.isfinite(obj):
                 raise SolverError(
-                    f"objective became non-finite at iteration {len(traces[i]) + 1}"
+                    f"objective became non-finite at iteration {len(traces[i]) + 1}", live[i]
                 )
             step[i] = True
             traces[i].append(obj)
             if abs(obj - obj_prev[i]) <= opts.tol * max(1.0, abs(obj_prev[i])):
                 converged[i] = True
             active[i] = not converged[i] and len(traces[i]) < opts.max_iter
+            stopped = stopped or not active[i]
             obj_prev[i] = obj
             if accelerated:
                 t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_cur[i] * t_cur[i]))
                 t_prev[i], t_cur[i] = t_cur[i], t_next
 
         if any(step):
-            # The stepping members move on; the others keep their iterate.
+            # The stepping fits move on; the others keep their iterate.
             # (Their W_prev goes unused: one that stays active restarted.)
             W_prev, W, b_prev, b = W, Wc, b, bc
             f = [fc if moved else fi for fc, moved, fi in zip(f_c, step, f)]
@@ -258,16 +295,29 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
                 if b is not None:
                     np.copyto(b, b_prev, where=kept[:, None])
 
-    fits = [
-        FitResult(
-            coef=CoefficientMatrix(W[m].T.copy(), None if b is None else b[m]),
-            objective_trace=np.array(traces[m], dtype=float),
-            final_L=L[m],
-            iterations=len(traces[m]),
-            converged=converged[m],
-        )
-        for m in range(B)
-    ]
+        if stopped and len(live) > B:
+            alive = np.array(active).reshape(B, -1).any(axis=0)
+            if alive.any() and not alive.all():
+                # Tasks whose fits have all stopped leave the batch.
+                for i in _task_fits(B, ~alive)[1]:
+                    fits[live[i]] = result(i)
+                keep, sel = _task_fits(B, alive)
+                blocks = _task_subset(blocks, keep)
+                lam, W, W_prev = lam[sel], W[sel], W_prev[sel]
+                if b is not None:
+                    b, b_prev = b[sel], b_prev[sel]
+                per_fit = (lam_m, f, L, t_prev, t_cur, traces, converged, active, obj_prev, live)
+                lam_m, f, L, t_prev, t_cur, traces, converged, active, obj_prev, live = (
+                    [x[i] for i in sel] for x in per_fit
+                )
+
+    for i, fit in enumerate(live):
+        fits[fit] = result(i)
+    if len(live) < n_fits:
+        # The fits of the tasks that left are in their results.
+        W = np.stack([fit.coef.W.T for fit in fits])
+        if b is not None:
+            b = np.stack([fit.coef.intercepts for fit in fits])
     return W, b, fits
 
 

@@ -982,6 +982,26 @@ def test_cli_exit_codes(tmp_path, capsys):
                      "--out-dir", tmp_path / "n"]) == 4
     assert "numerical-error" in capsys.readouterr().err
 
+    # data error in a manifest, data file or model: no --out-dir is left
+    entries = [{"name": "clf01", "kind": "classification", "data_path": clf01,
+                "outcome_column": "y"}]
+    bad = _manifest(tmp_path, entries, standardize="false", name="bad.json")
+    train = sim / "train" / "manifest.json"
+    for argv, message in [
+        (["fit", "--manifest", bad, "--lambda", 1.0], "data-error: "),
+        (["path", "--manifest", bad], "data-error: "),
+        (["cv", "--manifest", bad], "data-error: "),
+        (["eval", "--model", model, "--manifest", bad], "data-error: "),
+        (["predict", "--model", model, "--data", tmp_path / "gone.csv", "--task", "clf01"],
+         "data-error: "),
+        (["predict", "--model", tmp_path / "gone.json", "--data", clf01, "--task", "clf01"],
+         "data-error: "),
+        (["cv", "--manifest", train, "--k", 50], "data-error: task 'clf01': 40 samples"),
+    ]:
+        assert _run(argv + ["--out-dir", tmp_path / "x"]) == 3, argv
+        assert capsys.readouterr().err.startswith(message), argv
+        assert not (tmp_path / "x").exists(), argv
+
 
 def test_cli_bench_writes_table(tmp_path):
     out = tmp_path / "bench"

@@ -1,13 +1,17 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import mixedmtl.solver as solver_module
 from mixedmtl import (
     DataError,
     Hyperparameters,
     LambdaSequence,
     MtlProblem,
     SimulationSpec,
+    SolverOptions,
     TaskDataset,
     auc,
     cross_validate,
@@ -18,7 +22,8 @@ from mixedmtl import (
     reg_path,
     simulate,
 )
-from mixedmtl.modelselect import task_folds
+from mixedmtl.modelselect import _cross_validate, task_folds
+from mixedmtl.regpath import path_options
 
 from util import random_labels
 
@@ -228,6 +233,147 @@ def test_cross_validate_requires_enough_samples():
         cross_validate(problem, k=5, seed=0, n_lambda=3)
     with pytest.raises(ValueError):
         cross_validate(problem, k=1, seed=0, n_lambda=3)
+
+
+def test_cross_validate_counts_unconverged_member_fits():
+    problem = _signal_problem(4)
+    capped = cross_validate(problem, k=3, seed=0, n_lambda=6, opts=SolverOptions(max_iter=1))
+    assert 0 < capped.unconverged <= (3 + 1) * 6
+    loose = SolverOptions(max_iter=5000, tol=1e-6)
+    assert cross_validate(problem, k=3, seed=0, n_lambda=6, opts=loose).unconverged == 0
+    results, _ = _cross_validate(problem, 0.0, 0.0, 3, 0, SolverOptions(max_iter=1), 6, 0.01,
+                                 False, per_task=True)
+    assert [result.unconverged for result in results] == [
+        cross_validate(MtlProblem((task,)), k=3, seed=0, n_lambda=6,
+                       opts=SolverOptions(max_iter=1)).unconverged
+        for task in problem.tasks
+    ]
+    assert sum(result.unconverged for result in results) > 0
+
+
+# ---------------------------------------------------------------------------
+# the single-task baseline: one batched cross-validation of every task
+
+
+def _uneven_problem(rng, fit_intercept):
+    """Tasks with unequal n_i, a true signal, and scales far apart, so
+    their fits stop at very different turns; every class has >= 2 rows,
+    so no training split is left with one class."""
+    t = int(rng.integers(1, 6))
+    c, p = int(rng.integers(0, t + 1)), int(rng.integers(2, 16))
+    tasks = []
+    for i in range(t):
+        n = int(rng.integers(8, 31))
+        X = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-1.0, 1.0)
+        w = rng.standard_normal(p) * (rng.random(p) < 0.5) * rng.integers(0, 2)
+        score = X @ w + rng.uniform(0.1, 1.0) * rng.standard_normal(n)
+        if i < c:
+            y = np.where(score >= 0.0, 1.0, -1.0)
+            y[:4] = [1.0, 1.0, -1.0, -1.0]
+            tasks.append(TaskDataset(X, y, "classification", f"c{i}"))
+        else:
+            tasks.append(TaskDataset(X, score + 3.0 * fit_intercept, "regression", f"r{i}"))
+    return MtlProblem(tuple(tasks))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), fit_intercept=st.booleans(), one_se=st.booleans())
+def test_per_task_cross_validation_equals_each_task_alone(seed, fit_intercept, one_se):
+    rng = np.random.default_rng(seed)
+    problem = _uneven_problem(rng, fit_intercept)
+    k, n_lambda = int(rng.integers(2, 5)), int(rng.integers(1, 9))
+    alpha, beta = rng.uniform(0.0, 0.3), rng.uniform(0.0, 0.3) * rng.integers(0, 2)
+    opts = SolverOptions(max_iter=int(rng.integers(1, 120)), tol=1e-6,
+                         fit_intercept=fit_intercept)
+    args = (alpha, beta, k, seed % 1000, opts, n_lambda, 0.05, one_se)
+    results, coef = _cross_validate(problem, *args, per_task=True)
+    assert len(results) == problem.t
+    assert coef.W.shape == (problem.p, problem.t)
+    for i, (task, result) in enumerate(zip(problem.tasks, results)):
+        alone = cross_validate(MtlProblem((task,)), *args)
+        assert result.best_lambda == alone.best_lambda
+        npt.assert_array_equal(result.sequence.values, alone.sequence.values)
+        npt.assert_array_equal(result.mean_cv_error, alone.mean_cv_error)
+        npt.assert_array_equal(result.se_cv_error, alone.se_cv_error)
+        npt.assert_array_equal(result.fit.coef.W, alone.fit.coef.W)
+        npt.assert_array_equal(result.fit.objective_trace, alone.fit.objective_trace)
+        assert result.fit.iterations == alone.fit.iterations
+        assert result.unconverged == alone.unconverged
+        npt.assert_array_equal(coef.W[:, i], alone.fit.coef.W[:, 0])
+        if fit_intercept:
+            npt.assert_array_equal(result.fit.coef.intercepts, alone.fit.coef.intercepts)
+            assert coef.intercepts[i] == alone.fit.coef.intercepts[0]
+        else:
+            assert coef.intercepts is None
+
+
+def test_per_task_cross_validation_drops_finished_tasks(monkeypatch):
+    # A task whose fits have all stopped leaves the batch; the result is
+    # still each task's own.
+    kept = []
+    subset = solver_module._task_subset
+
+    def recorded(blocks, keep):
+        kept.append(len(keep))
+        return subset(blocks, keep)
+
+    monkeypatch.setattr(solver_module, "_task_subset", recorded)
+    rng = np.random.default_rng(5)
+    for trial in range(6):
+        problem = _uneven_problem(rng, fit_intercept=bool(trial % 2))
+        results, _ = _cross_validate(problem, 0.0, 0.0, 3, trial, path_options(trial % 2 == 1),
+                                     8, 0.01, False, per_task=True)
+        for task, result in zip(problem.tasks, results):
+            alone = cross_validate(MtlProblem((task,)), k=3, seed=trial, n_lambda=8,
+                                   opts=path_options(trial % 2 == 1), ratio=0.01)
+            npt.assert_array_equal(result.fit.coef.W, alone.fit.coef.W)
+            npt.assert_array_equal(result.mean_cv_error, alone.mean_cv_error)
+    assert kept and min(kept) >= 1
+
+
+def _one_negative(rng, name, n_pos):
+    # Stratified folds put the single negative in fold n_pos % k, whose
+    # training rows are then all positive.
+    y = np.ones(n_pos + 1)
+    y[0] = -1.0
+    return TaskDataset(rng.standard_normal((n_pos + 1, 4)), y, "classification", name)
+
+
+def test_per_task_cross_validation_raises_the_first_error_in_task_order():
+    rng = np.random.default_rng(8)
+    k, seed = 4, 3
+    late = _one_negative(rng, "late", n_pos=11)  # fails at fold 3
+    early = _one_negative(rng, "early", n_pos=9)  # fails at fold 1
+    labels = np.tile([1.0, -1.0], 6)
+    flat = TaskDataset(np.zeros((12, 4)), labels, "classification", "flat")  # lam_max 0
+    few = TaskDataset(rng.standard_normal((3, 4)), rng.standard_normal(3), "regression", "few")
+    fine = TaskDataset(rng.standard_normal((12, 4)), rng.standard_normal(12), "regression", "ok")
+
+    def task_by_task(problem, n_lambda):
+        for task in problem.tasks:
+            try:
+                cross_validate(MtlProblem((task,)), k=k, seed=seed, n_lambda=n_lambda)
+            except DataError as err:
+                return str(err)
+
+    for tasks, n_lambda, message in [
+        ((flat, late, early, fine), 5, "lam_max must be positive to build a path, got 0.0"),
+        ((flat, late, early), 1, "lam_max is zero; the data has no usable signal"),
+        ((late, flat, early), 5, "fold 3 leaves task 'late' with a single class"),
+        ((late, early), 5, "fold 3 leaves task 'late' with a single class"),
+        ((early, late), 5, "fold 1 leaves task 'early' with a single class"),
+        ((flat, fine, few), 5, "lam_max must be positive to build a path, got 0.0"),
+        ((fine, few), 5, "task 'few': 3 samples cannot form 4 folds"),
+    ]:
+        problem = MtlProblem(tasks)
+        assert task_by_task(problem, n_lambda) == message
+        with pytest.raises(DataError) as info:
+            _cross_validate(problem, 0.0, 0.0, k, seed, None, n_lambda, 0.01, False,
+                            per_task=True)
+        assert str(info.value) == message, [task.name for task in tasks]
+    # Joint cross-validation keeps its fold-major order.
+    with pytest.raises(DataError, match="fold 1 leaves task 'early'"):
+        cross_validate(MtlProblem((late, early)), k=k, seed=seed, n_lambda=5)
 
 
 # ---------------------------------------------------------------------------
