@@ -19,29 +19,31 @@ proximal step, not here.
 Intercepts, when enabled, are per-task scalars that enter the losses but
 none of the penalties.
 
-Evaluation runs on one padded layout per task kind, built once per
-problem: the kind's outcomes Y as a (tasks, largest n) array and the row
-weights M of B members as (B, tasks, largest n) (the kind's loss weight
-over the number of rows a member fits, exactly 0 on padding and on rows
-it leaves out, so they add nothing to a loss or a gradient), next to
-references to the tasks' own X, which is never copied.  A problem alone
-is one member on every row; cross-validation's folds are members too.
-Each task's scores fill a row of a padded score array for all members
-at once; losses, residuals and intercept gradients then take one numpy
-call per kind, the gradient one product per task.
+A problem owns its features: each run of consecutive tasks of one kind
+and one sample count n keeps its rows in one read-only (tasks, n, p)
+stack, and each task's X is a view of its run's stack.  Evaluation runs
+on a layout of blocks, one per run, built once per problem: the run's
+stack X, its outcomes Y (tasks, n) and the row weights M of B members
+(B, tasks, n) (the kind's loss weight over the number of rows a member
+fits, exactly 0 on rows it leaves out, so they add nothing to a loss or
+a gradient).  A problem alone is one member on every row;
+cross-validation's folds are members too.  A block's scores for all
+members are one batched product with its stack, and so is its share of
+the gradient; losses, residuals and intercept gradients take one numpy
+call per block.  Nothing is padded and X is never copied: a layout, and
+a layout narrowed to some of its tasks, hold views of the stacks.
 
 The kernels take a batch of fits, W of shape (fits, t_fit, p): a fit is
 either one member's joint fit over all t columns (t_fit = t, fits = B)
 or one member's single task column (t_fit = 1, fits = B * t, member
 major), and each returns one smooth objective per fit.  The scores see
-the same (B, t, p) array either way.  A layout for single-column fits
-keeps a block per run of tasks of one kind and one sample count, so no
-fit's loss sums padding and each equals its one-task problem's bit for
-bit.
+the same (B, t, p) array either way.  A task column's loss sums its own
+n rows, so it equals its one-task problem's bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
 import itertools
@@ -80,8 +82,8 @@ class TaskKind(str, enum.Enum):
     REGRESSION = "regression"
 
 
-def _as_matrix(value, name: str) -> np.ndarray:
-    arr = np.array(value, dtype=float)
+def _as_matrix(value, name: str, copy: bool = True) -> np.ndarray:
+    arr = (np.array if copy else np.asarray)(value, dtype=float)
     if arr.ndim != 2:
         raise DataError(f"{name} must be a 2-d array, got shape {arr.shape}")
     return arr
@@ -99,7 +101,10 @@ class TaskDataset:
     """One task: features X (n x p), outcomes y (n), and the task kind.
 
     Classification outcomes must be -1/+1; regression outcomes any finite
-    reals.  Arrays are copied at construction and not mutated afterwards.
+    reals.  y is copied at construction; X is not.  A problem that holds
+    the task keeps X's rows in its run's read-only stack (see the module
+    docstring) and gives the task a view of it, copying the rows there
+    unless they already lie in such a stack.
     """
 
     X: np.ndarray
@@ -108,7 +113,7 @@ class TaskDataset:
     name: str
 
     def __post_init__(self):
-        X = _as_matrix(self.X, f"task {self.name!r}: X")
+        X = _as_matrix(self.X, f"task {self.name!r}: X", copy=False)
         y = _as_vector(self.y, f"task {self.name!r}: y")
         if X.shape[0] < 1 or X.shape[1] < 1:
             raise DataError(f"task {self.name!r}: X must have at least one row and column")
@@ -138,9 +143,16 @@ class TaskDataset:
 
 @dataclass(frozen=True)
 class MtlProblem:
-    """Ordered task collection: classification tasks first, shared feature count."""
+    """Ordered task collection: classification tasks first, shared feature count.
+
+    The problem holds its tasks' rows (see the module docstring): tasks
+    whose X are not yet rows of a read-only stack are copied into a new
+    one and replaced by tasks that view it.
+    """
 
     tasks: tuple
+    # One read-only (tasks, n, p) stack per run of tasks of one kind and n.
+    _stacks: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tasks = tuple(self.tasks)
@@ -163,7 +175,18 @@ class MtlProblem:
         names = [task.name for task in tasks]
         if len(set(names)) != len(names):
             raise DataError("task names must be unique")
-        object.__setattr__(self, "tasks", tasks)
+        held, stacks = [], []
+        for _, run in itertools.groupby(tasks, lambda task: (task.kind, task.n_samples)):
+            run = list(run)
+            stack = _stacked([task.X for task in run])
+            if stack is None:
+                stack = np.stack([task.X for task in run])
+                stack.flags.writeable = False
+                run = [dataclasses.replace(task, X=X) for task, X in zip(run, stack)]
+            held += run
+            stacks.append(stack)
+        object.__setattr__(self, "tasks", tuple(held))
+        object.__setattr__(self, "_stacks", tuple(stacks))
 
     @property
     def t(self) -> int:
@@ -179,50 +202,63 @@ class MtlProblem:
 
     @functools.cached_property
     def _blocks(self) -> tuple:
-        """The per-kind layout of the module docstring for one member that
-        fits every row, built on first use."""
+        """The layout of the module docstring for one member that fits
+        every row, built on first use."""
         return _layout(self)
 
 
-def _layout(problem: MtlProblem, rows=None, by_size: bool = False) -> tuple:
-    """One (kind, columns, Xs, Y, M) per kind present: columns is the kind's
-    slice of W's columns, Xs its tasks' X, Y (tasks, n_max) their outcomes
-    and M (B, tasks, n_max) the row weights of B members.  rows holds one
-    (n_i, B) boolean array per task, the rows each member fits; a member
-    weights them by the kind's loss weight over their count.  Without rows
-    there is one member, on every row.  by_size splits a kind into runs of
-    tasks with equal sample counts, one block each, so nothing is padded."""
+def _stacked(Xs):
+    """A read-only (len(Xs), n, p) stack of the arrays Xs as a view, when
+    they are read-only, laid out alike, and one after another in the
+    memory of one read-only array; else None."""
+    first, owner = Xs[0], Xs[0].base
+    contiguous = first.flags.c_contiguous or first.flags.f_contiguous
+    if owner is None or owner.flags.writeable or not contiguous:
+        return None
+    step, start = first.nbytes, first.ctypes.data
+    if all(X.base is owner and not X.flags.writeable and X.strides == first.strides
+           and X.ctypes.data == start + j * step for j, X in enumerate(Xs)):
+        return np.lib.stride_tricks.as_strided(
+            first, (len(Xs),) + first.shape, (step,) + first.strides, writeable=False)
+    return None
+
+
+def _layout(problem: MtlProblem, rows=None) -> tuple:
+    """One block (kind, columns, X, Y, M) per run of the problem's stacks:
+    columns is the run's slice of W's columns, X its stack (tasks, n, p),
+    Y (tasks, n) its outcomes and M (B, tasks, n) the row weights of B
+    members.  rows holds one (n_i, B) boolean array per task, the rows
+    each member fits; a member weights them by the kind's loss weight over
+    their count.  Without rows there is one member, on every row."""
     blocks, start = [], 0
-    for (kind, _), run in itertools.groupby(
-        problem.tasks, lambda task: (task.kind, by_size and task.n_samples)
-    ):
-        tasks = tuple(run)
-        columns = slice(start, start + len(tasks))
+    for X in problem._stacks:
+        columns = slice(start, start + len(X))
         start = columns.stop
+        kind = problem.tasks[columns.start].kind
         weight = 2.0 if kind is TaskKind.CLASSIFICATION else 0.5
-        fitted = rows[columns] if rows is not None else [
-            np.ones((task.n_samples, 1), dtype=bool) for task in tasks
-        ]
-        Y = np.zeros((len(tasks), max(task.n_samples for task in tasks)))
-        M = np.zeros(fitted[0].shape[1:] + Y.shape)
-        for j, (task, r) in enumerate(zip(tasks, fitted)):
-            Y[j, : task.n_samples] = task.y
-            M[:, j, : task.n_samples] = np.where(r.T, weight / r.sum(axis=0)[:, None], 0.0)
-        blocks.append((kind, columns, tuple(task.X for task in tasks), Y, M))
+        fitted = [np.ones((X.shape[1], 1), dtype=bool)] * len(X) if rows is None else rows[columns]
+        Y = np.stack([task.y for task in problem.tasks[columns]])
+        M = np.empty(fitted[0].shape[1:] + Y.shape)  # C order, so the dots run in BLAS
+        for j, r in enumerate(fitted):
+            M[:, j] = np.where(r.T, weight / r.sum(axis=0)[:, None], 0.0)
+        blocks.append((kind, columns, X, Y, M))
     return tuple(blocks)
 
 
-def _task_subset(blocks, keep) -> tuple:
-    """The layout restricted to the tasks at positions keep (ascending)."""
-    subset, start = [], 0
-    for kind, columns, Xs, Y, M in blocks:
-        local = [j - columns.start for j in keep if columns.start <= j < columns.stop]
-        if len(local) < len(Xs):
-            Xs, Y, M = tuple(Xs[j] for j in local), Y[local], M[:, local]
-        if local:
-            subset.append((kind, slice(start, start + len(local)), Xs, Y, M))
-            start += len(local)
-    return tuple(subset)
+def _task_subset(blocks, alive) -> tuple:
+    """The layout cut, in each block, to the span from the first to the
+    last task flagged in the boolean array alive, as views of its arrays,
+    and a boolean array flagging the tasks it holds."""
+    subset, held, start = [], np.zeros_like(alive), 0
+    for kind, columns, X, Y, M in blocks:
+        local = np.flatnonzero(alive[columns])
+        if len(local):
+            part = slice(local[0], local[-1] + 1)
+            held[columns][part] = True
+            cut = slice(start, start + part.stop - part.start)
+            subset.append((kind, cut, X[part], Y[part], M[:, part]))
+            start = cut.stop
+    return tuple(subset), held
 
 
 @dataclass(frozen=True)
@@ -352,18 +388,17 @@ def _by_member(blocks, A):
     return None if A is None else A.reshape((blocks[0][4].shape[0], -1) + A.shape[2:])
 
 
-def _padded_scores(blocks, W, intercepts):
-    """Each block of a _layout with its scores S appended:
+def _block_scores(blocks, W, intercepts):
+    """Each block of a _layout with its scores S (B, tasks, n) appended:
     S[b, j] is the j-th task's X w + b under member b's coefficients
     (a batch of fits W, intercepts or None, seen as (B, t, p) and (B, t))."""
     W, intercepts = _by_member(blocks, W), _by_member(blocks, intercepts)
-    for kind, columns, Xs, Y, M in blocks:
-        S = np.zeros(W.shape[:1] + Y.shape)
-        for j, X in enumerate(Xs):
-            np.matmul(W[:, columns.start + j], X.T, out=S[:, j, : len(X)])
+    for kind, columns, X, Y, M in blocks:
+        S = np.empty(M.shape)
+        np.matmul(W[:, columns].transpose(1, 0, 2), X.transpose(0, 2, 1), out=S.transpose(1, 0, 2))
         if intercepts is not None:
             S += intercepts[:, columns, None]
-        yield kind, columns, Xs, Y, M, S
+        yield kind, columns, X, Y, M, S
 
 
 def _outputs(scores, kind: TaskKind, output: Optional[str]) -> np.ndarray:
@@ -387,17 +422,14 @@ def _batch_objective(blocks, W, intercepts, alpha, beta) -> np.ndarray:
     or None, on a _layout of its members."""
     total = np.zeros(W.shape[0])
     per_member = _by_member(blocks, total)
-    for kind, columns, _, Y, M, S in _padded_scores(blocks, W, intercepts):
+    for kind, columns, _, Y, M, S in _block_scores(blocks, W, intercepts):
         if kind is TaskKind.CLASSIFICATION:
             losses = np.logaddexp(0.0, -Y * S)
         else:
             losses = (S - Y) ** 2
         if W.shape[1] == 1:
             # A task column sums its own task's rows, a joint fit all of them.
-            n = M.shape[2]
-            per_member[:, columns] += _member_dots(
-                M.reshape(-1, n), losses.reshape(-1, n)
-            ).reshape(M.shape[:2])
+            per_member[:, columns] += np.matmul(M[..., None, :], losses[..., None])[..., 0, 0]
         else:
             total += _member_dots(M, losses)
     if alpha != 0.0:
@@ -413,15 +445,14 @@ def _batch_gradient(blocks, W, intercepts, alpha, beta):
     grad = np.empty(W.shape)
     grad_b = None if intercepts is None else np.empty(intercepts.shape)
     grad_m, grad_bm = _by_member(blocks, grad), _by_member(blocks, grad_b)
-    for kind, columns, Xs, Y, M, S in _padded_scores(blocks, W, intercepts):
+    for kind, columns, X, Y, M, S in _block_scores(blocks, W, intercepts):
         # Each row's weighted loss derivative; 0.5 * (tanh(s / 2) - y) is
         # -y * sigmoid(-y * s) for y = +-1.
         if kind is TaskKind.CLASSIFICATION:
             R = 0.5 * M * (np.tanh(0.5 * S) - Y)
         else:
             R = 2.0 * M * (S - Y)
-        for j, X in enumerate(Xs):
-            np.matmul(R[:, j, : len(X)], X, out=grad_m[:, columns.start + j])
+        np.matmul(R.transpose(1, 0, 2), X, out=grad_m[:, columns].transpose(1, 0, 2))
         if grad_b is not None:
             grad_bm[:, columns] = R.sum(axis=2)
     if alpha != 0.0:
@@ -502,13 +533,15 @@ class TaskStandardization:
     outcome_mean: Optional[float] = None
     outcome_scale: Optional[float] = None
 
-    def transform_features(self, X) -> np.ndarray:
-        X = _as_matrix(X, "X")
+    def transform_features(self, X, out=None) -> np.ndarray:
+        """The transformed columns of X, written into out when given."""
+        X = _as_matrix(X, "X", copy=False)
         if X.shape[1] != self.feature_mean.shape[0]:
             raise ValueError(
                 f"{X.shape[1]} feature columns for a {self.feature_mean.shape[0]}-column transform"
             )
-        out = (X - self.feature_mean) / np.where(self.constant_features, 1.0, self.feature_scale)
+        out = np.subtract(X, self.feature_mean, out=out)
+        out /= np.where(self.constant_features, 1.0, self.feature_scale)
         out[:, self.constant_features] = 0.0
         return out
 
@@ -548,9 +581,11 @@ def standardize(
     problem and the record needed to apply/invert the transform at
     prediction time.
     """
+    # The new problem's stacks are written in place, one task at a time.
+    stacks = [np.empty_like(stack) for stack in problem._stacks]
     new_tasks = []
     records = []
-    for task in problem.tasks:
+    for task, X in zip(problem.tasks, (X for stack in stacks for X in stack)):
         if task.n_samples < 2:
             raise DataError(
                 f"task {task.name!r}: standardization needs at least 2 samples"
@@ -569,6 +604,10 @@ def standardize(
             outcome_scale=outcome_scale,
         )
         y = task.y if outcome_mean is None else record.transform_outcome(task.y)
-        new_tasks.append(TaskDataset(record.transform_features(task.X), y, task.kind, task.name))
+        record.transform_features(task.X, out=X)
+        X.flags.writeable = False
+        new_tasks.append(TaskDataset(X, y, task.kind, task.name))
         records.append(record)
+    for stack in stacks:
+        stack.flags.writeable = False
     return MtlProblem(tuple(new_tasks)), StandardizationRecord(tuple(records))

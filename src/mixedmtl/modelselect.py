@@ -204,15 +204,15 @@ def _cross_validate(
         except DataError:
             if rows:
                 checked = MtlProblem(tasks[: len(rows)])
-                _grids(checked, _layout(checked, rows, by_size=True), opts, n_lambda, ratio, True)
+                _grids(checked, _layout(checked, rows), opts, n_lambda, ratio, True)
             raise
     else:
         rows = [_member_rows(task, _task_fold(task, k, seed), k) for task in tasks]
         for fold in range(k):
             for task, fitted in zip(tasks, rows):
                 _check_fold(task, fitted, fold)
-    members = _layout(problem, rows, by_size=per_task)
-    validation = _layout(problem, [~fitted[:, :k] for fitted in rows], by_size=per_task)
+    members = _layout(problem, rows)
+    validation = _layout(problem, [~fitted[:, :k] for fitted in rows])
     sequences = _grids(problem, members, opts, n_lambda, ratio, per_task)
 
     # Fit m * units + u is member m's fit of selection u (the joint fit, or task u).
@@ -222,15 +222,15 @@ def _cross_validate(
     b = np.zeros(W.shape[:2]) if opts.fit_intercept else None
     lams = np.tile(np.stack([sequence.values for sequence in sequences], axis=1), (1, k + 1))
     fold_errors = np.empty((units, k, len(lams)))
-    full = []
+    points = []  # the full-data fits at each penalty
     unconverged = [0] * units
-    for j, (W, b, batch) in enumerate(_path(members, lams, alpha, beta, opts, W, b)):
-        b_folds = None if b is None else b[: k * units]
-        errors = _batch_objective(validation, W[: k * units], b_folds, 0.0, 0.0) / t_fit
+    for j, fits in enumerate(_path(members, lams, alpha, beta, opts, W, b)):
+        b_folds = None if fits.b is None else fits.b[: k * units]
+        errors = _batch_objective(validation, fits.W[: k * units], b_folds, 0.0, 0.0) / t_fit
         fold_errors[:, :, j] = errors.reshape(k, units).T
-        full.append(batch[k * units :])
-        for m, fit in enumerate(batch):
-            unconverged[m % units] += not fit.converged
+        points.append(fits.take(list(range(k * units, (k + 1) * units))))
+        for m, converged in enumerate(fits.converged):
+            unconverged[m % units] += not converged
 
     results = []
     for u, sequence in enumerate(sequences):
@@ -247,7 +247,7 @@ def _cross_validate(
             best_lambda=float(sequence.values[best_idx]),
             folds=k,
             seed=int(seed),
-            fit=full[best_idx][u],
+            fit=points[best_idx].result(u),
             unconverged=unconverged[u],
         ))
     chosen = [result.fit.coef for result in results]

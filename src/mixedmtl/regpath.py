@@ -170,18 +170,19 @@ def reg_path(
     opts = opts or path_options()
     W, b = _resolve_init(problem, opts, None)
     path = _path(problem._blocks, sequence.values[:, None], alpha, beta, opts, W, b)
-    fits = [batch[0] for _, _, batch in path]
+    fits = [batch.result(0) for batch in path]
     nonzero = [np.sum(np.linalg.norm(f.coef.W, axis=1) > NONZERO_ROW_THRESHOLD) for f in fits]
     return PathResult(sequence=sequence, fits=tuple(fits), nonzero_rows=nonzero)
 
 
 def _path(blocks, lams, alpha, beta, opts, W, b):
     """Warm-started path of the batch of fits (W, b) on a core._layout, fit
-    m at lams[j][m] at point j: yields the fitted batch (W, b, fits) per
+    m at lams[j][m] at point j: yields the fitted batch (solver._Fits) per
     point."""
     for lam in lams:
         try:
-            W, b, fits = _proximal_loop(blocks, lam, alpha, beta, opts, W, b, True)
+            fits = _proximal_loop(blocks, lam, alpha, beta, opts, W, b, True)
         except SolverError as err:
             raise SolverError(f"path fit failed at lambda={float(lam[err.fit])!r}: {err}") from err
-        yield W, b, fits
+        W, b = fits.W, fits.b
+        yield fits

@@ -102,17 +102,22 @@ class SimulationOutput:
 
 
 def _draw_tasks(rng, spec: SimulationSpec, W: np.ndarray) -> MtlProblem:
-    tasks = []
+    # Every task's rows go straight into one read-only array, which the
+    # problem keeps as its stacks.
+    X = np.empty((spec.t, spec.n_per_task, spec.p))
+    outcomes = []
     for i in range(spec.t):
-        is_classification = i < spec.t_classification
-        name = f"clf{i + 1:02d}" if is_classification else f"reg{i + 1 - spec.t_classification:02d}"
-        X = rng.standard_normal((spec.n_per_task, spec.p))
-        noisy = X @ W[:, i] + spec.noise_scale * rng.standard_normal(spec.n_per_task)
-        if is_classification:
+        rng.standard_normal(out=X[i])
+        outcomes.append(X[i] @ W[:, i] + spec.noise_scale * rng.standard_normal(spec.n_per_task))
+    X.flags.writeable = False
+    tasks = []
+    for i, noisy in enumerate(outcomes):
+        if i < spec.t_classification:
             y = np.where(noisy >= 0.0, 1.0, -1.0)
-            tasks.append(TaskDataset(X, y, TaskKind.CLASSIFICATION, name))
+            tasks.append(TaskDataset(X[i], y, TaskKind.CLASSIFICATION, f"clf{i + 1:02d}"))
         else:
-            tasks.append(TaskDataset(X, noisy, TaskKind.REGRESSION, name))
+            name = f"reg{i + 1 - spec.t_classification:02d}"
+            tasks.append(TaskDataset(X[i], noisy, TaskKind.REGRESSION, name))
     return MtlProblem(tuple(tasks))
 
 

@@ -23,11 +23,13 @@ belong to B members, each on the problem's rows or on its own row
 weights (a ``core._layout`` with rows: cross-validation's k folds and
 the full-data fit), and a fit owns either all t columns of its member
 (the joint fit) or one of them (a single-task fit, B * t fits).  Each
-turn evaluates F or its gradient once for all fits, one X_i @ (p x B)
-product per task.  With single-task fits, a task whose fits have all
-stopped leaves the batch: the layout is re-sliced to the tasks still
-running on the turns where that set shrinks.  ``fista_fit`` and
-``ista_fit`` are the batch of one.
+turn evaluates F or its gradient once for all fits, one batched product
+per block of the layout (a run of tasks of one kind and sample count).
+With single-task fits, tasks whose fits have all stopped leave the
+batch: on the turns where a task finishes, each block is cut to the span
+of its tasks still running, as views.  ``fista_fit`` and ``ista_fit``
+are the batch of one.  The loop returns the fitted arrays and per-fit
+scalars; a FitResult is built only for a fit that is read.
 """
 
 from __future__ import annotations
@@ -85,6 +87,43 @@ class FitResult:
     converged: bool
 
 
+@dataclass(frozen=True)
+class _Fits:
+    """A fitted batch: W (fits, t_fit, p) and b (fits, t_fit) or None, with
+    each fit's objective trace (a list), final L and converged flag.  A
+    fit's FitResult is built only when asked for, by result."""
+
+    W: np.ndarray
+    b: Optional[np.ndarray]
+    traces: list
+    L: list
+    converged: list
+
+    def result(self, i) -> FitResult:
+        return FitResult(
+            coef=CoefficientMatrix(self.W[i].T.copy(), None if self.b is None else self.b[i]),
+            objective_trace=np.array(self.traces[i], dtype=float),
+            final_L=self.L[i],
+            iterations=len(self.traces[i]),
+            converged=self.converged[i],
+        )
+
+    def take(self, positions):
+        """The fits at positions (a list) as a batch of their own."""
+        W, b = self.W[positions], None if self.b is None else self.b[positions]
+        per_fit = (self.traces, self.L, self.converged)
+        return _Fits(W, b, *([values[i] for i in positions] for values in per_fit))
+
+    def fill(self, fits, batch, positions):
+        """Set this batch's fits fits[i] to batch's fits at positions[i]."""
+        self.W[fits] = batch.W[positions]
+        if self.b is not None:
+            self.b[fits] = batch.b[positions]
+        for fit, i in zip(fits, positions):
+            self.traces[fit], self.L[fit] = batch.traces[i], batch.L[i]
+            self.converged[fit] = batch.converged[i]
+
+
 def prox_l21(V: np.ndarray, tau: float) -> np.ndarray:
     """Row-wise group soft thresholding.
 
@@ -108,11 +147,10 @@ def _prox_batch(V, tau):
     return scale * V, (scale * norms)[:, 0]
 
 
-def _task_fits(B, alive):
-    """The tasks flagged in alive and the positions of their fits in a
-    batch of single-task fits, B members per task, member-major."""
-    keep = np.flatnonzero(alive)
-    return keep, (np.arange(B)[:, None] * len(alive) + keep).ravel()
+def _task_fits(B, tasks):
+    """The positions of the fits of the tasks flagged in tasks in a batch
+    of single-task fits, B members per task, member-major."""
+    return (np.arange(B)[:, None] * len(tasks) + np.flatnonzero(tasks)).ravel()
 
 
 def _backtrack(blocks, lam, alpha, beta, Ws, bs, f_s, L, pending):
@@ -201,8 +239,8 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
     (fits, t_fit) (or None), fit m at penalty lam[m], on a core._layout of
     their B members (problem._blocks for one): B joint fits (t_fit = t) or
     B * t single-task fits (t_fit = 1, member-major).  Returns the fitted
-    batch and one FitResult per fit.  Per-fit scalars are Python floats;
-    arrays hold all fits of the tasks still running."""
+    batch as _Fits.  Per-fit scalars are Python floats; arrays hold all
+    fits of the tasks still running."""
     n_fits, B = W.shape[0], blocks[0][4].shape[0]
     lam = np.asarray(lam, dtype=float)
     lam_m = lam.tolist()
@@ -221,16 +259,7 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
     converged = [False] * n_fits
     active = [True] * n_fits
     live = list(range(n_fits))  # the fit at each position of the batch
-    fits = [None] * n_fits
-
-    def result(i):
-        return FitResult(
-            coef=CoefficientMatrix(W[i].T.copy(), None if b is None else b[i]),
-            objective_trace=np.array(traces[i], dtype=float),
-            final_L=L[i],
-            iterations=len(traces[i]),
-            converged=converged[i],
-        )
+    done = None  # every fit, once a task has left the batch
 
     while any(active):
         mom = [(tp - 1.0) / tc if on else 0.0 for tp, tc, on in zip(t_prev, t_cur, active)]
@@ -295,14 +324,18 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
                 if b is not None:
                     np.copyto(b, b_prev, where=kept[:, None])
 
-        if stopped and len(live) > B:
-            alive = np.array(active).reshape(B, -1).any(axis=0)
-            if alive.any() and not alive.all():
-                # Tasks whose fits have all stopped leave the batch.
-                for i in _task_fits(B, ~alive)[1]:
-                    fits[live[i]] = result(i)
-                keep, sel = _task_fits(B, alive)
-                blocks = _task_subset(blocks, keep)
+        if stopped and len(live) > B and any(active):
+            narrowed, held = _task_subset(blocks, np.array(active).reshape(B, -1).any(axis=0))
+            if not held.all():
+                # Tasks whose fits have all stopped leave the batch, but
+                # for those between running tasks of one block.
+                if done is None:
+                    b_all = None if b is None else np.empty((n_fits,) + b.shape[1:])
+                    done = _Fits(np.empty((n_fits,) + W.shape[1:]), b_all,
+                                 [None] * n_fits, [None] * n_fits, [None] * n_fits)
+                gone = _task_fits(B, ~held)
+                done.fill([live[i] for i in gone], _Fits(W, b, traces, L, converged), gone)
+                blocks, sel = narrowed, _task_fits(B, held)
                 lam, W, W_prev = lam[sel], W[sel], W_prev[sel]
                 if b is not None:
                     b, b_prev = b[sel], b_prev[sel]
@@ -311,21 +344,17 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
                     [x[i] for i in sel] for x in per_fit
                 )
 
-    for i, fit in enumerate(live):
-        fits[fit] = result(i)
-    if len(live) < n_fits:
-        # The fits of the tasks that left are in their results.
-        W = np.stack([fit.coef.W.T for fit in fits])
-        if b is not None:
-            b = np.stack([fit.coef.intercepts for fit in fits])
-    return W, b, fits
+    fits = _Fits(W, b, traces, L, converged)
+    if done is None:
+        return fits
+    done.fill(live, fits, np.arange(len(live)))
+    return done
 
 
 def _single_fit(problem, hyper, opts, w_init, accelerated) -> FitResult:
     W, b = _resolve_init(problem, opts, w_init)
     lam, alpha, beta = [hyper.lam], hyper.alpha, hyper.beta
-    _, _, fits = _proximal_loop(problem._blocks, lam, alpha, beta, opts, W, b, accelerated)
-    return fits[0]
+    return _proximal_loop(problem._blocks, lam, alpha, beta, opts, W, b, accelerated).result(0)
 
 
 def fista_fit(

@@ -1,10 +1,12 @@
 """Property tests for the evaluation engine in core.
 
 The smooth objective and gradient of a mixed problem decompose by task
-and equal the per-task formulas written out task by task, whatever the
-padding of the per-kind layout; cross-validation scores each fold
-member of its batched path with the very objective the solver
-minimizes, evaluated on the fold's validation tasks.
+and equal the per-task formulas written out task by task, however the
+tasks fall into blocks of one kind and sample count, and under any row
+weights of several members; cross-validation scores each fold member of
+its batched path with the very objective the solver minimizes,
+evaluated on the fold's validation tasks.  A problem keeps one
+read-only copy of X, which its layout shares.
 """
 
 from unittest import mock
@@ -25,7 +27,9 @@ from mixedmtl import (
     smooth_gradient,
     smooth_objective,
 )
-from mixedmtl import regpath
+from mixedmtl import SimulationSpec, binarize_problem, regpath, simulate, standardize
+from mixedmtl.core import _batch_gradient, _batch_objective, _layout
+from mixedmtl.modelio import load_problem, write_csv, write_json
 from mixedmtl.modelselect import task_folds
 
 from util import random_mixed_problem
@@ -94,7 +98,8 @@ def _per_task_reference(problem, coef):
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1), fit_intercept=st.booleans())
 def test_padded_engine_matches_per_task_reference(t, c, seed, fit_intercept):
-    # Tasks draw 3 to 30 samples, so a kind with two or more tasks is padded.
+    # Tasks draw 3 to 30 samples, so a kind with two or more tasks spans
+    # several blocks.
     rng = np.random.default_rng(seed)
     t = int(rng.integers(2, 7)) if t is None else t
     problem = random_mixed_problem(rng, t=t, c=t if c == "t" else c)
@@ -115,6 +120,107 @@ def test_padded_engine_matches_per_task_reference(t, c, seed, fit_intercept):
         assert grad_b is None
 
 
+@_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), fit_intercept=st.booleans())
+def test_row_weighted_members_match_per_task_reference(seed, fit_intercept):
+    # Both kinds, unequal n_i, and B > 1 members, each on its own rows: a
+    # member's joint objective and gradient, and each of its task columns'
+    # objectives, equal the per-task formulas on the member's rows alone.
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(2, 7))
+    problem = random_mixed_problem(rng, t=t, c=int(rng.integers(1, t)))
+    B, p = int(rng.integers(2, 5)), problem.p
+    rows = []
+    for task in problem.tasks:
+        fitted = rng.random((task.n_samples, B)) < 0.6
+        fitted[rng.integers(task.n_samples, size=B), np.arange(B)] = True
+        rows.append(fitted)
+    blocks = _layout(problem, rows)
+    coefs = [_random_coef(rng, p, t, fit_intercept) for _ in range(B)]
+    W = np.stack([coef.W.T for coef in coefs])
+    b = np.stack([coef.intercepts for coef in coefs]) if fit_intercept else None
+    F = _batch_objective(blocks, W, b, 0.0, 0.0)
+    columns = _batch_objective(blocks, W.reshape(B * t, 1, p),
+                               None if b is None else b.reshape(B * t, 1), 0.0, 0.0)
+    grad, grad_b = _batch_gradient(blocks, W, b, 0.0, 0.0)
+    for m, coef in enumerate(coefs):
+        member = MtlProblem(tuple(
+            TaskDataset(task.X[fitted[:, m]], task.y[fitted[:, m]], task.kind, task.name)
+            for task, fitted in zip(problem.tasks, rows)
+        ))
+        losses, grad_ref, grad_b_ref = _per_task_reference(member, coef)
+        npt.assert_allclose(F[m], losses.sum(), rtol=1e-12)
+        npt.assert_allclose(columns[m * t : (m + 1) * t], losses, rtol=1e-12)
+        for i in range(t):
+            scale = np.abs(grad_ref[:, i]).max()
+            npt.assert_allclose(grad[m, i], grad_ref[:, i], rtol=1e-12, atol=1e-12 * scale)
+        if fit_intercept:
+            npt.assert_allclose(grad_b[m], grad_b_ref, rtol=1e-12,
+                                atol=1e-12 * np.abs(grad_b_ref).max())
+        else:
+            assert grad_b is None
+
+
+def _holds_one_copy(problem):
+    """Every task's X is its row of its block's read-only stack, and a
+    block's stack holds those rows and no others."""
+    blocks = problem._blocks
+    assert sum(len(X) for _, _, X, _, _ in blocks) == problem.t
+    for kind, columns, X, _, _ in blocks:
+        assert not X.flags.writeable
+        assert len(X) == columns.stop - columns.start
+        for task, row in zip(problem.tasks[columns], X):
+            assert task.kind is kind
+            assert np.shares_memory(task.X, X)
+            assert task.X.ctypes.data == row.ctypes.data and task.X.shape == row.shape
+
+
+def _write_manifest(tmp_path, rng):
+    # Regression first and one task with its own n, so loading reorders
+    # the tasks and splits a kind into two runs.
+    entries = []
+    for name, kind, n in (("r0", "regression", 9), ("c0", "classification", 9),
+                          ("c1", "classification", 9), ("r1", "regression", 6)):
+        y = rng.standard_normal(n) if kind == "regression" else np.resize([1.0, -1.0], n)
+        write_csv(str(tmp_path / f"{name}.csv"), ["f1", "f2", "f3", "y"],
+                  np.column_stack([rng.standard_normal((n, 3)), y]))
+        entries.append({"name": name, "kind": kind, "data_path": f"{name}.csv",
+                        "outcome_column": "y"})
+    write_json(str(tmp_path / "manifest.json"), {"tasks": entries})
+    return str(tmp_path / "manifest.json")
+
+
+def test_problem_holds_one_copy_of_x(tmp_path):
+    sim = simulate(SimulationSpec(t_classification=2, t_regression=3, p=6, n_per_task=8))
+    loaded, _, _ = load_problem(_write_manifest(tmp_path, np.random.default_rng(0)))
+    assert [task.name for task in loaded.tasks] == ["c0", "c1", "r0", "r1"]
+    problems = [sim.train, sim.test, loaded, standardize(sim.train)[0], standardize(loaded)[0],
+                binarize_problem(sim.train), MtlProblem(sim.train.tasks[1:3])]
+    for problem in problems:
+        _holds_one_copy(problem)
+    # Tasks whose rows already lie in a stack share it, with no new copy.
+    source = sim.train.tasks[0].X.base
+    for problem in (sim.train, binarize_problem(sim.train), MtlProblem(sim.train.tasks[1:3])):
+        assert all(task.X.base is source for task in problem.tasks)
+        assert all(np.shares_memory(X, source) for _, _, X, _, _ in problem._blocks)
+
+
+def test_problem_x_is_read_only():
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((6, 3))
+    problem = MtlProblem((TaskDataset(X, rng.standard_normal(6), "regression", "r"),))
+    # The problem copied the caller's array once; the caller may still write it.
+    X[0, 0] = 100.0
+    assert problem.tasks[0].X[0, 0] != 100.0
+    sim = simulate(SimulationSpec(t_classification=1, t_regression=1, p=4, n_per_task=5))
+    for problem in (problem, sim.train, standardize(sim.train)[0]):
+        for task in problem.tasks:
+            with pytest.raises(ValueError):
+                task.X[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                task.X += 1.0
+
+
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 2**32 - 1), fit_intercept=st.booleans(), k=st.integers(2, 3))
 def test_cv_error_is_the_validation_objective_of_each_fold_fit(seed, fit_intercept, k):
@@ -129,7 +235,7 @@ def test_cv_error_is_the_validation_objective_of_each_fold_fit(seed, fit_interce
 
     def recording(*args):
         batch = proximal_loop(*args)
-        batches.append(batch[2])
+        batches.append(batch)
         return batch
 
     proximal_loop = regpath._proximal_loop
@@ -145,5 +251,5 @@ def test_cv_error_is_the_validation_objective_of_each_fold_fit(seed, fit_interce
             for task, task_fold in zip(problem.tasks, folds)
         ))
         for j, fits in enumerate(batches):
-            expected[j] += smooth_objective(validation, fits[fold].coef) / problem.t
+            expected[j] += smooth_objective(validation, fits.result(fold).coef) / problem.t
     npt.assert_allclose(cv.mean_cv_error, expected / k, rtol=1e-12, atol=0.0)

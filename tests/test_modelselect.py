@@ -313,9 +313,10 @@ def test_per_task_cross_validation_drops_finished_tasks(monkeypatch):
     kept = []
     subset = solver_module._task_subset
 
-    def recorded(blocks, keep):
-        kept.append(len(keep))
-        return subset(blocks, keep)
+    def recorded(blocks, alive):
+        narrowed, held = subset(blocks, alive)
+        kept.append(int(held.sum()))
+        return narrowed, held
 
     monkeypatch.setattr(solver_module, "_task_subset", recorded)
     rng = np.random.default_rng(5)

@@ -429,9 +429,11 @@ def test_each_batch_member_matches_reg_path_on_its_own_rows(seed, fit_intercept)
     W = np.zeros((k + 1, problem.t, problem.p))
     b = np.zeros((k + 1, problem.t)) if fit_intercept else None
     for point in range(2):
-        W, b, fits = solver_module._proximal_loop(
+        batch = solver_module._proximal_loop(
             members, lams[:, point], alpha, beta, tight, W, b, True
         )
+        W, b = batch.W, batch.b
+        fits = [batch.result(m) for m in range(k + 1)]
         for m, (copy, fit) in enumerate(zip(copies, fits)):
             hyper = Hyperparameters(lams[m, point], alpha, beta)
             sequence = LambdaSequence(lams[m], ratio=factors[m, 1] / factors[m, 0])
