@@ -21,7 +21,8 @@ none of the penalties.
 
 A problem owns its features: each run of consecutive tasks of one kind
 and one sample count n keeps its rows in one read-only (tasks, n, p)
-stack, and each task's X is a view of its run's stack.  Evaluation runs
+stack (copied in once as the problem is built, unless the tasks' X
+already are its entries), and each task's X is a view of it.  Evaluation runs
 on a layout of blocks, one per run, built once per problem: the run's
 stack X, its outcomes Y (tasks, n) and the row weights M of B members
 (B, tasks, n) (the kind's loss weight over the number of rows a member
@@ -30,8 +31,9 @@ a gradient).  A problem alone is one member on every row;
 cross-validation's folds are members too.  A block's scores for all
 members are one batched product with its stack, and so is its share of
 the gradient; losses, residuals and intercept gradients take one numpy
-call per block.  Nothing is padded and X is never copied: a layout, and
-a layout narrowed to some of its tasks, hold views of the stacks.
+call per block.  Nothing is padded and the stacks are the only copy of
+X: a layout, and a layout narrowed to some of its tasks, hold views of
+them.
 
 The kernels take a batch of fits, W of shape (fits, t_fit, p): a fit is
 either one member's joint fit over all t columns (t_fit = t, fits = B)
@@ -102,9 +104,9 @@ class TaskDataset:
 
     Classification outcomes must be -1/+1; regression outcomes any finite
     reals.  y is copied at construction; X is not.  A problem that holds
-    the task keeps X's rows in its run's read-only stack (see the module
-    docstring) and gives the task a view of it, copying the rows there
-    unless they already lie in such a stack.
+    the task copies X's rows into its run's read-only stack (see the
+    module docstring), unless they already are its entries, and gives the
+    task a view of it.
     """
 
     X: np.ndarray
@@ -145,9 +147,10 @@ class TaskDataset:
 class MtlProblem:
     """Ordered task collection: classification tasks first, shared feature count.
 
-    The problem holds its tasks' rows (see the module docstring): tasks
-    whose X are not yet rows of a read-only stack are copied into a new
-    one and replaced by tasks that view it.
+    The problem holds its tasks' rows (see the module docstring): a run
+    whose X are, in order, the entries of one read-only array keeps that
+    array as its stack; any other run's X are copied into a new stack,
+    and its tasks are replaced by tasks that view it.
     """
 
     tasks: tuple
@@ -178,9 +181,14 @@ class MtlProblem:
         held, stacks = [], []
         for _, run in itertools.groupby(tasks, lambda task: (task.kind, task.n_samples)):
             run = list(run)
-            stack = _stacked([task.X for task in run])
+            stack = _stack_of([task.X for task in run])
             if stack is None:
-                stack = np.stack([task.X for task in run])
+                if run[0].X.flags.f_contiguous and not run[0].X.flags.c_contiguous:
+                    # Column-major rows (a loaded task's gather) stay column-major,
+                    # so the products with them round as they always have.
+                    stack = np.stack([task.X.T for task in run]).transpose(0, 2, 1)
+                else:
+                    stack = np.stack([task.X for task in run])
                 stack.flags.writeable = False
                 run = [dataclasses.replace(task, X=X) for task, X in zip(run, stack)]
             held += run
@@ -207,19 +215,15 @@ class MtlProblem:
         return _layout(self)
 
 
-def _stacked(Xs):
-    """A read-only (len(Xs), n, p) stack of the arrays Xs as a view, when
-    they are read-only, laid out alike, and one after another in the
-    memory of one read-only array; else None."""
-    first, owner = Xs[0], Xs[0].base
-    contiguous = first.flags.c_contiguous or first.flags.f_contiguous
-    if owner is None or owner.flags.writeable or not contiguous:
-        return None
-    step, start = first.nbytes, first.ctypes.data
-    if all(X.base is owner and not X.flags.writeable and X.strides == first.strides
-           and X.ctypes.data == start + j * step for j, X in enumerate(Xs)):
-        return np.lib.stride_tricks.as_strided(
-            first, (len(Xs),) + first.shape, (step,) + first.strides, writeable=False)
+def _stack_of(Xs):
+    """The read-only array whose entries, in order, are the read-only
+    views Xs, when there is one (as simulate makes); else None."""
+    owner = Xs[0].base
+    if (isinstance(owner, np.ndarray) and not owner.flags.writeable
+            and owner.shape == (len(Xs),) + Xs[0].shape
+            and all(X.base is owner and X.__array_interface__ == row.__array_interface__
+                    for X, row in zip(Xs, owner))):
+        return owner
     return None
 
 
@@ -533,15 +537,13 @@ class TaskStandardization:
     outcome_mean: Optional[float] = None
     outcome_scale: Optional[float] = None
 
-    def transform_features(self, X, out=None) -> np.ndarray:
-        """The transformed columns of X, written into out when given."""
-        X = _as_matrix(X, "X", copy=False)
+    def transform_features(self, X) -> np.ndarray:
+        X = _as_matrix(X, "X")
         if X.shape[1] != self.feature_mean.shape[0]:
             raise ValueError(
                 f"{X.shape[1]} feature columns for a {self.feature_mean.shape[0]}-column transform"
             )
-        out = np.subtract(X, self.feature_mean, out=out)
-        out /= np.where(self.constant_features, 1.0, self.feature_scale)
+        out = (X - self.feature_mean) / np.where(self.constant_features, 1.0, self.feature_scale)
         out[:, self.constant_features] = 0.0
         return out
 
@@ -581,11 +583,9 @@ def standardize(
     problem and the record needed to apply/invert the transform at
     prediction time.
     """
-    # The new problem's stacks are written in place, one task at a time.
-    stacks = [np.empty_like(stack) for stack in problem._stacks]
     new_tasks = []
     records = []
-    for task, X in zip(problem.tasks, (X for stack in stacks for X in stack)):
+    for task in problem.tasks:
         if task.n_samples < 2:
             raise DataError(
                 f"task {task.name!r}: standardization needs at least 2 samples"
@@ -604,10 +604,6 @@ def standardize(
             outcome_scale=outcome_scale,
         )
         y = task.y if outcome_mean is None else record.transform_outcome(task.y)
-        record.transform_features(task.X, out=X)
-        X.flags.writeable = False
-        new_tasks.append(TaskDataset(X, y, task.kind, task.name))
+        new_tasks.append(TaskDataset(record.transform_features(task.X), y, task.kind, task.name))
         records.append(record)
-    for stack in stacks:
-        stack.flags.writeable = False
     return MtlProblem(tuple(new_tasks)), StandardizationRecord(tuple(records))

@@ -272,15 +272,10 @@ def load_problem(manifest_path):
     """
     manifest = parse_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
-    entries = manifest.tasks
-    # Each task's place in the problem: classification tasks first (stable).
-    order = sorted(range(len(entries)), key=lambda i: entries[i].kind is TaskKind.REGRESSION)
-    place = {i: position for position, i in enumerate(order)}
 
     canonical = None
-    rows = None  # every task's X in place, for tasks with the first task's sample count
-    loaded = [None] * len(entries)
-    for i, entry in enumerate(entries):
+    loaded = []
+    for entry in manifest.tasks:
         data_path = os.path.join(base, entry.data_path)
         header, values = read_task_csv(data_path)
         if entry.outcome_column not in header:
@@ -306,18 +301,11 @@ def load_problem(manifest_path):
             y = _remap_labels(y, entry.name)
         column_of = {name: i for i, name in enumerate(header)}
         X = values[:, [column_of[name] for name in canonical]]
-        if rows is None:
-            # Column-major per task, the layout of the gather above, so the
-            # products with X round as they always have.
-            rows = np.empty((len(entries),) + X.shape[::-1])
-        if X.shape[::-1] == rows.shape[1:]:
-            # The problem keeps these rows as its stacks rather than a copy.
-            rows[place[i]].T[...] = X
-            X = rows[place[i]].T
-            X.flags.writeable = False
-        loaded[place[i]] = TaskDataset(X, y, entry.kind, entry.name)
-    rows.flags.writeable = False
-    return MtlProblem(tuple(loaded)), list(canonical), manifest
+        loaded.append(TaskDataset(X, y, entry.kind, entry.name))
+
+    ordered = [t for t in loaded if t.kind is TaskKind.CLASSIFICATION]
+    ordered += [t for t in loaded if t.kind is TaskKind.REGRESSION]
+    return MtlProblem(tuple(ordered)), list(canonical), manifest
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ grid, with the same result as cross-validating each task alone.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -102,22 +103,25 @@ class SimulationOutput:
 
 
 def _draw_tasks(rng, spec: SimulationSpec, W: np.ndarray) -> MtlProblem:
-    # Every task's rows go straight into one read-only array, which the
-    # problem keeps as its stacks.
-    X = np.empty((spec.t, spec.n_per_task, spec.p))
+    # Each kind's rows are drawn into one array, which the problem keeps
+    # as that kind's stack rather than a copy.
+    counts = (spec.t_classification, spec.t_regression)
+    stacks = [np.empty((t, spec.n_per_task, spec.p)) for t in counts]
     outcomes = []
-    for i in range(spec.t):
-        rng.standard_normal(out=X[i])
-        outcomes.append(X[i] @ W[:, i] + spec.noise_scale * rng.standard_normal(spec.n_per_task))
-    X.flags.writeable = False
+    for i, X in enumerate(itertools.chain(*stacks)):
+        rng.standard_normal(out=X)
+        outcomes.append(X @ W[:, i] + spec.noise_scale * rng.standard_normal(spec.n_per_task))
+    for stack in stacks:
+        stack.flags.writeable = False
     tasks = []
-    for i, noisy in enumerate(outcomes):
-        if i < spec.t_classification:
+    for i, (X, noisy) in enumerate(zip(itertools.chain(*stacks), outcomes)):
+        is_classification = i < spec.t_classification
+        name = f"clf{i + 1:02d}" if is_classification else f"reg{i + 1 - spec.t_classification:02d}"
+        if is_classification:
             y = np.where(noisy >= 0.0, 1.0, -1.0)
-            tasks.append(TaskDataset(X[i], y, TaskKind.CLASSIFICATION, f"clf{i + 1:02d}"))
+            tasks.append(TaskDataset(X, y, TaskKind.CLASSIFICATION, name))
         else:
-            name = f"reg{i + 1 - spec.t_classification:02d}"
-            tasks.append(TaskDataset(X[i], noisy, TaskKind.REGRESSION, name))
+            tasks.append(TaskDataset(X, noisy, TaskKind.REGRESSION, name))
     return MtlProblem(tuple(tasks))
 
 

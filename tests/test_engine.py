@@ -198,11 +198,30 @@ def test_problem_holds_one_copy_of_x(tmp_path):
                 binarize_problem(sim.train), MtlProblem(sim.train.tasks[1:3])]
     for problem in problems:
         _holds_one_copy(problem)
-    # Tasks whose rows already lie in a stack share it, with no new copy.
-    source = sim.train.tasks[0].X.base
-    for problem in (sim.train, binarize_problem(sim.train), MtlProblem(sim.train.tasks[1:3])):
-        assert all(task.X.base is source for task in problem.tasks)
-        assert all(np.shares_memory(X, source) for _, _, X, _, _ in problem._blocks)
+    # A loaded task's rows keep the column-major layout of their gather.
+    assert all(task.X.flags.f_contiguous for task in loaded.tasks)
+    # Rows that already are the entries of one read-only array (simulate
+    # draws each kind into one) are kept as the stack, with no copy; a run
+    # of only some of its entries is copied.
+    again = MtlProblem(sim.train.tasks)
+    assert all(a is b for a, b in zip(again._stacks, sim.train._stacks))
+    part = MtlProblem(sim.train.tasks[1:3])
+    assert not any(np.shares_memory(a, b) for a in part._stacks for b in sim.train._stacks)
+
+
+def test_problem_from_x_on_a_foreign_buffer():
+    # X whose memory belongs to a non-numpy object (here a bytearray) is
+    # copied into the problem's stack like any other.
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((2, 7, 3))
+    buffers = [np.ndarray((7, 3), buffer=bytearray(X.tobytes())) for X in values]
+    assert all(isinstance(X.base, bytearray) for X in buffers)
+    problem = MtlProblem(tuple(
+        TaskDataset(X, rng.standard_normal(7), "regression", f"r{i}") for i, X in enumerate(buffers)
+    ))
+    _holds_one_copy(problem)
+    for task, X in zip(problem.tasks, values):
+        npt.assert_array_equal(task.X, X)
 
 
 def test_problem_x_is_read_only():
@@ -212,6 +231,12 @@ def test_problem_x_is_read_only():
     # The problem copied the caller's array once; the caller may still write it.
     X[0, 0] = 100.0
     assert problem.tasks[0].X[0, 0] != 100.0
+    # So it does with the entries of a writable array.
+    A = rng.standard_normal((2, 6, 3))
+    pair = MtlProblem(tuple(TaskDataset(A[i], rng.standard_normal(6), "regression", f"r{i}")
+                            for i in range(2)))
+    A[1, 0, 0] = 100.0
+    assert pair.tasks[1].X[0, 0] != 100.0 and not pair._stacks[0].flags.writeable
     sim = simulate(SimulationSpec(t_classification=1, t_regression=1, p=4, n_per_task=5))
     for problem in (problem, sim.train, standardize(sim.train)[0]):
         for task in problem.tasks:
