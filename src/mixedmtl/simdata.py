@@ -10,13 +10,19 @@ per-task single-task fits, each with a CV-selected penalty, and scores
 prediction quality and support recovery on the held-out test problem.
 The single-task fits of a cell are one batched cross-validation: every
 task's folds and full-data fit in one path loop, each task on its own
-grid, with the same result as cross-validating each task alone.
+grid, with the same result as cross-validating each task alone.  The
+benchmark's (method, ratio, seed) cells are independent: they run in
+worker processes forked from the caller, one per usable CPU, and only
+where ``fork`` exists (otherwise in the caller), with rows identical
+either way.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -197,9 +203,11 @@ class BenchmarkRow:
     mean_pseudo_ev_classification: float
 
 
-def _run_cell(method, sim, alpha, beta, k, seed, n_lambda, lambda_ratio):
+def _run_cell(method, cell_spec, alpha, beta, k, n_lambda, lambda_ratio):
+    """One benchmark cell: simulate cell_spec, then fit and score method on it."""
+    sim = simulate(cell_spec)
     train, test = sim.train, sim.test
-    settings = dict(alpha=alpha, beta=beta, k=k, seed=seed, opts=path_options(),
+    settings = dict(alpha=alpha, beta=beta, k=k, seed=cell_spec.seed, opts=path_options(),
                     n_lambda=n_lambda, ratio=lambda_ratio, one_se=False)
     fitted = binarize_problem(train) if method == "mtlbin" else train
     if method != "singletask":
@@ -237,6 +245,8 @@ def _benchmark_grid(spec, methods, ratios, seeds, k) -> tuple:
         raise ValueError(
             f"sparsity must give round((1 - sparsity) * p) >= 1 at p={p}, got {spec.sparsity}"
         )
+    if not methods:
+        raise ValueError(f"methods must be non-empty, got {methods}")
     unknown = [method for method in methods if method not in BENCHMARK_METHODS]
     if unknown:
         raise ValueError(f"methods must be among {BENCHMARK_METHODS}, got {unknown}")
@@ -248,6 +258,39 @@ def _benchmark_grid(spec, methods, ratios, seeds, k) -> tuple:
     if not seeds or min(seeds) < 0:
         raise ValueError(f"seeds must be non-empty and nonnegative, got {seeds}")
     return methods, ratios, seeds
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_cells(run, *iterables) -> list:
+    """list(map(run, *iterables)), on min(cells, usable CPUs) forked workers.
+
+    Forked workers share the modules this process has imported; fresh
+    interpreters cost about 0.4 s more per ``protocol`` benchmark call on
+    two cores.  With one worker, or without ``fork``, the cells run here.
+    """
+    workers = min(len(iterables[0]), _usable_cpus())
+    if workers > 1:
+        # Imported here: at import time they would add about 20 ms to
+        # every command, most of which never makes a pool.
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                # Results come in input order, so the first failing cell raises.
+                return list(pool.map(run, *iterables))
+            finally:
+                # Joins every worker; after a failure, unstarted cells never run.
+                pool.shutdown(wait=True, cancel_futures=True)
+    return list(map(run, *iterables))
 
 
 def run_benchmark(
@@ -268,24 +311,33 @@ def run_benchmark(
     samples-per-feature regime.  Every method gets its penalty from
     cross-validation on the training problem.  Returns one BenchmarkRow
     per (method, ratio), in input order.
+
+    The (method, ratio, seed) cells are independent and run in worker
+    processes, one per usable CPU (at most one per cell), forked from
+    this one; where ``fork`` is missing or one CPU is usable they run in
+    this process.  Either way every row is the same, bit for bit, and a
+    failing cell raises its own error: the first in input order.  Every
+    worker has exited when this returns or raises.  Workers keep the
+    BLAS thread count they inherit; at criterion-7 shapes the products
+    are too small for BLAS to thread, but a grid of large problems can
+    oversubscribe the CPUs.
     """
     methods, ratios, seeds = _benchmark_grid(spec, methods, ratios, seeds, k)
+    cells = [
+        (method, dataclasses.replace(spec, n_per_task=int(round(ratio * spec.p)), seed=seed))
+        for method in methods
+        for ratio in ratios
+        for seed in seeds
+    ]
+    run = functools.partial(
+        _run_cell, alpha=alpha, beta=beta, k=k, n_lambda=n_lambda, lambda_ratio=lambda_ratio
+    )
+    results = iter(_map_cells(run, *zip(*cells)))
 
     rows = []
     for method in methods:
         for ratio in ratios:
-            recoveries, evs, pevs = [], [], []
-            for seed in seeds:
-                cell_spec = dataclasses.replace(
-                    spec, n_per_task=int(round(ratio * spec.p)), seed=seed
-                )
-                sim = simulate(cell_spec)
-                rec, ev, pev = _run_cell(
-                    method, sim, alpha, beta, k, seed, n_lambda, lambda_ratio
-                )
-                recoveries.append(rec)
-                evs.append(ev)
-                pevs.append(pev)
+            recoveries, evs, pevs = zip(*itertools.islice(results, len(seeds)))
             rows.append(
                 BenchmarkRow(
                     method=method,

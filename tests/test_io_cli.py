@@ -1,5 +1,6 @@
 import csv
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -28,7 +29,7 @@ from mixedmtl import (
     simulate,
     standardize,
 )
-from mixedmtl import lam_max, lambda_sequence, path_options, reg_path
+from mixedmtl import lam_max, lambda_sequence, path_options, reg_path, simdata
 from mixedmtl.cli import main
 from mixedmtl.modelio import format_float, parse_manifest, read_task_csv, write_csv
 
@@ -857,11 +858,15 @@ def test_cli_path_save_coefficients(tmp_path):
         npt.assert_array_equal(values[3], fit.coef.intercepts)
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     # usage: unknown flag (argparse) and bad bench method
     assert _run(["fit", "--nope"]) == 2
     assert _run(["bench", "--methods", "banana", "--out-dir", tmp_path / "b"]) == 2
     assert "usage-error" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+    # an empty --methods list is a usage error too
+    assert _run(["bench", "--methods", ",", "--out-dir", tmp_path / "b"]) == 2
+    assert capsys.readouterr().err.startswith("usage-error: --methods must be non-empty, got []")
     assert not (tmp_path / "b").exists()
 
     # usage: out-of-range flag values, rejected before any file is read
@@ -923,6 +928,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("data-error: fold 4 leaves task 'clf01' with a single class"), err
     assert not (tmp_path / "d").exists()
+    # the same in a worker pool: seed 8's cell fails at fold 0, but seed 1's comes first
+    monkeypatch.setattr(simdata, "_usable_cpus", lambda: 2)
+    pooled = single_class[:-1] + ["--seeds", "1,8,2", "--out-dir", tmp_path / "d"]
+    assert _run(pooled) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data-error: fold 4 leaves task 'clf01' with a single class"), err
+    assert not (tmp_path / "d").exists()
+    assert multiprocessing.active_children() == []
     # every directory it made goes, leaf first; one that existed stays
     assert _run(single_class + [tmp_path / "n1" / "n2" / "n3"]) == 3
     assert capsys.readouterr().err.startswith("data-error: fold 4")

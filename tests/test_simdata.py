@@ -1,3 +1,6 @@
+import dataclasses
+import multiprocessing
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -14,6 +17,7 @@ from mixedmtl import (
     run_benchmark,
     simulate,
 )
+from mixedmtl import simdata
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +218,53 @@ def test_benchmark_validates_inputs():
         run_benchmark(_tiny_spec(), methods=("mtlcomb",), ratios=(1.5,), seeds=(1,))
     with pytest.raises(ValueError):
         run_benchmark(_tiny_spec(), methods=("mtlcomb",), ratios=(0.5,), seeds=())
+    with pytest.raises(ValueError, match=r"methods must be non-empty, got \[\]"):
+        run_benchmark(_tiny_spec(), methods=(), ratios=(0.5,), seeds=(1,))
     # Each cell has round(ratio * p) samples per task: 0 and 2 are too few for 5 folds.
     for ratio in (0.01, 0.1):
         with pytest.raises(ValueError, match=r"ratios must give round\(ratio \* p\) >= k=5"):
             run_benchmark(_tiny_spec(), methods=("mtlcomb",), ratios=(0.8, ratio), seeds=(1,), k=5)
+
+
+def _pool_workers(monkeypatch, cpus):
+    """Let run_benchmark see `cpus` usable CPUs; returns the worker counts of the pools it makes."""
+    from concurrent import futures
+
+    made = []
+
+    class RecordedPool(futures.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            made.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(simdata, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordedPool)
+    return made
+
+
+def test_benchmark_pool_rows_equal_in_process_rows(monkeypatch):
+    grid = dict(methods=("mtlcomb", "singletask"), ratios=(0.6, 0.8), seeds=(1, 2), k=2, n_lambda=5)
+    made = _pool_workers(monkeypatch, 1)
+    in_process = run_benchmark(_tiny_spec(), **grid)
+    assert made == []
+    made = _pool_workers(monkeypatch, 2)
+    pooled = run_benchmark(_tiny_spec(), **grid)
+    assert made == [2]
+    assert multiprocessing.active_children() == []
+    assert [(r.method, r.ratio) for r in pooled] == [
+        ("mtlcomb", 0.6), ("mtlcomb", 0.8), ("singletask", 0.6), ("singletask", 0.8),
+    ]
+    assert all(np.isfinite(list(dataclasses.astuple(r)[1:])).all() for r in pooled)
+    assert pooled == in_process
+
+
+@pytest.mark.parametrize("seeds, message", [((6, 1), "fold 4"), ((1, 6), "fold 0")])
+def test_benchmark_pool_raises_first_failing_cell(monkeypatch, seeds, message):
+    # At round(0.25 * 20) = 5 samples and 5 folds, seed 6 breaks fold 4 and
+    # seed 1 breaks fold 0; the cell first in input order raises, in the pool too.
+    made = _pool_workers(monkeypatch, 2)
+    with pytest.raises(DataError, match=f"^{message} leaves task 'clf01' with a single class$"):
+        run_benchmark(_tiny_spec(), methods=("mtlcomb",), ratios=(0.25,), seeds=(2, *seeds),
+                      k=5, n_lambda=3)
+    assert made == [2]
+    assert multiprocessing.active_children() == []
