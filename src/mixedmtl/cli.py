@@ -38,6 +38,7 @@ from .modelio import (
     read_task_csv,
     save_model,
     write_csv,
+    write_csv_files,
     write_json,
 )
 from .modelselect import auc, cross_validate, explained_variance
@@ -83,6 +84,19 @@ def _solver_options(args, fit_intercept: bool) -> SolverOptions:
     )
 
 
+def _task_rows(X, y):
+    """A task file's rows: its features, then its outcome."""
+    return np.column_stack([X, y])
+
+
+def _coefficient_rows(feature_names, W, intercepts) -> list:
+    """A coefficient file's rows: one per feature, then the intercepts if fitted."""
+    rows = [[name] + list(W[j]) for j, name in enumerate(feature_names)]
+    if intercepts is not None:
+        rows.append(["(intercept)"] + list(intercepts))
+    return rows
+
+
 def cmd_simulate(args) -> int:
     out_dir = _ensure_out_dir(args.out_dir)
     spec = SimulationSpec(
@@ -98,15 +112,14 @@ def cmd_simulate(args) -> int:
     width = len(str(spec.p))
     feature_names = [f"x{j + 1:0{width}d}" for j in range(spec.p)]
 
+    files = []
     for split, problem in (("train", sim.train), ("test", sim.test)):
         split_dir = _ensure_out_dir(os.path.join(out_dir, split))
         entries = []
         for task in problem.tasks:
             file_name = f"{task.name}.csv"
-            write_csv(
-                os.path.join(split_dir, file_name),
-                feature_names + ["y"],
-                np.column_stack([task.X, task.y]),
+            files.append(
+                (os.path.join(split_dir, file_name), feature_names + ["y"], task.X, task.y)
             )
             entries.append(
                 {
@@ -118,6 +131,7 @@ def cmd_simulate(args) -> int:
             )
         manifest = {"standardize": False, "fit_intercept": False, "tasks": entries}
         write_json(os.path.join(split_dir, "manifest.json"), manifest)
+    write_csv_files(_task_rows, files)
 
     write_csv(
         os.path.join(out_dir, "true_support.csv"),
@@ -166,18 +180,12 @@ def cmd_path(args) -> int:
 
     if args.save_coefficients:
         coef_dir = _ensure_out_dir(os.path.join(out_dir, "coefficients"))
-        task_names = [task.name for task in problem.tasks]
-        for idx, fit in enumerate(path.fits):
-            coef_rows = [
-                [name] + list(fit.coef.W[j]) for j, name in enumerate(feature_names)
-            ]
-            if fit.coef.intercepts is not None:
-                coef_rows.append(["(intercept)"] + list(fit.coef.intercepts))
-            write_csv(
-                os.path.join(coef_dir, f"lambda_{idx:04d}.csv"),
-                ["feature"] + task_names,
-                coef_rows,
-            )
+        header = ["feature"] + [task.name for task in problem.tasks]
+        write_csv_files(_coefficient_rows, [
+            (os.path.join(coef_dir, f"lambda_{idx:04d}.csv"), header,
+             feature_names, fit.coef.W, fit.coef.intercepts)
+            for idx, fit in enumerate(path.fits)
+        ])
     _write_runlog(args, manifest)
     return 0
 
@@ -212,7 +220,8 @@ def cmd_predict(args) -> int:
     model = load_model(args.model)
     task_idx = model.task_index(args.task)
     header, values = read_task_csv(args.data)
-    missing = [name for name in model.feature_names if name not in header]
+    present = set(header)
+    missing = [name for name in model.feature_names if name not in present]
     if missing:
         raise DataError(f"data file {args.data!r} is missing feature columns {missing[:5]}")
     column_of = {name: i for i, name in enumerate(header)}

@@ -41,6 +41,9 @@ or one member's single task column (t_fit = 1, fits = B * t, member
 major), and each returns one smooth objective per fit.  The scores see
 the same (B, t, p) array either way.  A task column's loss sums its own
 n rows, so it equals its one-task problem's bit for bit.
+
+_map_cells is the package's one worker pool: the benchmark's cells and
+modelio's batches of CSV files map over it.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ import dataclasses
 import enum
 import functools
 import itertools
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -607,3 +611,36 @@ def standardize(
         new_tasks.append(TaskDataset(record.transform_features(task.X), y, task.kind, task.name))
         records.append(record)
     return MtlProblem(tuple(new_tasks)), StandardizationRecord(tuple(records))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_cells(run, *iterables) -> list:
+    """list(map(run, *iterables)), on min(cells, usable CPUs) forked workers.
+
+    Forked workers share the modules this process has imported; fresh
+    interpreters cost about 0.4 s more per ``protocol`` benchmark call on
+    two cores.  With one worker, or without ``fork``, the cells run here.
+    """
+    workers = min(len(iterables[0]), _usable_cpus())
+    if workers > 1:
+        # Imported here: at import time they would add about 20 ms to
+        # every command, most of which never makes a pool.
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                # Results come in input order, so the first failing cell raises.
+                return list(pool.map(run, *iterables))
+            finally:
+                # Joins every worker; after a failure, unstarted cells never run.
+                pool.shutdown(wait=True, cancel_futures=True)
+    return list(map(run, *iterables))

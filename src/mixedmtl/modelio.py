@@ -23,11 +23,23 @@ are rejected.
 
 Model files are canonical JSON (sorted keys, repr-exact floats), so
 save -> load -> save is byte-identical.
+
+Two calls do their CSV work file by file on worker processes:
+load_problem reads and gathers each data file, and write_csv_files
+(simulate's task files, path's coefficient files) builds and writes each
+file.  Both use core._map_cells, one worker forked per usable CPU, when
+the CSV text involved exceeds _POOL_MIN_BYTES (3 MB: the bytes of the
+files read, or the cells written at 21 bytes each), and run in this
+process below it, with no option for either.  The bytes written, the
+arrays loaded with their memory layout, and the error raised (the first
+in manifest order) are the same either way, and every worker has exited
+when the call returns.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -44,6 +56,7 @@ from .core import (
     TaskDataset,
     TaskKind,
     TaskStandardization,
+    _map_cells,
     _outputs,
     predict,
 )
@@ -62,6 +75,7 @@ __all__ = [
     "model_predictions",
     "format_float",
     "write_csv",
+    "write_csv_files",
     "write_json",
 ]
 
@@ -95,6 +109,44 @@ def write_csv(path, header, rows) -> None:
         lines.extend(row_format % tuple(row) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+# A batch of CSV files is read or written on forked workers only above this
+# many bytes of CSV text.  The first pool of a command costs about 30 ms
+# (15-20 ms to import the pool modules, about 10 ms to fork two workers,
+# map and join them), and one process reads CSV at about 45 MB/s and
+# writes it at about 30 MB/s (two cores, Python 3.11, numpy 2.4).  Half of
+# the work on a second CPU saves those 30 ms, and the transfer of the
+# arrays to and from the workers, from about 3 MB on.
+_POOL_MIN_BYTES = 3_000_000
+# The bytes a written number is counted at: "%.17g" of a standard normal
+# draw and its comma.
+_CELL_BYTES = 21
+
+
+def _map_files(run, jobs, nbytes) -> list:
+    """list(map(run, jobs)); on core._map_cells's workers when the CSV text
+    involved, nbytes, exceeds _POOL_MIN_BYTES."""
+    if nbytes > _POOL_MIN_BYTES:
+        return _map_cells(run, jobs)
+    return list(map(run, jobs))
+
+
+def _write_file(build, job) -> None:
+    path, header, *args = job
+    write_csv(path, header, build(*args))
+
+
+def write_csv_files(build, files) -> None:
+    """write_csv(path, header, build(*args)) for each (path, header, *args) in files.
+
+    build is a module-level function, so that a worker can import it by
+    name; the rows are built where the file is written.  Above
+    _POOL_MIN_BYTES of text, counted from the array arguments' cells, the
+    files are written on forked workers; the bytes are the same either way.
+    """
+    cells = sum(arg.size for _, _, *args in files for arg in args if isinstance(arg, np.ndarray))
+    _map_files(functools.partial(_write_file, build), files, cells * _CELL_BYTES)
 
 
 def write_json(path, doc) -> None:
@@ -171,7 +223,8 @@ def read_task_csv(path):
     """Read a headered numeric CSV; returns (header, values).
 
     Rejects duplicated header names, ragged rows, missing values, and
-    non-numeric or non-finite cells.
+    non-numeric or non-finite cells.  A UTF-8 byte-order mark at the
+    start of the file is dropped.
 
     Without a quote character a CSV record is a line and a cell is the
     text between commas, so the body is parsed by one np.loadtxt call,
@@ -181,7 +234,7 @@ def read_task_csv(path):
     _scan_task_csv, which loads it as before or names its first bad cell.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except FileNotFoundError:
         raise DataError(f"data file {path!r} does not exist") from None
@@ -263,27 +316,58 @@ def _remap_labels(y: np.ndarray, task_name: str) -> np.ndarray:
     )
 
 
+def _file_bytes(path) -> int:
+    try:
+        return os.path.getsize(path)
+    except OSError:  # read_task_csv reports it
+        return 0
+
+
+def _read_task(job):
+    """One data file read for load_problem: (header, columns), or the error raised.
+
+    columns holds the feature columns in sorted name order, then the
+    outcome column, as one gather, which is column-major; it is None when
+    the header lacks the outcome column.  The error is returned, not
+    raised, so that the caller raises the first one in manifest order.
+    """
+    path, outcome_column = job
+    try:
+        header, values = read_task_csv(path)
+    except Exception as err:  # any of them: the caller re-raises it in order
+        return err
+    if outcome_column not in header:
+        return header, None
+    column_of = {name: i for i, name in enumerate(header)}
+    order = sorted(name for name in header if name != outcome_column) + [outcome_column]
+    return header, values[:, [column_of[name] for name in order]]
+
+
 def load_problem(manifest_path):
     """Load a manifest and its data files.
 
     Returns (problem, feature_names, manifest).  Tasks are reordered
     classification-first (stable); feature columns are reordered to the
-    canonical sorted order shared by all tasks.
+    canonical sorted order shared by all tasks.  The files are read
+    through _map_files, then checked here in manifest order.
     """
     manifest = parse_manifest(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
+    paths = [os.path.join(base, entry.data_path) for entry in manifest.tasks]
+    jobs = [(path, entry.outcome_column) for path, entry in zip(paths, manifest.tasks)]
+    results = _map_files(_read_task, jobs, sum(map(_file_bytes, paths)))
 
     canonical = None
     loaded = []
-    for entry in manifest.tasks:
-        data_path = os.path.join(base, entry.data_path)
-        header, values = read_task_csv(data_path)
+    for entry, data_path, result in zip(manifest.tasks, paths, results):
+        if isinstance(result, Exception):
+            raise result
+        header, columns = result
         if entry.outcome_column not in header:
             raise DataError(
                 f"task {entry.name!r}: outcome column {entry.outcome_column!r} not in "
                 f"{data_path!r}"
             )
-        outcome_idx = header.index(entry.outcome_column)
         feature_names = [name for name in header if name != entry.outcome_column]
         if not feature_names:
             raise DataError(f"task {entry.name!r}: no feature columns besides the outcome")
@@ -296,11 +380,9 @@ def load_problem(manifest_path):
                 f"task {entry.name!r}: feature set differs from the first task "
                 f"(extra: {extra}, missing: {absent})"
             )
-        y = values[:, outcome_idx]
+        X, y = columns[:, :-1], columns[:, -1]
         if entry.kind is TaskKind.CLASSIFICATION:
             y = _remap_labels(y, entry.name)
-        column_of = {name: i for i, name in enumerate(header)}
-        X = values[:, [column_of[name] for name in canonical]]
         loaded.append(TaskDataset(X, y, entry.kind, entry.name))
 
     ordered = [t for t in loaded if t.kind is TaskKind.CLASSIFICATION]

@@ -22,7 +22,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,6 +33,7 @@ from .core import (
     MtlProblem,
     TaskDataset,
     TaskKind,
+    _map_cells,
     predict,
 )
 from .modelselect import (
@@ -260,39 +260,6 @@ def _benchmark_grid(spec, methods, ratios, seeds, k) -> tuple:
     return methods, ratios, seeds
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_cells(run, *iterables) -> list:
-    """list(map(run, *iterables)), on min(cells, usable CPUs) forked workers.
-
-    Forked workers share the modules this process has imported; fresh
-    interpreters cost about 0.4 s more per ``protocol`` benchmark call on
-    two cores.  With one worker, or without ``fork``, the cells run here.
-    """
-    workers = min(len(iterables[0]), _usable_cpus())
-    if workers > 1:
-        # Imported here: at import time they would add about 20 ms to
-        # every command, most of which never makes a pool.
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-            try:
-                # Results come in input order, so the first failing cell raises.
-                return list(pool.map(run, *iterables))
-            finally:
-                # Joins every worker; after a failure, unstarted cells never run.
-                pool.shutdown(wait=True, cancel_futures=True)
-    return list(map(run, *iterables))
-
-
 def run_benchmark(
     spec: SimulationSpec,
     methods: Sequence[str] = BENCHMARK_METHODS,
@@ -313,9 +280,10 @@ def run_benchmark(
     per (method, ratio), in input order.
 
     The (method, ratio, seed) cells are independent and run in worker
-    processes, one per usable CPU (at most one per cell), forked from
-    this one; where ``fork`` is missing or one CPU is usable they run in
-    this process.  Either way every row is the same, bit for bit, and a
+    processes through core._map_cells, the package's one pool helper
+    (modelio's CSV batches use it too): one per usable CPU (at most one
+    per cell), forked from this one; where ``fork`` is missing or one CPU
+    is usable they run in this process.  Either way every row is the same, bit for bit, and a
     failing cell raises its own error: the first in input order.  Every
     worker has exited when this returns or raises.  Workers keep the
     BLAS thread count they inherit; at criterion-7 shapes the products

@@ -2,6 +2,7 @@ import csv
 import json
 import multiprocessing
 import os
+import shutil
 
 import numpy as np
 import numpy.testing as npt
@@ -29,9 +30,10 @@ from mixedmtl import (
     simulate,
     standardize,
 )
-from mixedmtl import lam_max, lambda_sequence, path_options, reg_path, simdata
+from mixedmtl import core, lam_max, lambda_sequence, modelio, path_options, reg_path
 from mixedmtl.cli import main
 from mixedmtl.modelio import format_float, parse_manifest, read_task_csv, write_csv
+from util import pool_workers
 
 
 def _write(path, text):
@@ -149,6 +151,13 @@ def test_read_task_csv_edge_cells(tmp_path):
         _write(path, f"a\n{cell}\n")
         with pytest.raises(DataError, match="non-numeric"):
             read_task_csv(path)
+    # A UTF-8 byte-order mark, as spreadsheet tools write, is not part of the
+    # first column's name, in either parser.
+    for body in ("y,f1\n1,2\n", 'y,"f1"\n1,2\n'):
+        path.write_bytes(b"\xef\xbb\xbf" + body.encode())
+        header, values = read_task_csv(path)
+        assert header == ["y", "f1"]
+        npt.assert_array_equal(values, [[1.0, 2.0]])
 
 
 def _oracle_read_task_csv(path):
@@ -825,6 +834,110 @@ def test_cli_full_pipeline_is_byte_identical(tmp_path):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
 
 
+# ---------------------------------------------------------------------------
+# CSV files on worker processes
+
+
+def _pool_calls(monkeypatch, pooled):
+    """Read and write every CSV batch on a two-worker pool (pooled) or in this
+    process; returns the worker counts of the pools made."""
+    monkeypatch.setattr(modelio, "_POOL_MIN_BYTES", 0 if pooled else float("inf"))
+    return pool_workers(monkeypatch, 2)
+
+
+def _tree(root):
+    """Relative path -> bytes of every file under root."""
+    files = {}
+    for base, _, names in os.walk(root):
+        for name in names:
+            full = os.path.join(base, name)
+            with open(full, "rb") as fh:
+                files[os.path.relpath(full, root)] = fh.read()
+    return files
+
+
+def test_pooled_csv_writes_are_byte_identical(tmp_path, monkeypatch):
+    trees = {}
+    for pooled in (False, True):
+        made = _pool_calls(monkeypatch, pooled)
+        out = tmp_path / "o"
+        sim = _simulate_dir(out)
+        assert _run(["path", "--manifest", sim / "train" / "manifest.json", "--n-lambda", 3,
+                     "--save-coefficients", "--out-dir", out / "path"]) == 0
+        # simulate's task files, the path's read and its coefficient files
+        assert made == ([2, 2, 2] if pooled else [])
+        assert multiprocessing.active_children() == []
+        trees[pooled] = _tree(out)
+        monkeypatch.undo()
+        shutil.rmtree(out)
+    # simulate: 2 splits of 4 tasks and a manifest, the support and a runlog;
+    # path: its table, 3 coefficient files and a runlog
+    assert len(trees[True]) == 2 * (4 + 1) + 2 + 1 + 3 + 1
+    assert trees[True] == trees[False]
+
+
+def test_pooled_load_problem_equals_in_process_load(tmp_path, monkeypatch):
+    sim = _simulate_dir(tmp_path)
+    # Columns out of order, and a classification task after a regression one.
+    rng = np.random.default_rng(5)
+    write_csv(tmp_path / "extra.csv", ["y"] + [f"x{j:02d}" for j in range(25, 0, -1)],
+              np.column_stack([rng.integers(0, 2, 7), rng.standard_normal((7, 25))]))
+    man = _manifest(tmp_path, [
+        {"name": "reg01", "kind": "regression", "data_path": str(sim / "train" / "reg01.csv"),
+         "outcome_column": "y"},
+        {"name": "clf01", "kind": "classification",
+         "data_path": str(sim / "train" / "clf01.csv"), "outcome_column": "y"},
+        {"name": "extra", "kind": "classification", "data_path": "extra.csv",
+         "outcome_column": "y"},
+        {"name": "clf02", "kind": "classification",
+         "data_path": str(sim / "train" / "clf02.csv"), "outcome_column": "y"},
+    ])
+    loaded = {}
+    for pooled in (False, True):
+        made = _pool_calls(monkeypatch, pooled)
+        loaded[pooled] = load_problem(man)
+        assert made == ([2] if pooled else [])
+        assert multiprocessing.active_children() == []
+        monkeypatch.undo()
+    (serial, names, _), (pooled, pooled_names, _) = loaded[False], loaded[True]
+    assert pooled_names == names
+    assert [t.name for t in pooled.tasks] == ["clf01", "extra", "clf02", "reg01"]
+    for a, b in zip(serial.tasks, pooled.tasks):
+        assert (a.name, a.kind) == (b.name, b.kind)
+        assert a.X.tobytes("A") == b.X.tobytes("A") and a.y.tobytes() == b.y.tobytes()
+        assert a.X.strides == b.X.strides and a.X.flags.f_contiguous
+    assert [s.strides for s in pooled._stacks] == [s.strides for s in serial._stacks]
+
+
+@pytest.mark.parametrize("case", ["second_of_two_malformed", "outcome_before_malformed"])
+def test_pooled_load_problem_raises_the_first_error_in_manifest_order(
+    tmp_path, monkeypatch, case
+):
+    good = "f1,f2,y\n1,2,0.5\n3,4,1.5\n"
+    files = [good, good, good, good]
+    if case == "second_of_two_malformed":
+        files[1] = "f1,f2,y\n1,2,0.5\n3,oops,1.5\n"
+        files[3] = "f1,f2,y\n1,2\n"
+        message = "row 3, column 'f2': non-numeric cell 'oops'"
+    else:
+        files[0] = "f1,f2,z\n1,2,0.5\n3,4,1.5\n"
+        files[2] = "f1,f2,y\n1,2,\n"
+        message = "task 't0': outcome column 'y' not in"
+    for i, text in enumerate(files):
+        _write(tmp_path / f"t{i}.csv", text)
+    man = _manifest(tmp_path, [
+        {"name": f"t{i}", "kind": "regression", "data_path": f"t{i}.csv", "outcome_column": "y"}
+        for i in range(len(files))
+    ])
+    for pooled in (False, True):
+        made = _pool_calls(monkeypatch, pooled)
+        with pytest.raises(DataError, match=message):
+            load_problem(man)
+        assert made == ([2] if pooled else [])
+        assert multiprocessing.active_children() == []
+        monkeypatch.undo()
+
+
 def test_cli_path_save_coefficients(tmp_path):
     rng = np.random.default_rng(7)
     # Columns out of canonical order, and the regression task listed first.
@@ -929,7 +1042,7 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
     assert err.startswith("data-error: fold 4 leaves task 'clf01' with a single class"), err
     assert not (tmp_path / "d").exists()
     # the same in a worker pool: seed 8's cell fails at fold 0, but seed 1's comes first
-    monkeypatch.setattr(simdata, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(core, "_usable_cpus", lambda: 2)
     pooled = single_class[:-1] + ["--seeds", "1,8,2", "--out-dir", tmp_path / "d"]
     assert _run(pooled) == 3
     err = capsys.readouterr().err

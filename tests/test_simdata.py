@@ -17,7 +17,7 @@ from mixedmtl import (
     run_benchmark,
     simulate,
 )
-from mixedmtl import simdata
+from util import pool_workers
 
 
 # ---------------------------------------------------------------------------
@@ -226,28 +226,12 @@ def test_benchmark_validates_inputs():
             run_benchmark(_tiny_spec(), methods=("mtlcomb",), ratios=(0.8, ratio), seeds=(1,), k=5)
 
 
-def _pool_workers(monkeypatch, cpus):
-    """Let run_benchmark see `cpus` usable CPUs; returns the worker counts of the pools it makes."""
-    from concurrent import futures
-
-    made = []
-
-    class RecordedPool(futures.ProcessPoolExecutor):
-        def __init__(self, workers, **kwargs):
-            made.append(workers)
-            super().__init__(workers, **kwargs)
-
-    monkeypatch.setattr(simdata, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordedPool)
-    return made
-
-
 def test_benchmark_pool_rows_equal_in_process_rows(monkeypatch):
     grid = dict(methods=("mtlcomb", "singletask"), ratios=(0.6, 0.8), seeds=(1, 2), k=2, n_lambda=5)
-    made = _pool_workers(monkeypatch, 1)
+    made = pool_workers(monkeypatch, 1)
     in_process = run_benchmark(_tiny_spec(), **grid)
     assert made == []
-    made = _pool_workers(monkeypatch, 2)
+    made = pool_workers(monkeypatch, 2)
     pooled = run_benchmark(_tiny_spec(), **grid)
     assert made == [2]
     assert multiprocessing.active_children() == []
@@ -262,7 +246,7 @@ def test_benchmark_pool_rows_equal_in_process_rows(monkeypatch):
 def test_benchmark_pool_raises_first_failing_cell(monkeypatch, seeds, message):
     # At round(0.25 * 20) = 5 samples and 5 folds, seed 6 breaks fold 4 and
     # seed 1 breaks fold 0; the cell first in input order raises, in the pool too.
-    made = _pool_workers(monkeypatch, 2)
+    made = pool_workers(monkeypatch, 2)
     with pytest.raises(DataError, match=f"^{message} leaves task 'clf01' with a single class$"):
         run_benchmark(_tiny_spec(), methods=("mtlcomb",), ratios=(0.25,), seeds=(2, *seeds),
                       k=5, n_lambda=3)

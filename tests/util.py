@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from mixedmtl import MtlProblem, TaskDataset
+from mixedmtl import MtlProblem, TaskDataset, core
 
 
 def random_labels(rng, n):
@@ -26,3 +26,19 @@ def random_mixed_problem(rng, p=None, t=None, c=None, n_lo=3, n_hi=30):
         else:
             tasks.append(TaskDataset(X, rng.standard_normal(n), "regression", f"r{i}"))
     return MtlProblem(tuple(tasks))
+
+
+def pool_workers(monkeypatch, cpus):
+    """Let core._map_cells see `cpus` usable CPUs; returns the worker counts of the pools it makes."""
+    from concurrent import futures
+
+    made = []
+
+    class RecordedPool(futures.ProcessPoolExecutor):
+        def __init__(self, workers, **kwargs):
+            made.append(workers)
+            super().__init__(workers, **kwargs)
+
+    monkeypatch.setattr(core, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordedPool)
+    return made
