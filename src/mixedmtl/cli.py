@@ -18,8 +18,6 @@ import os
 import sys
 from functools import partial
 
-import numpy as np
-
 from . import __version__
 from .core import (
     DataError,
@@ -38,8 +36,8 @@ from .modelio import (
     read_task_csv,
     save_model,
     write_csv,
-    write_csv_files,
     write_json,
+    write_task_files,
 )
 from .modelselect import auc, cross_validate, explained_variance
 from .regpath import lam_max, lambda_sequence, reg_path
@@ -84,19 +82,6 @@ def _solver_options(args, fit_intercept: bool) -> SolverOptions:
     )
 
 
-def _task_rows(X, y):
-    """A task file's rows: its features, then its outcome."""
-    return np.column_stack([X, y])
-
-
-def _coefficient_rows(feature_names, W, intercepts) -> list:
-    """A coefficient file's rows: one per feature, then the intercepts if fitted."""
-    rows = [[name] + list(W[j]) for j, name in enumerate(feature_names)]
-    if intercepts is not None:
-        rows.append(["(intercept)"] + list(intercepts))
-    return rows
-
-
 def cmd_simulate(args) -> int:
     out_dir = _ensure_out_dir(args.out_dir)
     spec = SimulationSpec(
@@ -113,6 +98,7 @@ def cmd_simulate(args) -> int:
     feature_names = [f"x{j + 1:0{width}d}" for j in range(spec.p)]
 
     files = []
+    manifests = []
     for split, problem in (("train", sim.train), ("test", sim.test)):
         split_dir = _ensure_out_dir(os.path.join(out_dir, split))
         entries = []
@@ -130,8 +116,11 @@ def cmd_simulate(args) -> int:
                 }
             )
         manifest = {"standardize": False, "fit_intercept": False, "tasks": entries}
-        write_json(os.path.join(split_dir, "manifest.json"), manifest)
-    write_csv_files(_task_rows, files)
+        manifests.append((os.path.join(split_dir, "manifest.json"), manifest))
+    # The task files first, so that no manifest names a file not yet written.
+    write_task_files(files)
+    for path, manifest in manifests:
+        write_json(path, manifest)
 
     write_csv(
         os.path.join(out_dir, "true_support.csv"),
@@ -180,12 +169,18 @@ def cmd_path(args) -> int:
 
     if args.save_coefficients:
         coef_dir = _ensure_out_dir(os.path.join(out_dir, "coefficients"))
-        header = ["feature"] + [task.name for task in problem.tasks]
-        write_csv_files(_coefficient_rows, [
-            (os.path.join(coef_dir, f"lambda_{idx:04d}.csv"), header,
-             feature_names, fit.coef.W, fit.coef.intercepts)
-            for idx, fit in enumerate(path.fits)
-        ])
+        task_names = [task.name for task in problem.tasks]
+        for idx, fit in enumerate(path.fits):
+            coef_rows = [
+                [name] + list(fit.coef.W[j]) for j, name in enumerate(feature_names)
+            ]
+            if fit.coef.intercepts is not None:
+                coef_rows.append(["(intercept)"] + list(fit.coef.intercepts))
+            write_csv(
+                os.path.join(coef_dir, f"lambda_{idx:04d}.csv"),
+                ["feature"] + task_names,
+                coef_rows,
+            )
     _write_runlog(args, manifest)
     return 0
 

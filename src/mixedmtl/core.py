@@ -48,6 +48,7 @@ modelio's batches of CSV files map over it.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import enum
 import functools
@@ -625,7 +626,9 @@ def _map_cells(run, *iterables) -> list:
 
     Forked workers share the modules this process has imported; fresh
     interpreters cost about 0.4 s more per ``protocol`` benchmark call on
-    two cores.  With one worker, or without ``fork``, the cells run here.
+    two cores.  With one worker, without ``fork``, or in a daemonic process
+    (a multiprocessing.Pool worker, which may not have children), the
+    cells run here.
     """
     workers = min(len(iterables[0]), _usable_cpus())
     if workers > 1:
@@ -633,13 +636,20 @@ def _map_cells(run, *iterables) -> list:
         # every command, most of which never makes a pool.
         import multiprocessing
 
-        if "fork" in multiprocessing.get_all_start_methods():
+        if (
+            "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon
+        ):
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             try:
                 # Results come in input order, so the first failing cell raises.
-                return list(pool.map(run, *iterables))
+                # The pool's result thread unpickles them into its own glibc
+                # malloc arena, whose freed memory this thread cannot reuse:
+                # each is copied here as it arrives and its original freed,
+                # so that arena holds a result or two, not all of them.
+                return [copy.deepcopy(result) for result in pool.map(run, *iterables)]
             finally:
                 # Joins every worker; after a failure, unstarted cells never run.
                 pool.shutdown(wait=True, cancel_futures=True)

@@ -25,21 +25,21 @@ Model files are canonical JSON (sorted keys, repr-exact floats), so
 save -> load -> save is byte-identical.
 
 Two calls do their CSV work file by file on worker processes:
-load_problem reads and gathers each data file, and write_csv_files
-(simulate's task files, path's coefficient files) builds and writes each
-file.  Both use core._map_cells, one worker forked per usable CPU, when
-the CSV text involved exceeds _POOL_MIN_BYTES (3 MB: the bytes of the
-files read, or the cells written at 21 bytes each), and run in this
-process below it, with no option for either.  The bytes written, the
+load_problem reads and gathers each data file, and write_task_files
+(simulate's task files) builds and writes each file.  Both use
+core._map_cells, one worker forked per usable CPU, when the CSV text
+involved exceeds _POOL_MIN_BYTES (3 MB: the bytes of the files read, or
+the cells written at 21 bytes each), and run in this process below it,
+one file at a time, with no option for either.  The bytes written, the
 arrays loaded with their memory layout, and the error raised (the first
 in manifest order) are the same either way, and every worker has exited
-when the call returns.
+when the call returns.  On workers every file is read before the first
+error is raised; in this process the read stops at the first bad file.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import os
@@ -75,7 +75,7 @@ __all__ = [
     "model_predictions",
     "format_float",
     "write_csv",
-    "write_csv_files",
+    "write_task_files",
     "write_json",
 ]
 
@@ -124,29 +124,30 @@ _POOL_MIN_BYTES = 3_000_000
 _CELL_BYTES = 21
 
 
-def _map_files(run, jobs, nbytes) -> list:
-    """list(map(run, jobs)); on core._map_cells's workers when the CSV text
-    involved, nbytes, exceeds _POOL_MIN_BYTES."""
+def _map_files(run, jobs, nbytes):
+    """map(run, jobs): as a list from core._map_cells's workers when the CSV
+    text involved, nbytes, exceeds _POOL_MIN_BYTES, else lazily, here."""
     if nbytes > _POOL_MIN_BYTES:
         return _map_cells(run, jobs)
-    return list(map(run, jobs))
+    return map(run, jobs)
 
 
-def _write_file(build, job) -> None:
-    path, header, *args = job
-    write_csv(path, header, build(*args))
+def _write_task_file(job) -> None:
+    path, header, X, y = job
+    write_csv(path, header, np.column_stack([X, y]))
 
 
-def write_csv_files(build, files) -> None:
-    """write_csv(path, header, build(*args)) for each (path, header, *args) in files.
+def write_task_files(files) -> None:
+    """write_csv(path, header, rows) for each (path, header, X, y) in files,
+    the rows being X's with y as a last column.
 
-    build is a module-level function, so that a worker can import it by
-    name; the rows are built where the file is written.  Above
-    _POOL_MIN_BYTES of text, counted from the array arguments' cells, the
-    files are written on forked workers; the bytes are the same either way.
+    The rows are built where the file is written.  Above _POOL_MIN_BYTES
+    of text, counted from the cells of X and y, the files are written on
+    forked workers; the bytes are the same either way.
     """
-    cells = sum(arg.size for _, _, *args in files for arg in args if isinstance(arg, np.ndarray))
-    _map_files(functools.partial(_write_file, build), files, cells * _CELL_BYTES)
+    cells = sum(X.size + y.size for _, _, X, y in files)
+    for _ in _map_files(_write_task_file, files, cells * _CELL_BYTES):
+        pass
 
 
 def write_json(path, doc) -> None:

@@ -282,9 +282,10 @@ def run_benchmark(
     The (method, ratio, seed) cells are independent and run in worker
     processes through core._map_cells, the package's one pool helper
     (modelio's CSV batches use it too): one per usable CPU (at most one
-    per cell), forked from this one; where ``fork`` is missing or one CPU
-    is usable they run in this process.  Either way every row is the same, bit for bit, and a
-    failing cell raises its own error: the first in input order.  Every
+    per cell), forked from this one; where ``fork`` is missing, one CPU
+    is usable, or this process is daemonic, they run in this process.
+    Either way every row is the same, bit for bit, and a failing cell
+    raises its own error: the first in input order.  Every
     worker has exited when this returns or raises.  Workers keep the
     BLAS thread count they inherit; at criterion-7 shapes the products
     are too small for BLAS to thread, but a grid of large problems can

@@ -864,8 +864,9 @@ def test_pooled_csv_writes_are_byte_identical(tmp_path, monkeypatch):
         sim = _simulate_dir(out)
         assert _run(["path", "--manifest", sim / "train" / "manifest.json", "--n-lambda", 3,
                      "--save-coefficients", "--out-dir", out / "path"]) == 0
-        # simulate's task files, the path's read and its coefficient files
-        assert made == ([2, 2, 2] if pooled else [])
+        # simulate's task files and the path's read; coefficient files are
+        # written here
+        assert made == ([2, 2] if pooled else [])
         assert multiprocessing.active_children() == []
         trees[pooled] = _tree(out)
         monkeypatch.undo()
@@ -931,11 +932,57 @@ def test_pooled_load_problem_raises_the_first_error_in_manifest_order(
     ])
     for pooled in (False, True):
         made = _pool_calls(monkeypatch, pooled)
+        read = []
+        if not pooled:
+            # In this process the read stops at the first bad file.
+            monkeypatch.setattr(
+                modelio, "read_task_csv", lambda path: read.append(path) or read_task_csv(path)
+            )
         with pytest.raises(DataError, match=message):
             load_problem(man)
         assert made == ([2] if pooled else [])
+        assert len(read) == (0 if pooled else 2 if case == "second_of_two_malformed" else 1)
         assert multiprocessing.active_children() == []
         monkeypatch.undo()
+
+
+def _load_arrays(manifest_path):
+    problem, names, _ = load_problem(manifest_path)
+    return names, [(t.name, t.X.tobytes("A"), t.X.strides, t.y.tobytes()) for t in problem.tasks]
+
+
+def test_pooled_load_problem_runs_in_process_inside_a_daemonic_worker(tmp_path, monkeypatch):
+    sim = _simulate_dir(tmp_path)
+    man = sim / "train" / "manifest.json"
+    expected = _load_arrays(man)
+    made = _pool_calls(monkeypatch, True)
+    # A multiprocessing.Pool worker is daemonic and may not fork workers of its
+    # own; the patches above reach it through the fork.
+    pool = multiprocessing.get_context("fork").Pool(1)
+    try:
+        assert pool.apply(_load_arrays, (man,)) == expected
+    finally:
+        pool.close()
+        pool.join()
+    assert made == []
+    assert multiprocessing.active_children() == []
+
+
+def test_simulate_writes_no_manifest_when_a_task_file_fails(tmp_path, monkeypatch, capsys):
+    real_write_csv = modelio.write_csv
+
+    def failing_write_csv(path, header, rows):
+        if os.path.basename(path) == "reg01.csv" and "test" in str(path):
+            raise OSError(28, "No space left on device")
+        real_write_csv(path, header, rows)
+
+    monkeypatch.setattr(modelio, "write_csv", failing_write_csv)
+    out = tmp_path / "sim"
+    assert _run(["simulate", "--p", 5, "--t-classification", 1, "--t-regression", 1,
+                 "--n-per-task", 10, "--out-dir", out]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert not (out / "train" / "manifest.json").exists()
+    assert not (out / "test" / "manifest.json").exists()
 
 
 def test_cli_path_save_coefficients(tmp_path):
