@@ -255,19 +255,20 @@ def _layout(problem: MtlProblem, rows=None) -> tuple:
 
 
 def _task_subset(blocks, alive) -> tuple:
-    """The layout cut, in each block, to the span from the first to the
-    last task flagged in the boolean array alive, as views of its arrays,
-    and a boolean array flagging the tasks it holds."""
-    subset, held, start = [], np.zeros_like(alive), 0
+    """The layout cut to the tasks flagged in the boolean array alive, and
+    alive, the tasks it holds.  A block keeps views of its arrays when its
+    flagged tasks form one span, else gathers them (X[idx] keeps each
+    task's memory layout, so its products round as before)."""
+    subset, start = [], 0
     for kind, columns, X, Y, M in blocks:
         local = np.flatnonzero(alive[columns])
-        if len(local):
-            part = slice(local[0], local[-1] + 1)
-            held[columns][part] = True
-            cut = slice(start, start + part.stop - part.start)
-            subset.append((kind, cut, X[part], Y[part], M[:, part]))
-            start = cut.stop
-    return tuple(subset), held
+        n = len(local)
+        if n:
+            if local[-1] - local[0] == n - 1:
+                local = slice(local[0], local[0] + n)
+            subset.append((kind, slice(start, start + n), X[local], Y[local], M[:, local]))
+            start += n
+    return tuple(subset), alive
 
 
 @dataclass(frozen=True)
@@ -318,6 +319,10 @@ class Hyperparameters:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Stopping rule and start of a fit.  L0 is the first curvature
+    estimate: the line search doubles it, and a run of first-trial steps
+    halves it, so a fit's L is always L0 * 2**k."""
+
     max_iter: int = 1000
     tol: float = 1e-8
     L0: float = 1.0

@@ -514,7 +514,7 @@ def load_model(path) -> ModelFile:
             seed=doc["seed"],
             version=int(doc["format_version"]),
         )
-    except (KeyError, TypeError, AttributeError) as err:  # a missing or mistyped field
+    except (KeyError, TypeError, AttributeError, ValueError) as err:  # a missing or bad field
         raise DataError(f"model file {path!r} is malformed ({type(err).__name__}: {err})") from None
 
 

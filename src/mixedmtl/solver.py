@@ -9,7 +9,9 @@ condition
 
     F(cand) <= F(S) + <grad F(S), cand - S> + (L/2) ||cand - S||_F^2
 
-holds, and carries over between iterations without decay.  The loop
+holds, and carries over between iterations.  After eight turns in a row
+whose step passed at its first trial, a fit halves its L before the next
+step, so L stays L0 * 2**k and g / L and lam / L scale exactly.  The loop
 carries F at its iterate, so a step from the iterate evaluates F only
 at candidates.  A momentum step that would increase the full objective,
 or a momentum point where F is non-finite, restarts the momentum (the
@@ -26,9 +28,9 @@ the full-data fit), and a fit owns either all t columns of its member
 turn evaluates F or its gradient once for all fits, one batched product
 per block of the layout (a run of tasks of one kind and sample count).
 With single-task fits, tasks whose fits have all stopped leave the
-batch: on the turns where a task finishes, each block is cut to the span
-of its tasks still running, as views.  ``fista_fit`` and ``ista_fit``
-are the batch of one.  The loop returns the fitted arrays and per-fit
+batch: on the turns where a task finishes, each block is cut to its
+tasks still running (views when they form one span, else a gather).
+``fista_fit`` and ``ista_fit`` are the batch of one.  The loop returns the fitted arrays and per-fit
 scalars; a FitResult is built only for a fit that is read.
 """
 
@@ -56,6 +58,9 @@ from .core import (
 __all__ = ["SolverError", "FitResult", "prox_l21", "line_search", "fista_fit", "ista_fit"]
 
 MAX_DOUBLINGS = 60
+# A fit whose step passed at its first trial this many turns in a row
+# tries half its L on the next turn.
+_EASY_TURNS = 8
 # Squared step size below which the proximal step is accepted as numerically
 # null (the backtracking test is noise-dominated there).
 _NULL_STEP_SQ = 1e-20
@@ -253,6 +258,7 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
 
     f = f.tolist()
     L = [opts.L0] * n_fits
+    easy = [0] * n_fits  # turns in a row whose step passed at its first trial
     t_prev = [1.0] * n_fits
     t_cur = [1.0] * n_fits
     traces = [[] for _ in range(n_fits)]
@@ -275,12 +281,16 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
             Ws, bs, f_s = W, b, f
         pending = [on and math.isfinite(fs) for on, fs in zip(active, f_s)]
         if any(pending):
+            given = [0.5 * Lm if pend and run == _EASY_TURNS else Lm
+                     for Lm, run, pend in zip(L, easy, pending)]
             try:
                 L, Wc, bc, f_c, penalty = _backtrack(
-                    blocks, lam, alpha, beta, Ws, bs, f_s, L, pending
+                    blocks, lam, alpha, beta, Ws, bs, f_s, given, pending
                 )
             except SolverError as err:
                 raise SolverError(str(err), live[err.fit]) from None
+            easy = [(run % _EASY_TURNS + 1 if Lm == Lg else 0) if pend else run
+                    for run, Lm, Lg, pend in zip(easy, L, given, pending)]
         step = [False] * len(live)
         stopped = False
         for i in range(len(live)):
@@ -325,22 +335,22 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
                     np.copyto(b, b_prev, where=kept[:, None])
 
         if stopped and len(live) > B and any(active):
-            narrowed, held = _task_subset(blocks, np.array(active).reshape(B, -1).any(axis=0))
-            if not held.all():
-                # Tasks whose fits have all stopped leave the batch, but
-                # for those between running tasks of one block.
+            running = np.array(active).reshape(B, -1).any(axis=0)
+            if not running.all():
+                # Tasks whose fits have all stopped leave the batch.
                 if done is None:
                     b_all = None if b is None else np.empty((n_fits,) + b.shape[1:])
                     done = _Fits(np.empty((n_fits,) + W.shape[1:]), b_all,
                                  [None] * n_fits, [None] * n_fits, [None] * n_fits)
-                gone = _task_fits(B, ~held)
+                gone = _task_fits(B, ~running)
                 done.fill([live[i] for i in gone], _Fits(W, b, traces, L, converged), gone)
-                blocks, sel = narrowed, _task_fits(B, held)
+                blocks, sel = _task_subset(blocks, running)[0], _task_fits(B, running)
                 lam, W, W_prev = lam[sel], W[sel], W_prev[sel]
                 if b is not None:
                     b, b_prev = b[sel], b_prev[sel]
-                per_fit = (lam_m, f, L, t_prev, t_cur, traces, converged, active, obj_prev, live)
-                lam_m, f, L, t_prev, t_cur, traces, converged, active, obj_prev, live = (
+                per_fit = (lam_m, f, L, easy, t_prev, t_cur, traces, converged, active,
+                           obj_prev, live)
+                lam_m, f, L, easy, t_prev, t_cur, traces, converged, active, obj_prev, live = (
                     [x[i] for i in sel] for x in per_fit
                 )
 

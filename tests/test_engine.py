@@ -9,6 +9,7 @@ evaluated on the fold's validation tasks.  A problem keeps one
 read-only copy of X, which its layout shares.
 """
 
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ from mixedmtl import (
     smooth_objective,
 )
 from mixedmtl import SimulationSpec, binarize_problem, regpath, simulate, standardize
-from mixedmtl.core import _batch_gradient, _batch_objective, _layout
+from mixedmtl.core import _batch_gradient, _batch_objective, _block_scores, _layout, _task_subset
 from mixedmtl.modelio import load_problem, write_csv, write_json
 from mixedmtl.modelselect import task_folds
 
@@ -207,6 +208,55 @@ def test_problem_holds_one_copy_of_x(tmp_path):
     assert all(a is b for a, b in zip(again._stacks, sim.train._stacks))
     part = MtlProblem(sim.train.tasks[1:3])
     assert not any(np.shares_memory(a, b) for a in part._stacks for b in sim.train._stacks)
+
+
+def test_task_subset_keeps_exactly_the_running_tasks_in_their_layout(tmp_path):
+    # A block's running tasks stay views of its arrays when they form one
+    # span and are gathered when they do not.  The gather keeps each task's
+    # memory layout (column-major for a loaded task), so their products
+    # round as the full block's do.
+    rng = np.random.default_rng(6)
+    entries = []
+    for name in ("r0", "r1", "r2"):
+        write_csv(str(tmp_path / f"{name}.csv"), ["f1", "f2", "f3", "y"],
+                  rng.standard_normal((7, 4)))
+        entries.append({"name": name, "kind": "regression", "data_path": f"{name}.csv",
+                        "outcome_column": "y"})
+    write_json(str(tmp_path / "manifest.json"), {"tasks": entries})
+    loaded, _, _ = load_problem(str(tmp_path / "manifest.json"))
+    sim = simulate(SimulationSpec(t_classification=3, t_regression=3, p=3, n_per_task=7))
+    for problem, layout in ((loaded, "F_CONTIGUOUS"), (sim.train, "C_CONTIGUOUS")):
+        assert all(task.X.flags[layout] for task in problem.tasks)
+        rows = [rng.random((task.n_samples, 2)) < 0.7 for task in problem.tasks]
+        for r in rows:
+            r[0] = True
+        blocks = _layout(problem, rows)
+        W = rng.standard_normal((2, problem.t, problem.p))
+        full = [S for *_, S in _block_scores(blocks, W, None)]
+        for alive in itertools.product([False, True], repeat=problem.t):
+            alive = np.array(alive)
+            if not alive.any():
+                continue
+            narrowed, held = _task_subset(blocks, alive)
+            npt.assert_array_equal(held, alive)
+            kept = np.flatnonzero(alive)
+            parts = iter(zip(narrowed, _block_scores(narrowed, W[:, kept], None)))
+            position = 0
+            for (_, columns, X_all, Y_all, M_all), S_all in zip(blocks, full):
+                local = np.flatnonzero(alive[columns])
+                if not len(local):
+                    continue
+                (_, cut, X, Y, M), (*_, S) = next(parts)
+                assert cut == slice(position, position + len(local))
+                position = cut.stop
+                assert np.shares_memory(X, X_all) == (local[-1] - local[0] == len(local) - 1)
+                for j, i in enumerate(local):
+                    assert X[j].flags[layout]
+                    npt.assert_array_equal(X[j], X_all[i])
+                    npt.assert_array_equal(Y[j], Y_all[i])
+                    npt.assert_array_equal(M[:, j], M_all[:, i])
+                    assert S[:, j].tobytes() == S_all[:, i].tobytes()
+            assert next(parts, None) is None
 
 
 def test_problem_from_x_on_a_foreign_buffer():

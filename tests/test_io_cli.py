@@ -538,6 +538,27 @@ def test_malformed_json_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("data-error: manifest")
 
 
+@pytest.mark.parametrize("case", ["ragged_coefficients", "text_lambda", "unknown_kind"])
+def test_model_with_a_bad_value_is_a_malformed_file(tmp_path, capsys, case):
+    model = tmp_path / "m.json"
+    save_model(_small_model(), model)
+    doc = json.loads(model.read_text())
+    if case == "ragged_coefficients":
+        doc["coefficients"][0] = doc["coefficients"][0][:-1]
+    elif case == "text_lambda":
+        doc["hyperparameters"]["lambda"] = "strong"
+    else:
+        doc["tasks"][0]["kind"] = "ranking"
+    _write(model, json.dumps(doc))
+    with pytest.raises(DataError, match=r"model file .*m\.json.* is malformed \(ValueError: "):
+        load_model(model)
+    data = tmp_path / "d.csv"
+    _write(data, "f1,f2,f3\n1,2,3\n")
+    assert _run(["predict", "--model", model, "--data", data, "--task", "c",
+                 "--out-dir", tmp_path / "p"]) == 3
+    assert capsys.readouterr().err.startswith("data-error: model file")
+
+
 @pytest.mark.parametrize("key", ["standardize", "fit_intercept"])
 @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
 def test_manifest_options_must_be_json_booleans(tmp_path, capsys, key, value):

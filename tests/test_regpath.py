@@ -178,12 +178,16 @@ def test_path_regression_fixture():
     sim = _small_sim(seed=3)
     top = lam_max(sim.train)
     assert top == pytest.approx(3.0660656506288007, rel=1e-12)
-    path = reg_path(sim.train, lambda_sequence(top, ratio=0.01, n=30))
+    sequence = lambda_sequence(top, ratio=0.01, n=30)
+    path = reg_path(sim.train, sequence)
     assert path.nonzero_rows.tolist() == [
-        0, 1, 1, 1, 1, 1, 1, 2, 3, 4, 5, 8, 12, 13, 14,
+        0, 1, 1, 1, 1, 1, 1, 2, 3, 4, 5, 8, 12, 13, 15,
         16, 17, 19, 21, 23, 23, 23, 24, 26, 26, 27, 27, 27, 27, 27,
     ]
     assert path.nonzero_rows[-1] >= path.nonzero_rows[0]
+    # The default path selects the rows of the converged path.
+    converged = reg_path(sim.train, sequence, opts=SolverOptions(max_iter=100000, tol=1e-15))
+    assert path.nonzero_rows.tolist() == converged.nonzero_rows.tolist()
 
 
 def test_warm_start_dominates_cold_start():

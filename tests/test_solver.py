@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -18,6 +20,7 @@ from mixedmtl import (
     full_objective,
     ista_fit,
     lam_max,
+    lambda_sequence,
     line_search,
     prox_l21,
     reg_path,
@@ -184,6 +187,74 @@ def test_fista_zero_solution_at_and_above_lam_max():
         for lam in (top, 1.5 * top):
             result = fista_fit(problem, Hyperparameters(lam))
             npt.assert_array_equal(result.coef.W, np.zeros((problem.p, problem.t)))
+
+
+def test_step_size_falls_after_first_trial_steps():
+    # From L0 far above the curvature every step passes at its first trial,
+    # so L halves after each eight such turns instead of staying at L0.
+    rng = np.random.default_rng(21)
+    problem = random_mixed_problem(rng, p=8, t=3, c=1, n_lo=10)
+    hyper = Hyperparameters(0.1 * lam_max(problem), 0.1, 0.05)
+    for fit in (fista_fit, ista_fit):
+        assert fit(problem, hyper, SolverOptions(L0=2.0**10)).final_L < 2.0**10
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), L0=st.sampled_from([2.0**-6, 0.3, 1.0, 100.0, 2.0**10]))
+def test_step_size_stays_on_the_doubling_grid_and_zero_stays_exact(seed, L0):
+    rng = np.random.default_rng(seed)
+    problem = random_mixed_problem(rng)
+    top = lam_max(problem)
+    assume(top > 0.0)
+    hyper = Hyperparameters(float(rng.uniform(0.05, 1.0)) * top,
+                            float(rng.choice([0.0, 0.2])), float(rng.choice([0.0, 0.05])))
+    opts = SolverOptions(max_iter=300, tol=1e-12, L0=L0)
+    for fit in (fista_fit, ista_fit):
+        mantissa, _ = math.frexp(fit(problem, hyper, opts).final_L / L0)
+        assert mantissa == 0.5
+    # L0 * 2**k scales g / L and lam / L exactly, so a fit from zero at or
+    # above lam_max never leaves it.
+    zero = np.zeros((problem.p, problem.t))
+    for lam in (top, 1.5 * top):
+        for fit in (fista_fit, ista_fit):
+            npt.assert_array_equal(fit(problem, Hyperparameters(lam)).coef.W, zero)
+        first = reg_path(problem, lambda_sequence(lam, n=3)).fits[0]
+        npt.assert_array_equal(first.coef.W, zero)
+
+
+def test_a_stopped_task_between_running_ones_leaves_the_batch(monkeypatch):
+    # Single-task fits of one block: the middle task starts above its
+    # lam_max and stops at once, so the batch keeps only the tasks on either
+    # side of it; each fit is still that task's fit alone, bit for bit.
+    rng = np.random.default_rng(22)
+    problem = MtlProblem(tuple(
+        TaskDataset(rng.standard_normal((12, 5)), rng.standard_normal(12), "regression", f"r{i}")
+        for i in range(3)
+    ))
+    tops = [lam_max(MtlProblem((task,))) for task in problem.tasks]
+    lam = [0.1 * tops[0], 2.0 * tops[1], 0.1 * tops[2]]
+    cuts = []
+    subset = solver_module._task_subset
+
+    def recorded(blocks, alive):
+        narrowed, held = subset(blocks, alive)
+        cuts.append((alive.tolist(), [X for _, _, X, _, _ in narrowed]))
+        return narrowed, held
+
+    monkeypatch.setattr(solver_module, "_task_subset", recorded)
+    opts = SolverOptions(max_iter=500, tol=1e-12)
+    fits = solver_module._proximal_loop(problem._blocks, lam, 0.0, 0.0, opts,
+                                        np.zeros((3, 1, 5)), None, True)
+    alive, stacks = cuts[0]
+    assert alive == [True, False, True]
+    assert len(stacks) == 1 and len(stacks[0]) == 2
+    npt.assert_array_equal(stacks[0], [problem.tasks[0].X, problem.tasks[2].X])
+    for i, task in enumerate(problem.tasks):
+        alone = fista_fit(MtlProblem((task,)), Hyperparameters(lam[i]), opts)
+        result = fits.result(i)
+        assert result.coef.W.tobytes() == alone.coef.W.tobytes()
+        assert result.objective_trace.tobytes() == alone.objective_trace.tobytes()
+        assert (result.final_L, result.converged) == (alone.final_L, alone.converged)
 
 
 def test_fista_matches_ridge_closed_form():
