@@ -245,11 +245,14 @@ def cmd_eval(args) -> int:
         if model.task_kinds[idx] is not task.kind:
             raise DataError(f"task {task.name!r}: kind differs between model and data")
         columns = model_predictions(model, task.X, idx)
-        if task.kind is TaskKind.CLASSIFICATION:
-            metric, value = "auc", auc(columns["score"], task.y)
-        else:
-            metric, value = "explained_variance", explained_variance(columns["prediction"], task.y)
-        rows.append([task.name, task.kind.value, metric, value])
+        try:
+            if task.kind is TaskKind.CLASSIFICATION:
+                metric = ["auc", auc(columns["score"], task.y)]
+            else:
+                metric = ["explained_variance", explained_variance(columns["prediction"], task.y)]
+        except DataError as err:
+            raise DataError(f"task {task.name!r}: {err}") from None
+        rows.append([task.name, task.kind.value] + metric)
     out_dir = _ensure_out_dir(args.out_dir)
     write_csv(os.path.join(out_dir, "eval.csv"), ["task", "kind", "metric", "value"], rows)
     _write_runlog(args)

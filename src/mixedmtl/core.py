@@ -188,12 +188,9 @@ class MtlProblem:
             run = list(run)
             stack = _stack_of([task.X for task in run])
             if stack is None:
-                if run[0].X.flags.f_contiguous and not run[0].X.flags.c_contiguous:
-                    # Column-major rows (a loaded task's gather) stay column-major,
-                    # so the products with them round as they always have.
-                    stack = np.stack([task.X.T for task in run]).transpose(0, 2, 1)
-                else:
-                    stack = np.stack([task.X for task in run])
+                # np.stack keeps each entry's memory layout: the column-major
+                # rows of a loaded task's gather stay column-major.
+                stack = np.stack([task.X for task in run])
                 stack.flags.writeable = False
                 run = [dataclasses.replace(task, X=X) for task, X in zip(run, stack)]
             held += run
@@ -255,10 +252,10 @@ def _layout(problem: MtlProblem, rows=None) -> tuple:
 
 
 def _task_subset(blocks, alive) -> tuple:
-    """The layout cut to the tasks flagged in the boolean array alive, and
-    alive, the tasks it holds.  A block keeps views of its arrays when its
-    flagged tasks form one span, else gathers them (X[idx] keeps each
-    task's memory layout, so its products round as before)."""
+    """The layout cut to the tasks flagged in the boolean array alive.  A
+    block keeps views of its arrays when its flagged tasks form one span,
+    else gathers them (X[idx] keeps each task's memory layout, so its
+    products round as before)."""
     subset, start = [], 0
     for kind, columns, X, Y, M in blocks:
         local = np.flatnonzero(alive[columns])
@@ -268,7 +265,7 @@ def _task_subset(blocks, alive) -> tuple:
                 local = slice(local[0], local[0] + n)
             subset.append((kind, slice(start, start + n), X[local], Y[local], M[:, local]))
             start += n
-    return tuple(subset), alive
+    return tuple(subset)
 
 
 @dataclass(frozen=True)

@@ -416,6 +416,12 @@ class ModelFile:
             raise DataError(f"{len(self.feature_names)} feature names for {p} rows")
         if len(self.task_names) != t or len(self.task_kinds) != t:
             raise DataError(f"task names/kinds do not match {t} columns")
+        if self.standardization is not None:
+            records = self.standardization.tasks
+            shapes = {np.shape(vector) for record in records for vector in
+                      (record.feature_mean, record.feature_scale, record.constant_features)}
+            if len(records) != t or not shapes <= {(p,)}:
+                raise DataError(f"standardization does not match {p} rows and {t} columns")
 
     def task_index(self, name: str) -> int:
         try:

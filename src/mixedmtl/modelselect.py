@@ -41,7 +41,7 @@ from .core import (
 )
 from .regpath import LambdaSequence, _lam_max, _path, lambda_sequence, path_options
 from .regpath import lam_max, reg_path  # noqa: F401  (perfbench/tracing.py patches these here)
-from .solver import FitResult
+from .solver import FitResult, _fit_result
 
 __all__ = [
     "CvResult",
@@ -222,15 +222,17 @@ def _cross_validate(
     b = np.zeros(W.shape[:2]) if opts.fit_intercept else None
     lams = np.tile(np.stack([sequence.values for sequence in sequences], axis=1), (1, k + 1))
     fold_errors = np.empty((units, k, len(lams)))
-    points = []  # the full-data fits at each penalty
+    folds, full = slice(k * units), slice(k * units, None)
+    points = []  # the full-data fits at each penalty, as _fit_result's arguments
     unconverged = [0] * units
-    for j, fits in enumerate(_path(members, lams, alpha, beta, opts, W, b)):
-        b_folds = None if fits.b is None else fits.b[: k * units]
-        errors = _batch_objective(validation, fits.W[: k * units], b_folds, 0.0, 0.0) / t_fit
+    for j, (traces, L, converged) in enumerate(_path(members, lams, alpha, beta, opts, W, b)):
+        errors = _batch_objective(validation, W[folds], None if b is None else b[folds],
+                                  0.0, 0.0) / t_fit
         fold_errors[:, :, j] = errors.reshape(k, units).T
-        points.append(fits.take(list(range(k * units, (k + 1) * units))))
-        for m, converged in enumerate(fits.converged):
-            unconverged[m % units] += not converged
+        points.append((W[full].copy(), None if b is None else b[full].copy(),
+                       (traces[full], L[full], converged[full])))
+        for m, fit_converged in enumerate(converged):
+            unconverged[m % units] += not fit_converged
 
     results = []
     for u, sequence in enumerate(sequences):
@@ -247,7 +249,7 @@ def _cross_validate(
             best_lambda=float(sequence.values[best_idx]),
             folds=k,
             seed=int(seed),
-            fit=points[best_idx].result(u),
+            fit=_fit_result(*points[best_idx], u),
             unconverged=unconverged[u],
         ))
     chosen = [result.fit.coef for result in results]
@@ -285,8 +287,10 @@ def explained_variance(pred, y) -> float:
     """1 - SS_res / SS_tot; can be negative for bad predictors."""
     pred = np.asarray(pred, dtype=float)
     y = np.asarray(y, dtype=float)
-    if pred.shape != y.shape or pred.ndim != 1 or pred.shape[0] < 2:
-        raise ValueError("pred and y must be 1-d arrays of equal length >= 2")
+    if pred.shape != y.shape or pred.ndim != 1:
+        raise ValueError("pred and y must be 1-d arrays of equal length")
+    if pred.shape[0] < 2:
+        raise DataError("explained variance needs at least 2 samples")
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
         raise DataError("explained variance is undefined for a constant outcome")

@@ -14,7 +14,9 @@ started from the previous solution.  One path loop runs a batch of
 fits in lockstep, each on its own penalty grid: reg_path is its batch
 of one, cross-validation runs its k folds and the full-data fit as
 k + 1 members, each one joint fit or one fit per task (the single-task
-baseline, where each task follows its own lam_max-anchored grid).
+baseline, where each task follows its own lam_max-anchored grid).  The
+path fits one pair of coefficient arrays in place, point after point, so
+a caller copies out what it keeps of a point before the next begins.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .core import (
     _batch_gradient,
     _row_norms,
 )
-from .solver import SolverError, _proximal_loop, _resolve_init
+from .solver import SolverError, _fit_result, _proximal_loop, _resolve_init
 from .solver import fista_fit  # noqa: F401  (perfbench/tracing.py patches it here)
 
 __all__ = [
@@ -170,19 +172,19 @@ def reg_path(
     opts = opts or path_options()
     W, b = _resolve_init(problem, opts, None)
     path = _path(problem._blocks, sequence.values[:, None], alpha, beta, opts, W, b)
-    fits = [batch.result(0) for batch in path]
+    fits = [_fit_result(W, b, point, 0) for point in path]
     nonzero = [np.sum(np.linalg.norm(f.coef.W, axis=1) > NONZERO_ROW_THRESHOLD) for f in fits]
     return PathResult(sequence=sequence, fits=tuple(fits), nonzero_rows=nonzero)
 
 
 def _path(blocks, lams, alpha, beta, opts, W, b):
     """Warm-started path of the batch of fits (W, b) on a core._layout, fit
-    m at lams[j][m] at point j: yields the fitted batch (solver._Fits) per
-    point."""
+    m at lams[j][m] at point j: fits (W, b) in place, each point starting
+    from the last, and yields each point's per-fit lists (those of
+    solver._proximal_loop) once (W, b) holds its fits."""
     for lam in lams:
         try:
             fits = _proximal_loop(blocks, lam, alpha, beta, opts, W, b, True)
         except SolverError as err:
             raise SolverError(f"path fit failed at lambda={float(lam[err.fit])!r}: {err}") from err
-        W, b = fits.W, fits.b
         yield fits

@@ -30,8 +30,10 @@ per block of the layout (a run of tasks of one kind and sample count).
 With single-task fits, tasks whose fits have all stopped leave the
 batch: on the turns where a task finishes, each block is cut to its
 tasks still running (views when they form one span, else a gather).
-``fista_fit`` and ``ista_fit`` are the batch of one.  The loop returns the fitted arrays and per-fit
-scalars; a FitResult is built only for a fit that is read.
+``fista_fit`` and ``ista_fit`` are the batch of one.  The loop fits the
+caller's arrays in place (a task cut from the batch is written back at
+once, the rest at the end) and returns only per-fit lists; a FitResult
+is built from the arrays only for a fit that is read.
 """
 
 from __future__ import annotations
@@ -92,41 +94,17 @@ class FitResult:
     converged: bool
 
 
-@dataclass(frozen=True)
-class _Fits:
-    """A fitted batch: W (fits, t_fit, p) and b (fits, t_fit) or None, with
-    each fit's objective trace (a list), final L and converged flag.  A
-    fit's FitResult is built only when asked for, by result."""
-
-    W: np.ndarray
-    b: Optional[np.ndarray]
-    traces: list
-    L: list
-    converged: list
-
-    def result(self, i) -> FitResult:
-        return FitResult(
-            coef=CoefficientMatrix(self.W[i].T.copy(), None if self.b is None else self.b[i]),
-            objective_trace=np.array(self.traces[i], dtype=float),
-            final_L=self.L[i],
-            iterations=len(self.traces[i]),
-            converged=self.converged[i],
-        )
-
-    def take(self, positions):
-        """The fits at positions (a list) as a batch of their own."""
-        W, b = self.W[positions], None if self.b is None else self.b[positions]
-        per_fit = (self.traces, self.L, self.converged)
-        return _Fits(W, b, *([values[i] for i in positions] for values in per_fit))
-
-    def fill(self, fits, batch, positions):
-        """Set this batch's fits fits[i] to batch's fits at positions[i]."""
-        self.W[fits] = batch.W[positions]
-        if self.b is not None:
-            self.b[fits] = batch.b[positions]
-        for fit, i in zip(fits, positions):
-            self.traces[fit], self.L[fit] = batch.traces[i], batch.L[i]
-            self.converged[fit] = batch.converged[i]
+def _fit_result(W, b, fits, i) -> FitResult:
+    """Fit i of a fitted batch (W, b), with _proximal_loop's per-fit lists
+    fits, as a FitResult."""
+    traces, L, converged = fits
+    return FitResult(
+        coef=CoefficientMatrix(W[i].T.copy(), None if b is None else b[i]),
+        objective_trace=np.array(traces[i], dtype=float),
+        final_L=L[i],
+        iterations=len(traces[i]),
+        converged=converged[i],
+    )
 
 
 def prox_l21(V: np.ndarray, tau: float) -> np.ndarray:
@@ -243,10 +221,14 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
     """Fit the batch of fits (W, b), shapes (fits, t_fit, p) and
     (fits, t_fit) (or None), fit m at penalty lam[m], on a core._layout of
     their B members (problem._blocks for one): B joint fits (t_fit = t) or
-    B * t single-task fits (t_fit = 1, member-major).  Returns the fitted
-    batch as _Fits.  Per-fit scalars are Python floats; arrays hold all
-    fits of the tasks still running."""
+    B * t single-task fits (t_fit = 1, member-major).  The fits are
+    written into W and b in place, and only there: the caller's arrays
+    are the output.  Returns each fit's objective trace, final L and
+    converged flag as three lists (_fit_result reads one fit).
+    Per-fit scalars are Python floats; the working arrays hold all fits of
+    the tasks still running."""
     n_fits, B = W.shape[0], blocks[0][4].shape[0]
+    W_out, b_out = W, b
     lam = np.asarray(lam, dtype=float)
     lam_m = lam.tolist()
     W_prev, b_prev = W, b
@@ -261,11 +243,23 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
     easy = [0] * n_fits  # turns in a row whose step passed at its first trial
     t_prev = [1.0] * n_fits
     t_cur = [1.0] * n_fits
-    traces = [[] for _ in range(n_fits)]
+    traces = all_traces = [[] for _ in range(n_fits)]  # narrowing keeps each fit's list
     converged = [False] * n_fits
     active = [True] * n_fits
     live = list(range(n_fits))  # the fit at each position of the batch
-    done = None  # every fit, once a task has left the batch
+    final_L, final_converged = [None] * n_fits, [None] * n_fits
+
+    def write_back(positions, W, b, L, converged):
+        """Write the fits at positions of the batch (W, b) into the
+        caller's arrays, and their final L and converged flags into the
+        output.  The batch is passed in: a name of the loop read from here
+        would be a cell variable, slower to reach in every turn."""
+        ids = [live[i] for i in positions]
+        W_out[ids] = W[positions]
+        if b is not None:
+            b_out[ids] = b[positions]
+        for fit, i in zip(ids, positions):
+            final_L[fit], final_converged[fit] = L[i], converged[i]
 
     while any(active):
         mom = [(tp - 1.0) / tc if on else 0.0 for tp, tc, on in zip(t_prev, t_cur, active)]
@@ -338,13 +332,8 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
             running = np.array(active).reshape(B, -1).any(axis=0)
             if not running.all():
                 # Tasks whose fits have all stopped leave the batch.
-                if done is None:
-                    b_all = None if b is None else np.empty((n_fits,) + b.shape[1:])
-                    done = _Fits(np.empty((n_fits,) + W.shape[1:]), b_all,
-                                 [None] * n_fits, [None] * n_fits, [None] * n_fits)
-                gone = _task_fits(B, ~running)
-                done.fill([live[i] for i in gone], _Fits(W, b, traces, L, converged), gone)
-                blocks, sel = _task_subset(blocks, running)[0], _task_fits(B, running)
+                write_back(_task_fits(B, ~running), W, b, L, converged)
+                blocks, sel = _task_subset(blocks, running), _task_fits(B, running)
                 lam, W, W_prev = lam[sel], W[sel], W_prev[sel]
                 if b is not None:
                     b, b_prev = b[sel], b_prev[sel]
@@ -354,17 +343,15 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
                     [x[i] for i in sel] for x in per_fit
                 )
 
-    fits = _Fits(W, b, traces, L, converged)
-    if done is None:
-        return fits
-    done.fill(live, fits, np.arange(len(live)))
-    return done
+    write_back(np.arange(len(live)), W, b, L, converged)
+    return all_traces, final_L, final_converged
 
 
 def _single_fit(problem, hyper, opts, w_init, accelerated) -> FitResult:
     W, b = _resolve_init(problem, opts, w_init)
     lam, alpha, beta = [hyper.lam], hyper.alpha, hyper.beta
-    return _proximal_loop(problem._blocks, lam, alpha, beta, opts, W, b, accelerated).result(0)
+    fits = _proximal_loop(problem._blocks, lam, alpha, beta, opts, W, b, accelerated)
+    return _fit_result(W, b, fits, 0)
 
 
 def fista_fit(

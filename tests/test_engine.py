@@ -32,6 +32,7 @@ from mixedmtl import SimulationSpec, binarize_problem, regpath, simulate, standa
 from mixedmtl.core import _batch_gradient, _batch_objective, _block_scores, _layout, _task_subset
 from mixedmtl.modelio import load_problem, write_csv, write_json
 from mixedmtl.modelselect import task_folds
+from mixedmtl.solver import _fit_result
 
 from util import random_mixed_problem
 
@@ -237,8 +238,7 @@ def test_task_subset_keeps_exactly_the_running_tasks_in_their_layout(tmp_path):
             alive = np.array(alive)
             if not alive.any():
                 continue
-            narrowed, held = _task_subset(blocks, alive)
-            npt.assert_array_equal(held, alive)
+            narrowed = _task_subset(blocks, alive)
             kept = np.flatnonzero(alive)
             parts = iter(zip(narrowed, _block_scores(narrowed, W[:, kept], None)))
             position = 0
@@ -308,10 +308,10 @@ def test_cv_error_is_the_validation_objective_of_each_fold_fit(seed, fit_interce
     # The fold fits are the batched path's members, one call per penalty.
     batches = []
 
-    def recording(*args):
-        batch = proximal_loop(*args)
-        batches.append(batch)
-        return batch
+    def recording(blocks, lam, alpha, beta, opts, W, b, accelerated):
+        fits = proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated)
+        batches.append((W.copy(), None if b is None else b.copy(), fits))
+        return fits
 
     proximal_loop = regpath._proximal_loop
     with mock.patch.object(regpath, "_proximal_loop", recording):
@@ -325,6 +325,6 @@ def test_cv_error_is_the_validation_objective_of_each_fold_fit(seed, fit_interce
             TaskDataset(task.X[task_fold[fold]], task.y[task_fold[fold]], task.kind, task.name)
             for task, task_fold in zip(problem.tasks, folds)
         ))
-        for j, fits in enumerate(batches):
-            expected[j] += smooth_objective(validation, fits.result(fold).coef) / problem.t
+        for j, batch in enumerate(batches):
+            expected[j] += smooth_objective(validation, _fit_result(*batch, fold).coef) / problem.t
     npt.assert_allclose(cv.mean_cv_error, expected / k, rtol=1e-12, atol=0.0)

@@ -559,6 +559,55 @@ def test_model_with_a_bad_value_is_a_malformed_file(tmp_path, capsys, case):
     assert capsys.readouterr().err.startswith("data-error: model file")
 
 
+def _eval_manifest(tmp_path, c_labels, r_outcomes):
+    # Tasks c and r on features f1..f3, as in _small_model.
+    rng = np.random.default_rng(8)
+    for name, outcomes in (("c", c_labels), ("r", r_outcomes)):
+        write_csv(str(tmp_path / f"{name}.csv"), ["f1", "f2", "f3", "y"],
+                  [list(rng.standard_normal(3)) + [y] for y in outcomes])
+    return _manifest(tmp_path, [
+        {"name": "c", "kind": "classification", "data_path": "c.csv", "outcome_column": "y"},
+        {"name": "r", "kind": "regression", "data_path": "r.csv", "outcome_column": "y"},
+    ])
+
+
+@pytest.mark.parametrize("case", ["no_task_records", "long_feature_mean", "short_constant_flags"])
+def test_model_with_a_bad_standardization_is_a_malformed_file(tmp_path, capsys, case):
+    model = tmp_path / "m.json"
+    save_model(_small_model(with_standardization=True), model)
+    doc = json.loads(model.read_text())
+    records = doc["standardization"]["tasks"]
+    if case == "no_task_records":
+        records.clear()
+    elif case == "long_feature_mean":
+        records[1]["feature_mean"].append(0.0)
+    else:
+        records[0]["constant_features"].pop()
+    _write(model, json.dumps(doc))
+    with pytest.raises(DataError, match=r"model file .*m\.json.* is malformed \(DataError: "):
+        load_model(model)
+    data = tmp_path / "d.csv"
+    _write(data, "f1,f2,f3\n1,2,3\n")
+    manifest = _eval_manifest(tmp_path, [1.0, -1.0, 1.0], [0.5, -0.5, 1.5])
+    for args in (["predict", "--data", data, "--task", "c"], ["eval", "--manifest", manifest]):
+        assert _run(args + ["--model", model, "--out-dir", tmp_path / "o"]) == 3
+        assert capsys.readouterr().err.startswith("data-error: model file")
+
+
+@pytest.mark.parametrize("case", ["one_row_regression", "one_class_classification"])
+def test_cli_eval_names_the_task_a_metric_cannot_score(tmp_path, capsys, case):
+    model = tmp_path / "m.json"
+    save_model(_small_model(), model)
+    if case == "one_row_regression":
+        manifest, task, reason = _eval_manifest(tmp_path, [1.0, -1.0], [0.5]), "r", "2 samples"
+    else:
+        manifest, task, reason = _eval_manifest(tmp_path, [1.0, 1.0], [0.5, -0.5]), "c", "AUC"
+    assert _run(["eval", "--model", model, "--manifest", manifest,
+                 "--out-dir", tmp_path / "e"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data-error: task {task!r}: ") and reason in err, err
+
+
 @pytest.mark.parametrize("key", ["standardize", "fit_intercept"])
 @pytest.mark.parametrize("value", ["false", "no", 0, 1, None])
 def test_manifest_options_must_be_json_booleans(tmp_path, capsys, key, value):

@@ -314,11 +314,10 @@ def test_per_task_cross_validation_drops_finished_tasks(monkeypatch):
     subset = solver_module._task_subset
 
     def recorded(blocks, alive):
-        narrowed, held = subset(blocks, alive)
-        if not held.all():
+        if not alive.all():
             # The batch is cut: (tasks it keeps, tasks it held before).
-            kept.append((int(held.sum()), len(held)))
-        return narrowed, held
+            kept.append((int(alive.sum()), len(alive)))
+        return subset(blocks, alive)
 
     monkeypatch.setattr(solver_module, "_task_subset", recorded)
     rng = np.random.default_rng(5)
@@ -438,6 +437,16 @@ def test_explained_variance_examples():
     assert explained_variance(y, y) == 1.0
     assert explained_variance(np.full(3, y.mean()), y) == 0.0
     assert explained_variance(np.array([1.0, 2.0, 4.0]), y) == pytest.approx(0.5, abs=1e-15)
+
+
+def test_explained_variance_on_one_sample_is_a_data_error():
+    # Too few samples is a property of the data; a shape mismatch is a
+    # caller's mistake and stays a plain ValueError.
+    with pytest.raises(DataError, match="at least 2 samples"):
+        explained_variance(np.array([1.0]), np.array([2.0]))
+    with pytest.raises(ValueError, match="equal length") as err:
+        explained_variance(np.zeros(3), np.zeros(4))
+    assert not isinstance(err.value, DataError)
 
 
 def test_explained_variance_affine_invariance():

@@ -28,6 +28,7 @@ from mixedmtl import (
 )
 from mixedmtl.core import _layout
 from mixedmtl.modelselect import task_folds
+from mixedmtl.regpath import _path
 
 from util import random_mixed_problem
 
@@ -237,24 +238,72 @@ def test_a_stopped_task_between_running_ones_leaves_the_batch(monkeypatch):
     subset = solver_module._task_subset
 
     def recorded(blocks, alive):
-        narrowed, held = subset(blocks, alive)
+        narrowed = subset(blocks, alive)
         cuts.append((alive.tolist(), [X for _, _, X, _, _ in narrowed]))
-        return narrowed, held
+        return narrowed
 
     monkeypatch.setattr(solver_module, "_task_subset", recorded)
     opts = SolverOptions(max_iter=500, tol=1e-12)
-    fits = solver_module._proximal_loop(problem._blocks, lam, 0.0, 0.0, opts,
-                                        np.zeros((3, 1, 5)), None, True)
+    W = np.zeros((3, 1, 5))
+    fits = solver_module._proximal_loop(problem._blocks, lam, 0.0, 0.0, opts, W, None, True)
     alive, stacks = cuts[0]
     assert alive == [True, False, True]
     assert len(stacks) == 1 and len(stacks[0]) == 2
     npt.assert_array_equal(stacks[0], [problem.tasks[0].X, problem.tasks[2].X])
     for i, task in enumerate(problem.tasks):
         alone = fista_fit(MtlProblem((task,)), Hyperparameters(lam[i]), opts)
-        result = fits.result(i)
+        result = solver_module._fit_result(W, None, fits, i)
         assert result.coef.W.tobytes() == alone.coef.W.tobytes()
         assert result.objective_trace.tobytes() == alone.objective_trace.tobytes()
         assert (result.final_L, result.converged) == (alone.final_L, alone.converged)
+
+
+def test_a_failure_after_the_batch_is_cut_names_the_fit_it_belongs_to(monkeypatch):
+    # The middle task leaves the batch on its first turn, which moves the
+    # last task's fit from position 2 to position 1.  A line search that
+    # then fails there must name fit 2, and the path its penalty.
+    rng = np.random.default_rng(22)
+    problem = MtlProblem(tuple(
+        TaskDataset(rng.standard_normal((12, 5)), rng.standard_normal(12), "regression", f"r{i}")
+        for i in range(3)
+    ))
+    tops = [lam_max(MtlProblem((task,))) for task in problem.tasks]
+    lam = np.array([0.1 * tops[0], 2.0 * tops[1], 0.3 * tops[2]])
+    cuts = []
+    subset, backtrack = solver_module._task_subset, solver_module._backtrack
+
+    def recorded(blocks, alive):
+        cuts.append(alive.tolist())
+        return subset(blocks, alive)
+
+    def failing(blocks, lam, *args):
+        if cuts:
+            raise SolverError("forced line search failure", len(lam) - 1)
+        return backtrack(blocks, lam, *args)
+
+    monkeypatch.setattr(solver_module, "_task_subset", recorded)
+    monkeypatch.setattr(solver_module, "_backtrack", failing)
+    opts = SolverOptions(max_iter=500, tol=1e-12)
+    with pytest.raises(SolverError) as err:
+        next(_path(problem._blocks, lam[None], 0.0, 0.0, opts, np.zeros((3, 1, 5)), None))
+    assert cuts == [[True, False, True]]
+    assert err.value.__cause__.fit == 2
+    assert f"lambda={float(lam[2])!r}" in str(err.value)
+
+
+@pytest.mark.parametrize("fit", [fista_fit, ista_fit])
+def test_a_fit_leaves_the_callers_w_init_unchanged(fit):
+    rng = np.random.default_rng(31)
+    problem = random_mixed_problem(rng, p=6, t=3, c=1, n_lo=10, n_hi=20)
+    coef = CoefficientMatrix(rng.standard_normal((6, 3)), rng.standard_normal(3))
+    W_before, b_before = coef.W.copy(), coef.intercepts.copy()
+    opts = SolverOptions(max_iter=50, fit_intercept=True)
+    result = fit(problem, Hyperparameters(0.05), opts, w_init=coef)
+    assert result.iterations > 0
+    assert not np.array_equal(result.coef.W, W_before)
+    assert not np.array_equal(result.coef.intercepts, b_before)
+    npt.assert_array_equal(coef.W, W_before)
+    npt.assert_array_equal(coef.intercepts, b_before)
 
 
 def test_fista_matches_ridge_closed_form():
@@ -503,8 +552,7 @@ def test_each_batch_member_matches_reg_path_on_its_own_rows(seed, fit_intercept)
         batch = solver_module._proximal_loop(
             members, lams[:, point], alpha, beta, tight, W, b, True
         )
-        W, b = batch.W, batch.b
-        fits = [batch.result(m) for m in range(k + 1)]
+        fits = [solver_module._fit_result(W, b, batch, m) for m in range(k + 1)]
         for m, (copy, fit) in enumerate(zip(copies, fits)):
             hyper = Hyperparameters(lams[m, point], alpha, beta)
             sequence = LambdaSequence(lams[m], ratio=factors[m, 1] / factors[m, 0])
