@@ -381,10 +381,16 @@ def _members(W, intercepts):
     return W.T[None], None if intercepts is None else intercepts[None]
 
 
-def _row_norms(W) -> np.ndarray:
+def _row_norms(W, out=None, squares=None) -> np.ndarray:
     """Euclidean norm of each feature's row, per fit of a batch W
-    (fits, t_fit, p): an array (fits, p)."""
-    return np.sqrt(np.add.reduce(W * W, axis=1))
+    (fits, t_fit, p): an array (fits, p), written into out when given.
+    A one-column row's norm is |w|, which equals sqrt(w * w) bit for bit
+    wherever w * w neither underflows nor overflows; wider rows square W
+    into squares (shaped like W) when given."""
+    if W.shape[1] == 1:
+        return np.abs(W[:, 0], out=out)
+    squares = np.multiply(W, W, out=squares)
+    return np.sqrt(np.add.reduce(squares, axis=1, out=out), out=out)
 
 
 def _member_dots(A, C) -> np.ndarray:
@@ -451,9 +457,10 @@ def _batch_objective(blocks, W, intercepts, alpha, beta) -> np.ndarray:
     return total
 
 
-def _batch_gradient(blocks, W, intercepts, alpha, beta):
-    """Gradient of F per fit, shaped like the batch W and intercepts."""
-    grad = np.empty(W.shape)
+def _batch_gradient(blocks, W, intercepts, alpha, beta, out=None):
+    """Gradient of F per fit, shaped like the batch W and intercepts; the
+    coefficients' part is written into out when given."""
+    grad = np.empty(W.shape) if out is None else out
     grad_b = None if intercepts is None else np.empty(intercepts.shape)
     grad_m, grad_bm = _by_member(blocks, grad), _by_member(blocks, grad_b)
     for kind, columns, X, Y, M, S in _block_scores(blocks, W, intercepts):

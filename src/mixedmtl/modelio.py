@@ -448,13 +448,17 @@ def _standardization_to_dict(record: StandardizationRecord) -> list:
 def _standardization_from_dict(items) -> StandardizationRecord:
     tasks = []
     for item in items:
+        mean, scale = (None if item[key] is None else float(item[key])
+                       for key in ("outcome_mean", "outcome_scale"))
+        if (mean is None) != (scale is None):
+            raise DataError("outcome_mean and outcome_scale must both be numbers or both be null")
         tasks.append(
             TaskStandardization(
                 feature_mean=np.array(item["feature_mean"], dtype=float),
                 feature_scale=np.array(item["feature_scale"], dtype=float),
                 constant_features=np.array(item["constant_features"], dtype=bool),
-                outcome_mean=item["outcome_mean"],
-                outcome_scale=item["outcome_scale"],
+                outcome_mean=mean,
+                outcome_scale=scale,
             )
         )
     return StandardizationRecord(tuple(tasks))

@@ -34,7 +34,7 @@ from .core import (
     _batch_gradient,
     _row_norms,
 )
-from .solver import SolverError, _fit_result, _proximal_loop, _resolve_init
+from .solver import SolverError, _Workspace, _fit_result, _proximal_loop, _resolve_init
 from .solver import fista_fit  # noqa: F401  (perfbench/tracing.py patches it here)
 
 __all__ = [
@@ -181,10 +181,12 @@ def _path(blocks, lams, alpha, beta, opts, W, b):
     """Warm-started path of the batch of fits (W, b) on a core._layout, fit
     m at lams[j][m] at point j: fits (W, b) in place, each point starting
     from the last, and yields each point's per-fit lists (those of
-    solver._proximal_loop) once (W, b) holds its fits."""
+    solver._proximal_loop) once (W, b) holds its fits.  The points share
+    one workspace."""
+    work = _Workspace.like(W)
     for lam in lams:
         try:
-            fits = _proximal_loop(blocks, lam, alpha, beta, opts, W, b, True)
+            fits = _proximal_loop(blocks, lam, alpha, beta, opts, W, b, True, work)
         except SolverError as err:
             raise SolverError(f"path fit failed at lambda={float(lam[err.fit])!r}: {err}") from err
         yield fits

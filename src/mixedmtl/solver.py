@@ -34,6 +34,15 @@ tasks still running (views when they form one span, else a gather).
 caller's arrays in place (a task cut from the batch is written back at
 once, the rest at the end) and returns only per-fit lists; a FitResult
 is built from the arrays only for a fit that is read.
+
+A turn allocates no array the size of the batch: the loop steps in a
+_Workspace (the momentum point, the gradient, one array for S - g / L
+and then the step, the prox's row norms and shrink factors, and a spare
+candidate), made once per path or single fit, and a narrowed batch uses
+views of its first entries.  The spare rotates with the iterates:
+candidate -> iterate -> previous iterate -> next candidate.  The
+iterates are the loop's own copies, so the caller's arrays are the
+output and never scratch.
 """
 
 from __future__ import annotations
@@ -119,15 +128,20 @@ def prox_l21(V: np.ndarray, tau: float) -> np.ndarray:
     return _prox_batch(np.asarray(V, dtype=float).T[None], np.array([tau]))[0][0].T
 
 
-def _prox_batch(V, tau):
+def _prox_batch(V, tau, out=None, norms=None, scale=None):
     """prox_l21 of each fit of a batch V (fits, t_fit, p), at tau[m] for fit
     m.  Also returns the result's row norms (fits, p), max(||v|| - tau, 0)
-    as the shrink factor times ||v||, so a penalty needs no second pass."""
+    as the shrink factor times ||v||, so a penalty needs no second pass.
+    The result, its row norms and the shrink factors (fits, 1, p) are
+    written into out, norms and scale when given (out holds the squares
+    of V on the way when t_fit > 1); V is left as it is."""
     tau = tau[:, None, None]
-    norms = _row_norms(V)[:, None]
+    norms = _row_norms(V, norms, out)[:, None]
     # The floor keeps a zero row at zero at tau = 0 too (0 / floor = 0).
-    scale = 1.0 - tau / np.maximum(norms, np.maximum(tau, _TINY))
-    return scale * V, (scale * norms)[:, 0]
+    scale = np.maximum(norms, np.maximum(tau, _TINY), out=scale)
+    np.divide(tau, scale, out=scale)
+    np.subtract(1.0, scale, out=scale)
+    return np.multiply(scale, V, out=out), np.multiply(scale, norms, out=norms)[:, 0]
 
 
 def _task_fits(B, tasks):
@@ -136,21 +150,52 @@ def _task_fits(B, tasks):
     return (np.arange(B)[:, None] * len(tasks) + np.flatnonzero(tasks)).ravel()
 
 
-def _backtrack(blocks, lam, alpha, beta, Ws, bs, f_s, L, pending):
+@dataclass(eq=False)
+class _Workspace:
+    """The scratch arrays of proximal steps on a batch of fits (fits,
+    t_fit, p): the momentum point, the spare candidate (the loop rotates
+    it with its iterates), the gradient, the step array (first
+    S - grad / L, then the step cand - S), and the prox's row norms
+    (fits, p) and shrink factors (fits, 1, p)."""
+
+    search: np.ndarray
+    cand: np.ndarray
+    grad: np.ndarray
+    step: np.ndarray
+    norms: np.ndarray
+    scale: np.ndarray
+
+    @classmethod
+    def like(cls, W):
+        fits, _, p = W.shape
+        return cls(*(np.empty(W.shape) for _ in range(4)), np.empty((fits, p)), np.empty((fits, 1, p)))
+
+    def head(self, fits):
+        """The workspace of a batch cut to fits fits: views of the first
+        fits entries of these arrays."""
+        return _Workspace(**{name: array[:fits] for name, array in vars(self).items()})
+
+
+def _backtrack(blocks, lam, alpha, beta, Ws, bs, f_s, L, pending, work):
     """Grow each pending fit's L by doubling until sufficient decrease
     holds at its prox candidate; the others keep L.
 
-    f_s (F at the search point (Ws, bs)), L and pending are lists.
-    Returns (L, W_cand, b_cand, F at the candidate, the candidate's
-    row-norm sum), the last two as lists, all from the last trial: a
-    fit that passed earlier kept its L, so every later trial recomputed
-    its candidate bit for bit.
+    f_s (F at the search point (Ws, bs)), L and pending are lists; work
+    is a _Workspace whose arrays, but for search, do not overlap Ws.
+    Returns (L, W_cand,
+    b_cand, F at the candidate, the candidate's row-norm sum), the last
+    two as lists, all from the last trial (W_cand is work.cand): a fit
+    that passed earlier kept its L, so every later trial recomputed its
+    candidate bit for bit.
     """
-    gW, gb = _batch_gradient(blocks, Ws, bs, alpha, beta)
+    gW, gb = _batch_gradient(blocks, Ws, bs, alpha, beta, work.grad)
+    V, Wy = work.step, work.cand
     for _ in range(MAX_DOUBLINGS + 1):
         L_arr = np.array(L)
-        Wy, norms = _prox_batch(Ws - gW / L_arr[:, None, None], lam / L_arr)
-        dW = Wy - Ws
+        np.divide(gW, L_arr[:, None, None], out=V)
+        np.subtract(Ws, V, out=V)
+        _, norms = _prox_batch(V, lam / L_arr, Wy, work.norms, work.scale)
+        dW = np.subtract(Wy, Ws, out=V)
         linear = _member_dots(gW, dW)
         step_sq = _member_dots(dW, dW)
         by = None
@@ -198,7 +243,7 @@ def line_search(
         raise SolverError("objective is non-finite at the search point")
     L, Wc, bc, _, _ = _backtrack(
         problem._blocks, np.array([hyper.lam]), hyper.alpha, hyper.beta, Ws, bs, [f_s[0]],
-        [float(L_prev)], [True],
+        [float(L_prev)], [True], _Workspace.like(Ws),
     )
     return L[0], CoefficientMatrix(Wc[0].T.copy(), None if bc is None else bc[0])
 
@@ -217,23 +262,28 @@ def _resolve_init(problem, opts, w_init):
     return w_init.W.T.copy()[None], b0
 
 
-def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
+def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated, work=None):
     """Fit the batch of fits (W, b), shapes (fits, t_fit, p) and
     (fits, t_fit) (or None), fit m at penalty lam[m], on a core._layout of
     their B members (problem._blocks for one): B joint fits (t_fit = t) or
     B * t single-task fits (t_fit = 1, member-major).  The fits are
     written into W and b in place, and only there: the caller's arrays
-    are the output.  Returns each fit's objective trace, final L and
-    converged flag as three lists (_fit_result reads one fit).
+    are the output, never scratch.  work is a _Workspace for W's shape
+    (a new one when None; a path passes one to each of its points).
+    Returns each fit's objective trace, final L and converged flag as
+    three lists (_fit_result reads one fit).
     Per-fit scalars are Python floats; the working arrays hold all fits of
     the tasks still running."""
     n_fits, B = W.shape[0], blocks[0][4].shape[0]
     W_out, b_out = W, b
     lam = np.asarray(lam, dtype=float)
     lam_m = lam.tolist()
-    W_prev, b_prev = W, b
+    # Copies: the rotation turns each iterate array into a later candidate.
+    W, W_prev = W.copy(), W.copy()
+    work = _Workspace.like(W) if work is None else work
+    b_prev = b
     f = _batch_objective(blocks, W, b, alpha, beta)
-    obj_prev = (f + lam * _row_norms(W).sum(axis=1)).tolist()
+    obj_prev = (f + lam * _row_norms(W, work.norms, work.step).sum(axis=1)).tolist()
     finite = list(map(math.isfinite, obj_prev))
     if not all(finite):
         raise SolverError("objective is non-finite at the initial point", finite.index(False))
@@ -265,7 +315,7 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
         mom = [(tp - 1.0) / tc if on else 0.0 for tp, tc, on in zip(t_prev, t_cur, active)]
         if any(mom):
             m = np.array(mom)
-            Ws = W - W_prev
+            Ws = np.subtract(W, W_prev, out=work.search)
             Ws *= m[:, None, None]
             Ws += W
             bs = b + m[:, None] * (b - b_prev) if b is not None else None
@@ -279,7 +329,7 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
                      for Lm, run, pend in zip(L, easy, pending)]
             try:
                 L, Wc, bc, f_c, penalty = _backtrack(
-                    blocks, lam, alpha, beta, Ws, bs, f_s, given, pending
+                    blocks, lam, alpha, beta, Ws, bs, f_s, given, pending, work
                 )
             except SolverError as err:
                 raise SolverError(str(err), live[err.fit]) from None
@@ -320,7 +370,7 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
         if any(step):
             # The stepping fits move on; the others keep their iterate.
             # (Their W_prev goes unused: one that stays active restarted.)
-            W_prev, W, b_prev, b = W, Wc, b, bc
+            W_prev, W, work.cand, b_prev, b = W, Wc, W_prev, b, bc
             f = [fc if moved else fi for fc, moved, fi in zip(f_c, step, f)]
             if not all(step):
                 kept = np.logical_not(step)
@@ -335,6 +385,7 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated):
                 write_back(_task_fits(B, ~running), W, b, L, converged)
                 blocks, sel = _task_subset(blocks, running), _task_fits(B, running)
                 lam, W, W_prev = lam[sel], W[sel], W_prev[sel]
+                work = work.head(len(sel))
                 if b is not None:
                     b, b_prev = b[sel], b_prev[sel]
                 per_fit = (lam_m, f, L, easy, t_prev, t_cur, traces, converged, active,

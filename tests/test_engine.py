@@ -308,8 +308,8 @@ def test_cv_error_is_the_validation_objective_of_each_fold_fit(seed, fit_interce
     # The fold fits are the batched path's members, one call per penalty.
     batches = []
 
-    def recording(blocks, lam, alpha, beta, opts, W, b, accelerated):
-        fits = proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated)
+    def recording(blocks, lam, alpha, beta, opts, W, b, accelerated, work=None):
+        fits = proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated, work)
         batches.append((W.copy(), None if b is None else b.copy(), fits))
         return fits
 

@@ -594,6 +594,33 @@ def test_model_with_a_bad_standardization_is_a_malformed_file(tmp_path, capsys, 
         assert capsys.readouterr().err.startswith("data-error: model file")
 
 
+@pytest.mark.parametrize("case", ["null_scale", "null_mean", "text_mean", "list_scale"])
+def test_model_with_a_bad_outcome_transform_is_a_malformed_file(tmp_path, capsys, case):
+    model = tmp_path / "m.json"
+    save_model(_small_model(with_standardization=True), model)
+    doc = json.loads(model.read_text())
+    record = doc["standardization"]["tasks"][1]  # the regression task r
+    assert record["outcome_mean"] is not None and record["outcome_scale"] is not None
+    if case == "null_scale":
+        record["outcome_scale"] = None
+    elif case == "null_mean":
+        record["outcome_mean"] = None
+    elif case == "text_mean":
+        record["outcome_mean"] = "centre"
+    else:
+        record["outcome_scale"] = [1.0]
+    _write(model, json.dumps(doc))
+    with pytest.raises(DataError, match=r"model file .*m\.json.* is malformed \("):
+        load_model(model)
+    data = tmp_path / "d.csv"
+    _write(data, "f1,f2,f3\n1,2,3\n")
+    manifest = _eval_manifest(tmp_path, [1.0, -1.0, 1.0], [0.5, -0.5, 1.5])
+    for args in (["predict", "--data", data, "--task", "r"], ["eval", "--manifest", manifest]):
+        assert _run(args + ["--model", model, "--out-dir", tmp_path / "o"]) == 3
+        assert capsys.readouterr().err.startswith("data-error: model file")
+        assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("case", ["one_row_regression", "one_class_classification"])
 def test_cli_eval_names_the_task_a_metric_cannot_score(tmp_path, capsys, case):
     model = tmp_path / "m.json"

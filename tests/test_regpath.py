@@ -216,6 +216,28 @@ def test_single_point_path_equals_direct_fit():
     npt.assert_array_equal(path.fits[0].coef.W, direct.coef.W)
 
 
+@pytest.mark.parametrize("fit_intercept", [False, True])
+def test_path_prefixes_are_shorter_paths_bit_for_bit(fit_intercept):
+    # Each point starts from the last one's fits: a scratch array of one
+    # point that overwrote an earlier point's fit would break a prefix.
+    rng = np.random.default_rng(31)
+    opts = SolverOptions(max_iter=300, tol=1e-10, fit_intercept=fit_intercept)
+    for t in (1, 2, 4):
+        problem = random_mixed_problem(rng, p=12, t=t, n_lo=10)
+        seq = lambda_sequence(lam_max(problem, fit_intercept=fit_intercept), 0.02, 6)
+        full = reg_path(problem, seq, alpha=0.1, opts=opts)
+        for k in range(1, seq.length):
+            prefix = reg_path(problem, LambdaSequence(seq.values[:k], seq.ratio), alpha=0.1, opts=opts)
+            npt.assert_array_equal(prefix.nonzero_rows, full.nonzero_rows[:k])
+            for short, long in zip(prefix.fits, full.fits):
+                assert short.coef.W.tobytes() == long.coef.W.tobytes()
+                if fit_intercept:
+                    assert short.coef.intercepts.tobytes() == long.coef.intercepts.tobytes()
+                assert short.objective_trace.tobytes() == long.objective_trace.tobytes()
+                assert (short.final_L, short.iterations, short.converged) == (
+                    long.final_L, long.iterations, long.converged)
+
+
 def test_path_reports_offending_lambda():
     X = np.array([[1.0], [2.0]])
     y = np.array([1e200, -1e200])

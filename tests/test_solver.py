@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import mixedmtl.solver as solver_module
 from mixedmtl import (
@@ -26,7 +27,7 @@ from mixedmtl import (
     reg_path,
     smooth_gradient,
 )
-from mixedmtl.core import _layout
+from mixedmtl.core import _layout, _row_norms
 from mixedmtl.modelselect import task_folds
 from mixedmtl.regpath import _path
 
@@ -121,6 +122,76 @@ def test_prox_batch_returns_the_row_norms_of_its_output(seed, row_at_tau, zero_t
         npt.assert_allclose(out[member].T, prox_l21(V[member].T, member_tau), rtol=1e-14, atol=0.0)
 
 
+def _magnitudes(lo, hi):
+    """Floats of either sign with lo <= |x| <= hi, and zero."""
+    size = st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    return st.one_of(st.just(0.0), size, size.map(lambda x: -x))
+
+
+@st.composite
+def _prox_cases(draw):
+    """A batch V (fits, t_fit, p) with entries 0 or 1e-100 <= |v| <= 1e100,
+    and one tau >= 0 per fit; some taus sit exactly at a row norm."""
+    shape = draw(st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 9)))
+    V = draw(hnp.arrays(float, shape, elements=_magnitudes(1e-100, 1e100)))
+    tau = np.array(draw(st.lists(st.floats(0.0, 1e3), min_size=shape[0], max_size=shape[0])))
+    norms = _row_norms(V)
+    for fit in draw(st.sets(st.integers(0, shape[0] - 1))):
+        tau[fit] = norms[fit, draw(st.integers(0, shape[2] - 1))]
+    return V, tau
+
+
+def _check_prox_rows(V, tau, out):
+    """out is the prox of V (fits, t_fit, p) at tau per fit: a row is zero
+    exactly when its norm is at most tau, else it is the row shrunk along
+    its direction by tau."""
+    norms = _row_norms(V)
+    for fit, row in np.ndindex(norms.shape):
+        v, y = V[fit, :, row], out[fit, :, row]
+        if norms[fit, row] <= tau[fit]:
+            assert np.all(y == 0.0)
+            continue
+        assert np.any(y != 0.0)
+        v_norm = np.linalg.norm(v)
+        npt.assert_allclose(y, (1.0 - tau[fit] / v_norm) * v, rtol=0.0, atol=1e-12 * v_norm)
+        assert abs(np.linalg.norm(y) - (v_norm - tau[fit])) <= 1e-12 * v_norm
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=_prox_cases())
+def test_prox_batch_thresholds_rows_in_place_or_fresh(case):
+    V, tau = case
+    given_V = V.copy()
+    out, norms = solver_module._prox_batch(V, tau)
+    _check_prox_rows(V, tau, out)
+    # Into arrays holding garbage, the result has the same bits.
+    fits, _, p = V.shape
+    buffers = np.full(V.shape, np.nan), np.full((fits, p), np.nan), np.full((fits, 1, p), np.nan)
+    into, into_norms = solver_module._prox_batch(V, tau, *buffers)
+    assert into is buffers[0] and np.shares_memory(into_norms, buffers[1])
+    assert into.tobytes() == out.tobytes() and into_norms.tobytes() == norms.tobytes()
+    assert V.tobytes() == given_V.tobytes()
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=_prox_cases())
+def test_prox_l21_thresholds_rows_and_leaves_its_input(case):
+    V, tau = case
+    matrix = V[0].T  # (p, t): a row is a feature
+    given_matrix = matrix.copy()
+    out = prox_l21(matrix, float(tau[0]))
+    assert out.shape == matrix.shape and not np.shares_memory(out, matrix)
+    _check_prox_rows(V[:1], tau[:1], out.T[None])
+    assert matrix.tobytes() == given_matrix.tobytes()
+
+
+@settings(derandomize=True, deadline=None)
+@given(W=hnp.arrays(float, st.tuples(st.integers(1, 4), st.just(1), st.integers(1, 30)),
+                    elements=_magnitudes(1e-150, 1e150)))
+def test_one_column_row_norms_are_sqrt_of_squares_bit_for_bit(W):
+    assert _row_norms(W).tobytes() == np.sqrt(W[:, 0] * W[:, 0]).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # line search
 
@@ -167,6 +238,22 @@ def test_line_search_at_stationary_point():
     L, cand = line_search(problem, Hyperparameters(lam), S, L_prev)
     assert L == L_prev
     npt.assert_allclose(cand.W, prox_l21(S.W - gW / L, lam / L), atol=1e-12)
+
+
+@pytest.mark.parametrize("fit_intercept", [False, True])
+def test_line_search_leaves_the_search_point_and_shares_no_memory_with_it(fit_intercept):
+    rng = np.random.default_rng(8)
+    problem = random_mixed_problem(rng, p=5, t=3)
+    S = CoefficientMatrix(rng.standard_normal((5, 3)), rng.standard_normal(3) if fit_intercept else None)
+    given_W = S.W.copy()
+    given_b = None if S.intercepts is None else S.intercepts.copy()
+    _, cand = line_search(problem, Hyperparameters(0.2), S, 0.1)
+    assert S.W.tobytes() == given_W.tobytes()
+    assert not np.shares_memory(cand.W, S.W)
+    if fit_intercept:
+        assert S.intercepts.tobytes() == given_b.tobytes()
+        assert not np.shares_memory(cand.intercepts, S.intercepts)
+        assert not np.shares_memory(cand.intercepts, S.W)
 
 
 def test_line_search_rejects_bad_L():
