@@ -33,6 +33,7 @@ import numpy as np
 from .core import (
     CoefficientMatrix,
     DataError,
+    Hyperparameters,
     MtlProblem,
     SolverOptions,
     TaskKind,
@@ -188,6 +189,7 @@ def _cross_validate(
     one (p, t) CoefficientMatrix."""
     if k < 2:
         raise ValueError("k must be >= 2")
+    Hyperparameters(0.0, alpha, beta)  # rejects alpha and beta as fista_fit does
     opts = opts or path_options()
 
     tasks = problem.tasks
@@ -225,7 +227,8 @@ def _cross_validate(
     folds, full = slice(k * units), slice(k * units, None)
     points = []  # the full-data fits at each penalty, as _fit_result's arguments
     unconverged = [0] * units
-    for j, (traces, L, converged) in enumerate(_path(members, lams, alpha, beta, opts, W, b)):
+    path = _path(members, lams, alpha, beta, opts, W, b)
+    for j, (traces, L, converged, _) in enumerate(path):
         errors = _batch_objective(validation, W[folds], None if b is None else b[folds],
                                   0.0, 0.0) / t_fit
         fold_errors[:, :, j] = errors.reshape(k, units).T

@@ -28,6 +28,7 @@ import numpy as np
 
 from .core import (
     DataError,
+    Hyperparameters,
     MtlProblem,
     SolverOptions,
     TaskKind,
@@ -169,6 +170,7 @@ def reg_path(
     The first fit starts from the all-zero matrix; every later fit starts
     from the previous solution.
     """
+    Hyperparameters(0.0, alpha, beta)  # rejects alpha and beta as fista_fit does
     opts = opts or path_options()
     W, b = _resolve_init(problem, opts, None)
     path = _path(problem._blocks, sequence.values[:, None], alpha, beta, opts, W, b)
@@ -182,11 +184,13 @@ def _path(blocks, lams, alpha, beta, opts, W, b):
     m at lams[j][m] at point j: fits (W, b) in place, each point starting
     from the last, and yields each point's per-fit lists (those of
     solver._proximal_loop) once (W, b) holds its fits.  The points share
-    one workspace."""
-    work = _Workspace.like(W)
+    one workspace, and each point starts from the F its predecessor
+    returned, so a caller must not write (W, b) between points."""
+    work, f = _Workspace.like(W), None
     for lam in lams:
         try:
-            fits = _proximal_loop(blocks, lam, alpha, beta, opts, W, b, True, work)
+            fits = _proximal_loop(blocks, lam, alpha, beta, opts, W, b, True, work, f)
         except SolverError as err:
             raise SolverError(f"path fit failed at lambda={float(lam[err.fit])!r}: {err}") from err
+        f = fits[3]
         yield fits

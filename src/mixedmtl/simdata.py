@@ -30,6 +30,7 @@ import numpy as np
 from .core import (
     CoefficientMatrix,
     DataError,
+    Hyperparameters,
     MtlProblem,
     TaskDataset,
     TaskKind,
@@ -292,6 +293,7 @@ def run_benchmark(
     oversubscribe the CPUs.
     """
     methods, ratios, seeds = _benchmark_grid(spec, methods, ratios, seeds, k)
+    Hyperparameters(0.0, alpha, beta)  # rejects alpha and beta as fista_fit does
     cells = [
         (method, dataclasses.replace(spec, n_per_task=int(round(ratio * spec.p)), seed=seed))
         for method in methods

@@ -13,11 +13,13 @@ holds, and carries over between iterations.  After eight turns in a row
 whose step passed at its first trial, a fit halves its L before the next
 step, so L stays L0 * 2**k and g / L and lam / L scale exactly.  The loop
 carries F at its iterate, so a step from the iterate evaluates F only
-at candidates.  A momentum step that would increase the full objective,
-or a momentum point where F is non-finite, restarts the momentum (the
-step is retaken from the iterate), which keeps the objective trace
-non-increasing.  ``ista_fit`` is the same loop at zero momentum; it
-serves as a slow-but-simple cross-check.
+at candidates, and returns it: a path point starts from the last
+point's F, and only a single fit evaluates F at its start.  A momentum
+step that would increase the full objective, or a momentum point where
+F is non-finite, restarts the momentum (the step is retaken from the
+iterate), which keeps the objective trace non-increasing.  ``ista_fit``
+is the same loop at zero momentum; it serves as a slow-but-simple
+cross-check.
 
 The loop fits a batch of fits in lockstep, each with its own lam, L,
 momentum, restart and stopping test; a stopped fit is frozen.  The fits
@@ -106,7 +108,7 @@ class FitResult:
 def _fit_result(W, b, fits, i) -> FitResult:
     """Fit i of a fitted batch (W, b), with _proximal_loop's per-fit lists
     fits, as a FitResult."""
-    traces, L, converged = fits
+    traces, L, converged = fits[:3]
     return FitResult(
         coef=CoefficientMatrix(W[i].T.copy(), None if b is None else b[i]),
         objective_trace=np.array(traces[i], dtype=float),
@@ -262,16 +264,18 @@ def _resolve_init(problem, opts, w_init):
     return w_init.W.T.copy()[None], b0
 
 
-def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated, work=None):
+def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated, work=None, f=None):
     """Fit the batch of fits (W, b), shapes (fits, t_fit, p) and
     (fits, t_fit) (or None), fit m at penalty lam[m], on a core._layout of
     their B members (problem._blocks for one): B joint fits (t_fit = t) or
     B * t single-task fits (t_fit = 1, member-major).  The fits are
     written into W and b in place, and only there: the caller's arrays
     are the output, never scratch.  work is a _Workspace for W's shape
-    (a new one when None; a path passes one to each of its points).
-    Returns each fit's objective trace, final L and converged flag as
-    three lists (_fit_result reads one fit).
+    (a new one when None; a path passes one to each of its points).  f
+    is each fit's F at (W, b) when the caller holds it (a path point's
+    start is the last point's end); the loop evaluates it when None.
+    Returns each fit's objective trace, final L, converged flag and F at
+    its fit as four lists (_fit_result reads one fit).
     Per-fit scalars are Python floats; the working arrays hold all fits of
     the tasks still running."""
     n_fits, B = W.shape[0], blocks[0][4].shape[0]
@@ -282,7 +286,7 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated, work=None)
     W, W_prev = W.copy(), W.copy()
     work = _Workspace.like(W) if work is None else work
     b_prev = b
-    f = _batch_objective(blocks, W, b, alpha, beta)
+    f = _batch_objective(blocks, W, b, alpha, beta) if f is None else np.array(f)
     obj_prev = (f + lam * _row_norms(W, work.norms, work.step).sum(axis=1)).tolist()
     finite = list(map(math.isfinite, obj_prev))
     if not all(finite):
@@ -297,19 +301,20 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated, work=None)
     converged = [False] * n_fits
     active = [True] * n_fits
     live = list(range(n_fits))  # the fit at each position of the batch
-    final_L, final_converged = [None] * n_fits, [None] * n_fits
+    final_L, final_converged, final_f = [None] * n_fits, [None] * n_fits, [None] * n_fits
 
-    def write_back(positions, W, b, L, converged):
+    def write_back(positions, W, b, L, converged, f):
         """Write the fits at positions of the batch (W, b) into the
-        caller's arrays, and their final L and converged flags into the
-        output.  The batch is passed in: a name of the loop read from here
-        would be a cell variable, slower to reach in every turn."""
+        caller's arrays, and their final L, converged flags and F into
+        the output.  The batch is passed in: a name of the loop read
+        from here would be a cell variable, slower to reach in every
+        turn."""
         ids = [live[i] for i in positions]
         W_out[ids] = W[positions]
         if b is not None:
             b_out[ids] = b[positions]
         for fit, i in zip(ids, positions):
-            final_L[fit], final_converged[fit] = L[i], converged[i]
+            final_L[fit], final_converged[fit], final_f[fit] = L[i], converged[i], f[i]
 
     while any(active):
         mom = [(tp - 1.0) / tc if on else 0.0 for tp, tc, on in zip(t_prev, t_cur, active)]
@@ -382,7 +387,7 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated, work=None)
             running = np.array(active).reshape(B, -1).any(axis=0)
             if not running.all():
                 # Tasks whose fits have all stopped leave the batch.
-                write_back(_task_fits(B, ~running), W, b, L, converged)
+                write_back(_task_fits(B, ~running), W, b, L, converged, f)
                 blocks, sel = _task_subset(blocks, running), _task_fits(B, running)
                 lam, W, W_prev = lam[sel], W[sel], W_prev[sel]
                 work = work.head(len(sel))
@@ -394,8 +399,8 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated, work=None)
                     [x[i] for i in sel] for x in per_fit
                 )
 
-    write_back(np.arange(len(live)), W, b, L, converged)
-    return all_traces, final_L, final_converged
+    write_back(np.arange(len(live)), W, b, L, converged, f)
+    return all_traces, final_L, final_converged, final_f
 
 
 def _single_fit(problem, hyper, opts, w_init, accelerated) -> FitResult:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mixedmtl import (
     CoefficientMatrix,
@@ -98,6 +100,39 @@ def test_objective_matches_independent_evaluation():
         got = smooth_objective(problem, CoefficientMatrix(W, b), alpha, beta)
         want = _independent_objective(problem, W, b, alpha, beta)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+# Scores where exp(-|u|) is 1, underflows, turns subnormal or vanishes, and
+# where the loss itself overflows when doubled.  At 719.0566546666666 numpy's
+# vectorized exp and libm's round the subnormal loss one ulp apart.
+_LOGIT_EXAMPLES = (0.0, 5e-324, 36.7, 709.7, 719.0566546666666, 745.1, 1.7e308)
+
+
+def _with_examples(test):
+    for s in _LOGIT_EXAMPLES:
+        for sign in (1.0, -1.0):
+            for y in (1.0, -1.0):
+                test = example(s=sign * s, y=y)(test)
+    return test
+
+
+@given(s=st.floats(allow_nan=False, allow_infinity=False), y=st.sampled_from([1.0, -1.0]))
+@_with_examples
+def test_logit_loss_matches_logaddexp(s, y):
+    # One row, one feature, w = 1: F is twice the logit loss of the score s.
+    problem = MtlProblem((TaskDataset([[s]], [y], "classification", "c"),))
+    with np.errstate(over="ignore"):
+        want = 2.0 * np.logaddexp(0.0, -y * s)
+    # The loss raises no warning; only where F itself exceeds the largest
+    # float does the weighted sum overflow (to inf), and warn.
+    with np.errstate(over="ignore" if math.isinf(want) else "warn"):
+        got = smooth_objective(problem, CoefficientMatrix([[1.0]]))
+    assert not math.isnan(got)
+    if want == 0.0:
+        assert got == 0.0
+    else:
+        # The absolute floor is one subnormal ulp of the loss, doubled.
+        npt.assert_allclose(got, want, rtol=2e-15, atol=2 * 5e-324)
 
 
 def test_full_objective():

@@ -29,9 +29,10 @@ from mixedmtl import (
     smooth_objective,
 )
 from mixedmtl import SimulationSpec, binarize_problem, regpath, simulate, standardize
+from mixedmtl import lam_max, lambda_sequence, reg_path, solver
 from mixedmtl.core import _batch_gradient, _batch_objective, _block_scores, _layout, _task_subset
 from mixedmtl.modelio import load_problem, write_csv, write_json
-from mixedmtl.modelselect import task_folds
+from mixedmtl.modelselect import _cross_validate, task_folds
 from mixedmtl.solver import _fit_result
 
 from util import random_mixed_problem
@@ -308,8 +309,8 @@ def test_cv_error_is_the_validation_objective_of_each_fold_fit(seed, fit_interce
     # The fold fits are the batched path's members, one call per penalty.
     batches = []
 
-    def recording(blocks, lam, alpha, beta, opts, W, b, accelerated, work=None):
-        fits = proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated, work)
+    def recording(blocks, lam, alpha, beta, opts, W, b, accelerated, work=None, f=None):
+        fits = proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated, work, f)
         batches.append((W.copy(), None if b is None else b.copy(), fits))
         return fits
 
@@ -328,3 +329,57 @@ def test_cv_error_is_the_validation_objective_of_each_fold_fit(seed, fit_interce
         for j, batch in enumerate(batches):
             expected[j] += smooth_objective(validation, _fit_result(*batch, fold).coef) / problem.t
     npt.assert_allclose(cv.mean_cv_error, expected / k, rtol=1e-12, atol=0.0)
+
+
+def _checking_path_loop(carried):
+    """regpath._proximal_loop that checks, on every call given the last
+    point's F (every path point after the first), that it is F evaluated
+    afresh at the point's start (W, b), bit for bit; it appends whether
+    each call was given one to carried."""
+    proximal_loop = regpath._proximal_loop
+
+    def checking(blocks, lam, alpha, beta, opts, W, b, accelerated, work=None, f=None):
+        carried.append(f is not None)
+        if f is not None:
+            fresh = _batch_objective(blocks, W, b, alpha, beta)
+            assert np.array(f).tobytes() == fresh.tobytes()
+        return proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated, work, f)
+
+    return checking
+
+
+@pytest.mark.parametrize("fit_intercept", [False, True])
+def test_a_path_point_starts_from_the_last_points_f(fit_intercept):
+    # Tasks of unequal scale stop at different turns, so per-task
+    # cross-validation cuts tasks from its batch in the middle of a point.
+    rng = np.random.default_rng(23)
+    tasks = simulate(SimulationSpec(t_classification=2, t_regression=3, p=12, n_per_task=24,
+                                    sparsity=0.6, seed=4)).train.tasks
+    problem = MtlProblem(tuple(
+        TaskDataset(task.X * 10.0 ** rng.uniform(-1.0, 1.0), task.y, task.kind, task.name)
+        for task in tasks
+    ))
+    opts = path_options(fit_intercept)
+    cut = []  # the path points at which the batch was cut
+    task_subset = solver._task_subset
+
+    def recorded(blocks, alive):
+        if not alive.all():
+            cut.append(len(carried))
+        return task_subset(blocks, alive)
+
+    carried = []
+    with mock.patch.object(regpath, "_proximal_loop", _checking_path_loop(carried)), \
+            mock.patch.object(solver, "_task_subset", recorded):
+        sequence = lambda_sequence(lam_max(problem, fit_intercept), 0.02, 8)
+        reg_path(problem, sequence, alpha=0.3, beta=0.1, opts=opts)
+        assert carried == [False] + [True] * 7
+        carried.clear()
+        cross_validate(problem, alpha=0.3, k=3, seed=2, opts=opts, n_lambda=6, ratio=0.02)
+        assert carried == [False] + [True] * 5
+        carried.clear()
+        assert not cut
+        _cross_validate(problem, 0.3, 0.1, 3, 2, opts, 6, 0.02, False, per_task=True)
+        assert carried == [False] + [True] * 5
+    # Tasks left the batch before the last point, which starts from their F.
+    assert min(cut) < 6

@@ -1273,6 +1273,21 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert not (tmp_path / "x").exists(), argv
 
 
+@pytest.mark.parametrize("flag", ["--alpha", "--beta"])
+def test_cli_rejects_penalty_weights_whose_double_overflows(tmp_path, capsys, flag):
+    # 2 * 1e308 is inf, the gradient's factor: one usage error, before any
+    # file is read or --out-dir is made.
+    train = _simulate_dir(tmp_path) / "train" / "manifest.json"
+    capsys.readouterr()
+    for argv in (["fit", "--lambda", 0.1], ["path"], ["cv"]):
+        out = tmp_path / argv[0]
+        assert _run(argv + ["--manifest", train, flag, "1e308", "--out-dir", out]) == 2, argv
+        assert capsys.readouterr().err.splitlines() == [
+            f"usage-error: {flag} must be at most half the largest float, got 1e+308"
+        ], argv
+        assert not out.exists(), argv
+
+
 def test_cli_bench_writes_table(tmp_path):
     out = tmp_path / "bench"
     assert _run([

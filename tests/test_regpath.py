@@ -12,12 +12,14 @@ from mixedmtl import (
     SolverError,
     SolverOptions,
     TaskDataset,
+    cross_validate,
     fista_fit,
     full_objective,
     lam_max,
     lambda_sequence,
     path_options,
     reg_path,
+    run_benchmark,
     sigmoid,
     simulate,
     smooth_gradient,
@@ -255,3 +257,23 @@ def test_path_with_intercepts_zero_head():
     path = reg_path(sim.train, lambda_sequence(top, ratio=0.1, n=5), opts=opts)
     assert path.nonzero_rows[0] == 0
     assert path.fits[0].coef.intercepts is not None
+
+
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf"), 1e308])
+def test_entry_points_reject_unusable_penalty_weights(name, value):
+    # Every entry point checks alpha and beta before fitting, as
+    # Hyperparameters does for fista_fit; at 1e308 the gradient's factor
+    # 2 * alpha (2 * beta) would overflow.
+    problem = _small_sim().train
+    weight = {name: value}
+    sequence = lambda_sequence(lam_max(problem), ratio=0.1, n=3)
+    for call in (
+        lambda: fista_fit(problem, Hyperparameters(0.1, **weight)),
+        lambda: reg_path(problem, sequence, **weight),
+        lambda: cross_validate(problem, k=3, n_lambda=3, **weight),
+        lambda: run_benchmark(SimulationSpec(p=20), ratios=(0.5,), seeds=(1,), n_lambda=3,
+                              **weight),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call()
