@@ -18,6 +18,8 @@ import os
 import sys
 from functools import partial
 
+import numpy as np
+
 from . import __version__
 from .core import (
     DataError,
@@ -419,7 +421,8 @@ def _check_flag_ranges(args) -> None:
     in place of the parameter name.  --k has cross_validate's range;
     --n-lambda has lambda_sequence's for the path and also takes a one-point
     grid for cross-validation (cv, bench).  Every --seed takes
-    SimulationSpec's seed range, and bench's lists run_benchmark's checks.
+    SimulationSpec's seed range.  bench's lists are checked by cmd_bench,
+    also before its --out-dir exists.
     """
     # Flag dest -> (the call, its parameter); library defaults fill in the
     # rest, except that the simulation checks see --t-classification too.
@@ -455,8 +458,6 @@ def _check_flag_ranges(args) -> None:
     min_points = 2 if args.command == "path" else 1
     if getattr(args, "n_lambda", min_points) < min_points:
         raise UsageError(f"--n-lambda must be >= {min_points}, got {args.n_lambda}")
-    if args.command == "bench":
-        _bench_grid(args)
 
 
 def main(argv=None) -> int:
@@ -467,7 +468,10 @@ def main(argv=None) -> int:
         return int(exit_info.code or 0)
     try:
         _check_flag_ranges(args)
-        return args.func(args)
+        # The solver reports a non-finite objective as a SolverError, so
+        # numpy's overflow warnings would only precede that one line.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except UsageError as err:
         print(f"usage-error: {err}", file=sys.stderr)
         return 2

@@ -23,7 +23,9 @@ every finite score, exactly 0 wherever logaddexp(0, -u) is, and within
 3 ulp of it (one subnormal ulp where the loss is subnormal).
 
 Intercepts, when enabled, are per-task scalars that enter the losses but
-none of the penalties.
+none of the penalties.  In a batch of fits each task's intercept is its
+last coefficient, as in glmnet: a batch with p + 1 coefficients per task
+on a layout of p features carries intercepts, and nothing else says so.
 
 A problem owns its features: each run of consecutive tasks of one kind
 and one sample count n keeps its rows in one read-only (tasks, n, p)
@@ -41,12 +43,15 @@ call per block.  Nothing is padded and the stacks are the only copy of
 X: a layout, and a layout narrowed to some of its tasks, hold views of
 them.
 
-The kernels take a batch of fits, W of shape (fits, t_fit, p): a fit is
-either one member's joint fit over all t columns (t_fit = t, fits = B)
-or one member's single task column (t_fit = 1, fits = B * t, member
-major), and each returns one smooth objective per fit.  The scores see
-the same (B, t, p) array either way.  A task column's loss sums its own
-n rows, so it equals its one-task problem's bit for bit.
+The kernels take a batch of fits, W of shape (fits, t_fit, p), or
+(fits, t_fit, p + 1) with the intercepts last: a fit is either one
+member's joint fit over all t columns (t_fit = t, fits = B) or one
+member's single task column (t_fit = 1, fits = B * t, member major), and
+each returns one smooth objective per fit.  The scores see the same
+(B, t, p) or (B, t, p + 1) array either way; the products with X and the
+alpha and beta terms take its first p coefficients.  A task column's
+loss sums its own n rows, so it equals its one-task problem's bit for
+bit.
 
 _map_cells is the package's one worker pool: the benchmark's cells and
 modelio's batches of CSV files map over it.
@@ -385,10 +390,26 @@ def _row_centered(W: np.ndarray) -> np.ndarray:
     return W - W.mean(axis=1, keepdims=True)
 
 
-def _members(W, intercepts):
-    """A (p, t) matrix as a batch (1, t, p) of one member: a batch holds each
-    member's matrix transposed, so a task's coefficients are contiguous."""
-    return W.T[None], None if intercepts is None else intercepts[None]
+def _members(W, intercepts=None):
+    """A (p, t) matrix and its intercepts (length t, or None) as a batch of
+    one member, (1, t, p) or (1, t, p + 1) with each task's intercept last:
+    a batch holds each member's matrix transposed, so a task's
+    coefficients are contiguous."""
+    if intercepts is not None:
+        W = np.vstack([W, intercepts])
+    return W.T[None]
+
+
+def _split(w, p):
+    """One fit w (t_fit, p) of a batch, or (t_fit, p + 1) with its
+    intercepts last, as a (p, t_fit) matrix and its intercepts (or None)."""
+    return w[:, :p].T.copy(), w[:, p].copy() if w.shape[1] > p else None
+
+
+def _n_features(blocks) -> int:
+    """The feature count p of a _layout; a batch of fits on it carries
+    intercepts when it has p + 1 coefficients per task."""
+    return blocks[0][2].shape[2]
 
 
 def _row_norms(W, out=None, squares=None) -> np.ndarray:
@@ -412,19 +433,21 @@ def _member_dots(A, C) -> np.ndarray:
 def _by_member(blocks, A):
     """A batch of fits A (fits, t_fit, ...) as (B, t, ...) for the B members
     of a layout: the same array for joint fits, a reshape for task columns."""
-    return None if A is None else A.reshape((blocks[0][4].shape[0], -1) + A.shape[2:])
+    return A.reshape((blocks[0][4].shape[0], -1) + A.shape[2:])
 
 
-def _block_scores(blocks, W, intercepts):
+def _block_scores(blocks, W):
     """Each block of a _layout with its scores S (B, tasks, n) appended:
-    S[b, j] is the j-th task's X w + b under member b's coefficients
-    (a batch of fits W, intercepts or None, seen as (B, t, p) and (B, t))."""
-    W, intercepts = _by_member(blocks, W), _by_member(blocks, intercepts)
+    S[b, j] is the j-th task's X w + b under member b's coefficients w and
+    intercept b (a batch of fits W seen as (B, t, p), or (B, t, p + 1) with
+    the intercepts last)."""
+    W, p = _by_member(blocks, W), _n_features(blocks)
     for kind, columns, X, Y, M in blocks:
         S = np.empty(M.shape)
-        np.matmul(W[:, columns].transpose(1, 0, 2), X.transpose(0, 2, 1), out=S.transpose(1, 0, 2))
-        if intercepts is not None:
-            S += intercepts[:, columns, None]
+        np.matmul(W[:, columns, :p].transpose(1, 0, 2), X.transpose(0, 2, 1),
+                  out=S.transpose(1, 0, 2))
+        if W.shape[2] > p:
+            S += W[:, columns, p, None]
         yield kind, columns, X, Y, M, S
 
 
@@ -444,12 +467,12 @@ def _outputs(scores, kind: TaskKind, output: Optional[str]) -> np.ndarray:
     raise ValueError(f"unknown output {output!r}")
 
 
-def _batch_objective(blocks, W, intercepts, alpha, beta) -> np.ndarray:
-    """F of each fit of a batch W (fits, t_fit, p), intercepts (fits, t_fit)
-    or None, on a _layout of its members."""
+def _batch_objective(blocks, W, alpha, beta) -> np.ndarray:
+    """F of each fit of a batch W (fits, t_fit, p), or (fits, t_fit, p + 1)
+    with the intercepts last, on a _layout of its members."""
     total = np.zeros(W.shape[0])
     per_member = _by_member(blocks, total)
-    for kind, columns, _, Y, M, S in _block_scores(blocks, W, intercepts):
+    for kind, columns, _, Y, M, S in _block_scores(blocks, W):
         if kind is TaskKind.CLASSIFICATION:
             # log(1 + exp(-u)) at the margins u = y * s, written over the
             # block's scores: numpy's logaddexp(0, -u) per element, on the
@@ -465,6 +488,7 @@ def _batch_objective(blocks, W, intercepts, alpha, beta) -> np.ndarray:
             per_member[:, columns] += np.matmul(M[..., None, :], losses[..., None])[..., 0, 0]
         else:
             total += _member_dots(M, losses)
+    W = W[..., :_n_features(blocks)]  # the penalties leave the intercepts out
     if alpha != 0.0:
         centered = _row_centered(W)
         total += alpha * _member_dots(centered, centered)
@@ -473,32 +497,32 @@ def _batch_objective(blocks, W, intercepts, alpha, beta) -> np.ndarray:
     return total
 
 
-def _batch_gradient(blocks, W, intercepts, alpha, beta, out=None):
-    """Gradient of F per fit, shaped like the batch W and intercepts; the
-    coefficients' part is written into out when given."""
+def _batch_gradient(blocks, W, alpha, beta, out=None):
+    """Gradient of F per fit, shaped like the batch W (the intercepts' part
+    last, without penalty), written into out when given."""
     grad = np.empty(W.shape) if out is None else out
-    grad_b = None if intercepts is None else np.empty(intercepts.shape)
-    grad_m, grad_bm = _by_member(blocks, grad), _by_member(blocks, grad_b)
-    for kind, columns, X, Y, M, S in _block_scores(blocks, W, intercepts):
+    grad_m, p = _by_member(blocks, grad), _n_features(blocks)
+    for kind, columns, X, Y, M, S in _block_scores(blocks, W):
         # Each row's weighted loss derivative; 0.5 * (tanh(s / 2) - y) is
         # -y * sigmoid(-y * s) for y = +-1.
         if kind is TaskKind.CLASSIFICATION:
             R = 0.5 * M * (np.tanh(0.5 * S) - Y)
         else:
             R = 2.0 * M * (S - Y)
-        np.matmul(R.transpose(1, 0, 2), X, out=grad_m[:, columns].transpose(1, 0, 2))
-        if grad_b is not None:
-            grad_bm[:, columns] = R.sum(axis=2)
+        np.matmul(R.transpose(1, 0, 2), X, out=grad_m[:, columns, :p].transpose(1, 0, 2))
+        if W.shape[2] > p:
+            grad_m[:, columns, p] = R.sum(axis=2)
+    penalized, W = grad[..., :p], W[..., :p]
     if alpha != 0.0:
-        grad += 2.0 * alpha * _row_centered(W)
+        penalized += 2.0 * alpha * _row_centered(W)
     if beta != 0.0:
-        grad += 2.0 * beta * W
-    return grad, grad_b
+        penalized += 2.0 * beta * W
+    return grad
 
 
 def _smooth_objective_raw(problem, W, intercepts, alpha, beta) -> float:
     """F of one (p, t) matrix, unchecked."""
-    return float(_batch_objective(problem._blocks, *_members(W, intercepts), alpha, beta)[0])
+    return float(_batch_objective(problem._blocks, _members(W, intercepts), alpha, beta)[0])
 
 
 def smooth_objective(
@@ -520,8 +544,8 @@ def smooth_gradient(
     2*beta*W.  Intercept gradients use the same loss weights and no penalty.
     """
     _check_dimensions(problem, coef)
-    grad, grad_b = _batch_gradient(problem._blocks, *_members(coef.W, coef.intercepts), alpha, beta)
-    return grad[0].T.copy(), None if grad_b is None else grad_b[0]
+    grad = _batch_gradient(problem._blocks, _members(coef.W, coef.intercepts), alpha, beta)
+    return _split(grad[0], problem.p)
 
 
 def full_objective(

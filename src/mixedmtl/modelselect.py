@@ -39,6 +39,7 @@ from .core import (
     TaskKind,
     _batch_objective,
     _layout,
+    _split,
 )
 from .regpath import LambdaSequence, _lam_max, _path, lambda_sequence, path_options
 from .regpath import lam_max, reg_path  # noqa: F401  (perfbench/tracing.py patches these here)
@@ -220,24 +221,20 @@ def _cross_validate(
     # Fit m * units + u is member m's fit of selection u (the joint fit, or task u).
     units = len(sequences)
     t_fit = problem.t // units
-    W = np.zeros(((k + 1) * units, t_fit, problem.p))
-    b = np.zeros(W.shape[:2]) if opts.fit_intercept else None
+    W = np.zeros(((k + 1) * units, t_fit, problem.p + 1 if opts.fit_intercept else problem.p))
     lams = np.tile(np.stack([sequence.values for sequence in sequences], axis=1), (1, k + 1))
     fold_errors = np.empty((units, k, len(lams)))
     folds, full = slice(k * units), slice(k * units, None)
-    points = []  # the full-data fits at each penalty, as _fit_result's arguments
+    points = []  # the full-data fits at each penalty, with their per-fit lists
     unconverged = [0] * units
-    path = _path(members, lams, alpha, beta, opts, W, b)
-    for j, (traces, L, converged, _) in enumerate(path):
-        errors = _batch_objective(validation, W[folds], None if b is None else b[folds],
-                                  0.0, 0.0) / t_fit
+    for j, (traces, L, converged, _) in enumerate(_path(members, lams, alpha, beta, opts, W)):
+        errors = _batch_objective(validation, W[folds], 0.0, 0.0) / t_fit
         fold_errors[:, :, j] = errors.reshape(k, units).T
-        points.append((W[full].copy(), None if b is None else b[full].copy(),
-                       (traces[full], L[full], converged[full])))
+        points.append((W[full].copy(), (traces[full], L[full], converged[full])))
         for m, fit_converged in enumerate(converged):
             unconverged[m % units] += not fit_converged
 
-    results = []
+    results, chosen = [], []
     for u, sequence in enumerate(sequences):
         mean_err = fold_errors[u].mean(axis=0)
         se_err = fold_errors[u].std(axis=0, ddof=1) / np.sqrt(k)
@@ -245,6 +242,8 @@ def _cross_validate(
         if one_se:
             threshold = mean_err[best_idx] + se_err[best_idx]
             best_idx = int(np.flatnonzero(mean_err <= threshold)[0])
+        W_best, fits = points[best_idx]
+        chosen.append(W_best[u])
         results.append(CvResult(
             sequence=sequence,
             mean_cv_error=mean_err,
@@ -252,14 +251,10 @@ def _cross_validate(
             best_lambda=float(sequence.values[best_idx]),
             folds=k,
             seed=int(seed),
-            fit=_fit_result(*points[best_idx], u),
+            fit=_fit_result(W_best, problem.p, fits, u),
             unconverged=unconverged[u],
         ))
-    chosen = [result.fit.coef for result in results]
-    if units == 1:
-        return results, chosen[0]
-    intercepts = None if b is None else np.concatenate([coef.intercepts for coef in chosen])
-    return results, CoefficientMatrix(np.hstack([coef.W for coef in chosen]), intercepts)
+    return results, CoefficientMatrix(*_split(np.concatenate(chosen), problem.p))
 
 
 def auc(scores, labels) -> float:

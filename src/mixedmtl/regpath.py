@@ -15,8 +15,9 @@ fits in lockstep, each on its own penalty grid: reg_path is its batch
 of one, cross-validation runs its k folds and the full-data fit as
 k + 1 members, each one joint fit or one fit per task (the single-task
 baseline, where each task follows its own lam_max-anchored grid).  The
-path fits one pair of coefficient arrays in place, point after point, so
-a caller copies out what it keeps of a point before the next begins.
+path fits one coefficient array in place, point after point (each
+task's intercept, when fitted, as its last coefficient), so a caller
+copies out what it keeps of a point before the next begins.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .core import (
     SolverOptions,
     TaskKind,
     _batch_gradient,
+    _n_features,
     _row_norms,
 )
 from .solver import SolverError, _Workspace, _fit_result, _proximal_loop, _resolve_init
@@ -138,12 +140,12 @@ def _lam_max(problem, fit_intercept, blocks, per_task=False) -> list:
     gradient and prox_l21's row norms, so without intercepts a path from
     zero then stays exactly zero at this penalty."""
     B, t, p = blocks[0][4].shape[0], problem.t, problem.p
-    shape = (B * t, 1, p) if per_task else (B, t, p)  # a batch of fits, as the solver's
-    b0 = None
+    shape = (B * t, 1) if per_task else (B, t)  # a batch of fits, as the solver's
+    W = np.zeros(shape + (p + 1 if fit_intercept else p,))
     if fit_intercept:
-        b0 = np.tile(_optimal_zero_intercepts(problem), (B, 1)).reshape(shape[:2])
-    grad, _ = _batch_gradient(blocks, np.zeros(shape), b0, 0.0, 0.0)
-    return _row_norms(grad)[-(shape[0] // B):].max(axis=1).tolist()
+        W[..., p] = np.tile(_optimal_zero_intercepts(problem), (B, 1)).reshape(shape)
+    grad = _batch_gradient(blocks, W, 0.0, 0.0)
+    return _row_norms(grad[..., :p])[-(shape[0] // B):].max(axis=1).tolist()
 
 
 def lambda_sequence(lam_max_val: float, ratio: float = 0.01, n: int = 100) -> LambdaSequence:
@@ -172,24 +174,25 @@ def reg_path(
     """
     Hyperparameters(0.0, alpha, beta)  # rejects alpha and beta as fista_fit does
     opts = opts or path_options()
-    W, b = _resolve_init(problem, opts, None)
-    path = _path(problem._blocks, sequence.values[:, None], alpha, beta, opts, W, b)
-    fits = [_fit_result(W, b, point, 0) for point in path]
+    W = _resolve_init(problem, opts, None)
+    path = _path(problem._blocks, sequence.values[:, None], alpha, beta, opts, W)
+    fits = [_fit_result(W, problem.p, point, 0) for point in path]
     nonzero = [np.sum(np.linalg.norm(f.coef.W, axis=1) > NONZERO_ROW_THRESHOLD) for f in fits]
     return PathResult(sequence=sequence, fits=tuple(fits), nonzero_rows=nonzero)
 
 
-def _path(blocks, lams, alpha, beta, opts, W, b):
-    """Warm-started path of the batch of fits (W, b) on a core._layout, fit
-    m at lams[j][m] at point j: fits (W, b) in place, each point starting
-    from the last, and yields each point's per-fit lists (those of
-    solver._proximal_loop) once (W, b) holds its fits.  The points share
+def _path(blocks, lams, alpha, beta, opts, W):
+    """Warm-started path of the batch of fits W on a core._layout (shape
+    (fits, t_fit, p), or (fits, t_fit, p + 1) with each task's intercept
+    last), fit m at lams[j][m] at point j: fits W in place, each point
+    starting from the last, and yields each point's per-fit lists (those
+    of solver._proximal_loop) once W holds its fits.  The points share
     one workspace, and each point starts from the F its predecessor
-    returned, so a caller must not write (W, b) between points."""
-    work, f = _Workspace.like(W), None
+    returned, so a caller must not write W between points."""
+    work, f = _Workspace.like(W, _n_features(blocks)), None
     for lam in lams:
         try:
-            fits = _proximal_loop(blocks, lam, alpha, beta, opts, W, b, True, work, f)
+            fits = _proximal_loop(blocks, lam, alpha, beta, opts, W, True, work, f)
         except SolverError as err:
             raise SolverError(f"path fit failed at lambda={float(lam[err.fit])!r}: {err}") from err
         f = fits[3]

@@ -33,17 +33,21 @@ With single-task fits, tasks whose fits have all stopped leave the
 batch: on the turns where a task finishes, each block is cut to its
 tasks still running (views when they form one span, else a gather).
 ``fista_fit`` and ``ista_fit`` are the batch of one.  The loop fits the
-caller's arrays in place (a task cut from the batch is written back at
+caller's array in place (a task cut from the batch is written back at
 once, the rest at the end) and returns only per-fit lists; a FitResult
-is built from the arrays only for a fit that is read.
+is built from the array only for a fit that is read.  With intercepts
+the batch is (fits, t_fit, p + 1), each task's intercept last
+(core._members): the prox and the row-norm penalty take the first p
+coefficients, and the intercepts take the plain gradient step.
 
-A turn allocates no array the size of the batch: the loop steps in a
+A turn allocates no array the size of the batch, with intercepts or
+without (an alpha or beta term makes its own): the loop steps in a
 _Workspace (the momentum point, the gradient, one array for S - g / L
 and then the step, the prox's row norms and shrink factors, and a spare
 candidate), made once per path or single fit, and a narrowed batch uses
 views of its first entries.  The spare rotates with the iterates:
 candidate -> iterate -> previous iterate -> next candidate.  The
-iterates are the loop's own copies, so the caller's arrays are the
+iterates are the loop's own copies, so the caller's array is the
 output and never scratch.
 """
 
@@ -64,7 +68,9 @@ from .core import (
     _batch_objective,
     _member_dots,
     _members,
+    _n_features,
     _row_norms,
+    _split,
     _task_subset,
 )
 
@@ -105,12 +111,12 @@ class FitResult:
     converged: bool
 
 
-def _fit_result(W, b, fits, i) -> FitResult:
-    """Fit i of a fitted batch (W, b), with _proximal_loop's per-fit lists
-    fits, as a FitResult."""
+def _fit_result(W, p, fits, i) -> FitResult:
+    """Fit i of a fitted batch W on p features, with _proximal_loop's
+    per-fit lists fits, as a FitResult."""
     traces, L, converged = fits[:3]
     return FitResult(
-        coef=CoefficientMatrix(W[i].T.copy(), None if b is None else b[i]),
+        coef=CoefficientMatrix(*_split(W[i], p)),
         objective_trace=np.array(traces[i], dtype=float),
         final_L=L[i],
         iterations=len(traces[i]),
@@ -155,9 +161,10 @@ def _task_fits(B, tasks):
 @dataclass(eq=False)
 class _Workspace:
     """The scratch arrays of proximal steps on a batch of fits (fits,
-    t_fit, p): the momentum point, the spare candidate (the loop rotates
-    it with its iterates), the gradient, the step array (first
-    S - grad / L, then the step cand - S), and the prox's row norms
+    t_fit, p), or (fits, t_fit, p + 1) with intercepts: the momentum
+    point, the spare candidate (the loop rotates it with its iterates),
+    the gradient, the step array (first S - grad / L, then the step
+    cand - S), all shaped like the batch, and the prox's row norms
     (fits, p) and shrink factors (fits, 1, p)."""
 
     search: np.ndarray
@@ -168,8 +175,8 @@ class _Workspace:
     scale: np.ndarray
 
     @classmethod
-    def like(cls, W):
-        fits, _, p = W.shape
+    def like(cls, W, p):
+        fits = W.shape[0]
         return cls(*(np.empty(W.shape) for _ in range(4)), np.empty((fits, p)), np.empty((fits, 1, p)))
 
     def head(self, fits):
@@ -178,35 +185,32 @@ class _Workspace:
         return _Workspace(**{name: array[:fits] for name, array in vars(self).items()})
 
 
-def _backtrack(blocks, lam, alpha, beta, Ws, bs, f_s, L, pending, work):
+def _backtrack(blocks, lam, alpha, beta, Ws, f_s, L, pending, work):
     """Grow each pending fit's L by doubling until sufficient decrease
-    holds at its prox candidate; the others keep L.
+    holds at its prox candidate; the others keep L.  The prox and the
+    row-norm penalty take the coefficients; intercepts take the plain
+    gradient step.
 
-    f_s (F at the search point (Ws, bs)), L and pending are lists; work
-    is a _Workspace whose arrays, but for search, do not overlap Ws.
-    Returns (L, W_cand,
-    b_cand, F at the candidate, the candidate's row-norm sum), the last
-    two as lists, all from the last trial (W_cand is work.cand): a fit
-    that passed earlier kept its L, so every later trial recomputed its
-    candidate bit for bit.
+    f_s (F at the search point Ws), L and pending are lists; work is a
+    _Workspace whose arrays, but for search, do not overlap Ws.  Returns
+    (L, the candidate, F at the candidate, the candidate's row-norm sum),
+    the last two as lists, all from the last trial (the candidate is
+    work.cand): a fit that passed earlier kept its L, so every later
+    trial recomputed its candidate bit for bit.
     """
-    gW, gb = _batch_gradient(blocks, Ws, bs, alpha, beta, work.grad)
+    p = _n_features(blocks)
+    gW = _batch_gradient(blocks, Ws, alpha, beta, work.grad)
     V, Wy = work.step, work.cand
     for _ in range(MAX_DOUBLINGS + 1):
         L_arr = np.array(L)
         np.divide(gW, L_arr[:, None, None], out=V)
         np.subtract(Ws, V, out=V)
-        _, norms = _prox_batch(V, lam / L_arr, Wy, work.norms, work.scale)
+        _, norms = _prox_batch(V[..., :p], lam / L_arr, Wy[..., :p], work.norms, work.scale)
+        Wy[..., p:] = V[..., p:]
         dW = np.subtract(Wy, Ws, out=V)
         linear = _member_dots(gW, dW)
         step_sq = _member_dots(dW, dW)
-        by = None
-        if bs is not None:
-            by = bs - gb / L_arr[:, None]
-            db = by - bs
-            linear += _member_dots(gb, db)
-            step_sq += _member_dots(db, db)
-        f_y = _batch_objective(blocks, Wy, by, alpha, beta)
+        f_y = _batch_objective(blocks, Wy, alpha, beta)
         pending = [
             pend and not (sq <= _NULL_STEP_SQ or fy <= fs + lin + 0.5 * Lm * sq)
             for pend, fy, fs, lin, sq, Lm in zip(
@@ -216,7 +220,7 @@ def _backtrack(blocks, lam, alpha, beta, Ws, bs, f_s, L, pending, work):
         if not any(pending):
             # Only pending fits double L, and a fit's arithmetic reads only
             # its own slice, so this trial repeats each earlier acceptance.
-            return L, Wy, by, f_y.tolist(), norms.sum(axis=1).tolist()
+            return L, Wy, f_y.tolist(), norms.sum(axis=1).tolist()
         L = [2.0 * Lm if pend else Lm for Lm, pend in zip(L, pending)]
     raise SolverError(
         f"line search did not reach sufficient decrease within {MAX_DOUBLINGS} "
@@ -239,55 +243,56 @@ def line_search(
     """
     if not L_prev > 0.0:
         raise ValueError("L_prev must be positive")
-    Ws, bs = _members(search_point.W, search_point.intercepts)
-    f_s = _batch_objective(problem._blocks, Ws, bs, hyper.alpha, hyper.beta)
+    Ws = _members(search_point.W, search_point.intercepts)
+    f_s = _batch_objective(problem._blocks, Ws, hyper.alpha, hyper.beta)
     if not np.isfinite(f_s[0]):
         raise SolverError("objective is non-finite at the search point")
-    L, Wc, bc, _, _ = _backtrack(
-        problem._blocks, np.array([hyper.lam]), hyper.alpha, hyper.beta, Ws, bs, [f_s[0]],
-        [float(L_prev)], [True], _Workspace.like(Ws),
+    L, Wc, _, _ = _backtrack(
+        problem._blocks, np.array([hyper.lam]), hyper.alpha, hyper.beta, Ws, [f_s[0]],
+        [float(L_prev)], [True], _Workspace.like(Ws, problem.p),
     )
-    return L[0], CoefficientMatrix(Wc[0].T.copy(), None if bc is None else bc[0])
+    return L[0], CoefficientMatrix(*_split(Wc[0], problem.p))
 
 
 def _resolve_init(problem, opts, w_init):
-    """The start of a single fit as a batch of one."""
+    """The start of a single fit as a batch of one (core._members): w_init,
+    zero where it carries no intercepts, or all zeros without it."""
     p, t = problem.p, problem.t
-    w_init = w_init or CoefficientMatrix.zeros(p, t, opts.fit_intercept)
-    if w_init.W.shape != (p, t):
-        raise ValueError(f"w_init shape {w_init.W.shape} does not match problem ({p}, {t})")
-    b0 = w_init.intercepts
-    if b0 is not None and not opts.fit_intercept:
-        raise ValueError("w_init carries intercepts but fit_intercept is off")
-    if opts.fit_intercept:
-        b0 = np.zeros((1, t)) if b0 is None else b0[None].copy()
-    return w_init.W.T.copy()[None], b0
+    W = np.zeros((1, t, p + 1 if opts.fit_intercept else p))
+    if w_init:
+        if w_init.W.shape != (p, t):
+            raise ValueError(f"w_init shape {w_init.W.shape} does not match problem ({p}, {t})")
+        start = _members(w_init.W, w_init.intercepts)
+        if start.shape[2] > W.shape[2]:
+            raise ValueError("w_init carries intercepts but fit_intercept is off")
+        W[..., : start.shape[2]] = start
+    return W
 
 
-def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated, work=None, f=None):
-    """Fit the batch of fits (W, b), shapes (fits, t_fit, p) and
-    (fits, t_fit) (or None), fit m at penalty lam[m], on a core._layout of
-    their B members (problem._blocks for one): B joint fits (t_fit = t) or
-    B * t single-task fits (t_fit = 1, member-major).  The fits are
-    written into W and b in place, and only there: the caller's arrays
-    are the output, never scratch.  work is a _Workspace for W's shape
-    (a new one when None; a path passes one to each of its points).  f
-    is each fit's F at (W, b) when the caller holds it (a path point's
-    start is the last point's end); the loop evaluates it when None.
-    Returns each fit's objective trace, final L, converged flag and F at
-    its fit as four lists (_fit_result reads one fit).
+def _proximal_loop(blocks, lam, alpha, beta, opts, W, accelerated, work=None, f=None):
+    """Fit the batch of fits W, shape (fits, t_fit, p), or (fits, t_fit,
+    p + 1) with each task's intercept last, fit m at penalty lam[m], on a
+    core._layout of their B members (problem._blocks for one): B joint
+    fits (t_fit = t) or B * t single-task fits (t_fit = 1, member-major).
+    The fits are written into W in place, and only there: the caller's
+    array is the output, never scratch.  work is a _Workspace for W's
+    shape (a new one when None; a path passes one to each of its points).
+    f is each fit's F at W when the caller holds it (a path point's start
+    is the last point's end); the loop evaluates it when None.  Returns
+    each fit's objective trace, final L, converged flag and F at its fit
+    as four lists (_fit_result reads one fit).
     Per-fit scalars are Python floats; the working arrays hold all fits of
     the tasks still running."""
-    n_fits, B = W.shape[0], blocks[0][4].shape[0]
-    W_out, b_out = W, b
+    n_fits, B, p = W.shape[0], blocks[0][4].shape[0], _n_features(blocks)
+    W_out = W
     lam = np.asarray(lam, dtype=float)
     lam_m = lam.tolist()
     # Copies: the rotation turns each iterate array into a later candidate.
     W, W_prev = W.copy(), W.copy()
-    work = _Workspace.like(W) if work is None else work
-    b_prev = b
-    f = _batch_objective(blocks, W, b, alpha, beta) if f is None else np.array(f)
-    obj_prev = (f + lam * _row_norms(W, work.norms, work.step).sum(axis=1)).tolist()
+    work = _Workspace.like(W, p) if work is None else work
+    f = _batch_objective(blocks, W, alpha, beta) if f is None else np.array(f)
+    norms = _row_norms(W[..., :p], work.norms, work.step[..., :p])
+    obj_prev = (f + lam * norms.sum(axis=1)).tolist()
     finite = list(map(math.isfinite, obj_prev))
     if not all(finite):
         raise SolverError("objective is non-finite at the initial point", finite.index(False))
@@ -303,16 +308,13 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated, work=None,
     live = list(range(n_fits))  # the fit at each position of the batch
     final_L, final_converged, final_f = [None] * n_fits, [None] * n_fits, [None] * n_fits
 
-    def write_back(positions, W, b, L, converged, f):
-        """Write the fits at positions of the batch (W, b) into the
-        caller's arrays, and their final L, converged flags and F into
-        the output.  The batch is passed in: a name of the loop read
-        from here would be a cell variable, slower to reach in every
-        turn."""
+    def write_back(positions, W, L, converged, f):
+        """Write the fits at positions of the batch W into the caller's
+        array, and their final L, converged flags and F into the output.
+        The batch is passed in: a name of the loop read from here would
+        be a cell variable, slower to reach in every turn."""
         ids = [live[i] for i in positions]
         W_out[ids] = W[positions]
-        if b is not None:
-            b_out[ids] = b[positions]
         for fit, i in zip(ids, positions):
             final_L[fit], final_converged[fit], final_f[fit] = L[i], converged[i], f[i]
 
@@ -323,18 +325,17 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated, work=None,
             Ws = np.subtract(W, W_prev, out=work.search)
             Ws *= m[:, None, None]
             Ws += W
-            bs = b + m[:, None] * (b - b_prev) if b is not None else None
-            f_m = _batch_objective(blocks, Ws, bs, alpha, beta).tolist()
+            f_m = _batch_objective(blocks, Ws, alpha, beta).tolist()
             f_s = [fm if mo != 0.0 else fi for fm, mo, fi in zip(f_m, mom, f)]
         else:
-            Ws, bs, f_s = W, b, f
+            Ws, f_s = W, f
         pending = [on and math.isfinite(fs) for on, fs in zip(active, f_s)]
         if any(pending):
             given = [0.5 * Lm if pend and run == _EASY_TURNS else Lm
                      for Lm, run, pend in zip(L, easy, pending)]
             try:
-                L, Wc, bc, f_c, penalty = _backtrack(
-                    blocks, lam, alpha, beta, Ws, bs, f_s, given, pending, work
+                L, Wc, f_c, penalty = _backtrack(
+                    blocks, lam, alpha, beta, Ws, f_s, given, pending, work
                 )
             except SolverError as err:
                 raise SolverError(str(err), live[err.fit]) from None
@@ -375,39 +376,35 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated, work=None,
         if any(step):
             # The stepping fits move on; the others keep their iterate.
             # (Their W_prev goes unused: one that stays active restarted.)
-            W_prev, W, work.cand, b_prev, b = W, Wc, W_prev, b, bc
+            W_prev, W, work.cand = W, Wc, W_prev
             f = [fc if moved else fi for fc, moved, fi in zip(f_c, step, f)]
             if not all(step):
                 kept = np.logical_not(step)
                 np.copyto(W, W_prev, where=kept[:, None, None])
-                if b is not None:
-                    np.copyto(b, b_prev, where=kept[:, None])
 
         if stopped and len(live) > B and any(active):
             running = np.array(active).reshape(B, -1).any(axis=0)
             if not running.all():
                 # Tasks whose fits have all stopped leave the batch.
-                write_back(_task_fits(B, ~running), W, b, L, converged, f)
+                write_back(_task_fits(B, ~running), W, L, converged, f)
                 blocks, sel = _task_subset(blocks, running), _task_fits(B, running)
                 lam, W, W_prev = lam[sel], W[sel], W_prev[sel]
                 work = work.head(len(sel))
-                if b is not None:
-                    b, b_prev = b[sel], b_prev[sel]
                 per_fit = (lam_m, f, L, easy, t_prev, t_cur, traces, converged, active,
                            obj_prev, live)
                 lam_m, f, L, easy, t_prev, t_cur, traces, converged, active, obj_prev, live = (
                     [x[i] for i in sel] for x in per_fit
                 )
 
-    write_back(np.arange(len(live)), W, b, L, converged, f)
+    write_back(np.arange(len(live)), W, L, converged, f)
     return all_traces, final_L, final_converged, final_f
 
 
 def _single_fit(problem, hyper, opts, w_init, accelerated) -> FitResult:
-    W, b = _resolve_init(problem, opts, w_init)
+    W = _resolve_init(problem, opts, w_init)
     lam, alpha, beta = [hyper.lam], hyper.alpha, hyper.beta
-    fits = _proximal_loop(problem._blocks, lam, alpha, beta, opts, W, b, accelerated)
-    return _fit_result(W, b, fits, 0)
+    fits = _proximal_loop(problem._blocks, lam, alpha, beta, opts, W, accelerated)
+    return _fit_result(W, problem.p, fits, 0)
 
 
 def fista_fit(

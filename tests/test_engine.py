@@ -30,7 +30,8 @@ from mixedmtl import (
 )
 from mixedmtl import SimulationSpec, binarize_problem, regpath, simulate, standardize
 from mixedmtl import lam_max, lambda_sequence, reg_path, solver
-from mixedmtl.core import _batch_gradient, _batch_objective, _block_scores, _layout, _task_subset
+from mixedmtl.core import (_batch_gradient, _batch_objective, _block_scores, _layout, _members,
+                           _task_subset)
 from mixedmtl.modelio import load_problem, write_csv, write_json
 from mixedmtl.modelselect import _cross_validate, task_folds
 from mixedmtl.solver import _fit_result
@@ -140,12 +141,11 @@ def test_row_weighted_members_match_per_task_reference(seed, fit_intercept):
         rows.append(fitted)
     blocks = _layout(problem, rows)
     coefs = [_random_coef(rng, p, t, fit_intercept) for _ in range(B)]
-    W = np.stack([coef.W.T for coef in coefs])
-    b = np.stack([coef.intercepts for coef in coefs]) if fit_intercept else None
-    F = _batch_objective(blocks, W, b, 0.0, 0.0)
-    columns = _batch_objective(blocks, W.reshape(B * t, 1, p),
-                               None if b is None else b.reshape(B * t, 1), 0.0, 0.0)
-    grad, grad_b = _batch_gradient(blocks, W, b, 0.0, 0.0)
+    W = np.concatenate([_members(coef.W, coef.intercepts) for coef in coefs])
+    F = _batch_objective(blocks, W, 0.0, 0.0)
+    columns = _batch_objective(blocks, W.reshape(B * t, 1, -1), 0.0, 0.0)
+    grad = _batch_gradient(blocks, W, 0.0, 0.0)
+    grad, grad_b = grad[..., :p], grad[..., p] if fit_intercept else None
     for m, coef in enumerate(coefs):
         member = MtlProblem(tuple(
             TaskDataset(task.X[fitted[:, m]], task.y[fitted[:, m]], task.kind, task.name)
@@ -234,14 +234,14 @@ def test_task_subset_keeps_exactly_the_running_tasks_in_their_layout(tmp_path):
             r[0] = True
         blocks = _layout(problem, rows)
         W = rng.standard_normal((2, problem.t, problem.p))
-        full = [S for *_, S in _block_scores(blocks, W, None)]
+        full = [S for *_, S in _block_scores(blocks, W)]
         for alive in itertools.product([False, True], repeat=problem.t):
             alive = np.array(alive)
             if not alive.any():
                 continue
             narrowed = _task_subset(blocks, alive)
             kept = np.flatnonzero(alive)
-            parts = iter(zip(narrowed, _block_scores(narrowed, W[:, kept], None)))
+            parts = iter(zip(narrowed, _block_scores(narrowed, W[:, kept])))
             position = 0
             for (_, columns, X_all, Y_all, M_all), S_all in zip(blocks, full):
                 local = np.flatnonzero(alive[columns])
@@ -309,9 +309,9 @@ def test_cv_error_is_the_validation_objective_of_each_fold_fit(seed, fit_interce
     # The fold fits are the batched path's members, one call per penalty.
     batches = []
 
-    def recording(blocks, lam, alpha, beta, opts, W, b, accelerated, work=None, f=None):
-        fits = proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated, work, f)
-        batches.append((W.copy(), None if b is None else b.copy(), fits))
+    def recording(blocks, lam, alpha, beta, opts, W, accelerated, work=None, f=None):
+        fits = proximal_loop(blocks, lam, alpha, beta, opts, W, accelerated, work, f)
+        batches.append((W.copy(), fits))
         return fits
 
     proximal_loop = regpath._proximal_loop
@@ -326,24 +326,25 @@ def test_cv_error_is_the_validation_objective_of_each_fold_fit(seed, fit_interce
             TaskDataset(task.X[task_fold[fold]], task.y[task_fold[fold]], task.kind, task.name)
             for task, task_fold in zip(problem.tasks, folds)
         ))
-        for j, batch in enumerate(batches):
-            expected[j] += smooth_objective(validation, _fit_result(*batch, fold).coef) / problem.t
+        for j, (W, fits) in enumerate(batches):
+            fit = _fit_result(W, problem.p, fits, fold)
+            expected[j] += smooth_objective(validation, fit.coef) / problem.t
     npt.assert_allclose(cv.mean_cv_error, expected / k, rtol=1e-12, atol=0.0)
 
 
 def _checking_path_loop(carried):
     """regpath._proximal_loop that checks, on every call given the last
     point's F (every path point after the first), that it is F evaluated
-    afresh at the point's start (W, b), bit for bit; it appends whether
-    each call was given one to carried."""
+    afresh at the point's start W, bit for bit; it appends whether each
+    call was given one to carried."""
     proximal_loop = regpath._proximal_loop
 
-    def checking(blocks, lam, alpha, beta, opts, W, b, accelerated, work=None, f=None):
+    def checking(blocks, lam, alpha, beta, opts, W, accelerated, work=None, f=None):
         carried.append(f is not None)
         if f is not None:
-            fresh = _batch_objective(blocks, W, b, alpha, beta)
+            fresh = _batch_objective(blocks, W, alpha, beta)
             assert np.array(f).tobytes() == fresh.tobytes()
-        return proximal_loop(blocks, lam, alpha, beta, opts, W, b, accelerated, work, f)
+        return proximal_loop(blocks, lam, alpha, beta, opts, W, accelerated, work, f)
 
     return checking
 

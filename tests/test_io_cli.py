@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -1271,6 +1272,23 @@ def test_cli_exit_codes(tmp_path, capsys, monkeypatch):
         assert _run(argv + ["--out-dir", tmp_path / "x"]) == 3, argv
         assert capsys.readouterr().err.startswith(message), argv
         assert not (tmp_path / "x").exists(), argv
+
+
+def test_cli_numerical_error_is_its_one_stderr_line(tmp_path, capsys):
+    # The squared loss overflows on huge outcomes: numpy warns of nothing,
+    # and the documented error line is all the command prints.
+    _write(tmp_path / "huge.csv", "f1,y\n1,1e200\n2,-1e200\n")
+    man = _manifest(tmp_path, [{"name": "t", "kind": "regression", "data_path": "huge.csv",
+                                "outcome_column": "y"}])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _run(["fit", "--manifest", man, "--lambda", 0.1,
+                     "--out-dir", tmp_path / "n"]) == 4
+    assert caught == []
+    assert capsys.readouterr().err.splitlines() == [
+        "numerical-error: objective is non-finite at the initial point"
+    ]
+    assert not (tmp_path / "n").exists()
 
 
 @pytest.mark.parametrize("flag", ["--alpha", "--beta"])

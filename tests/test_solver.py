@@ -23,9 +23,11 @@ from mixedmtl import (
     lam_max,
     lambda_sequence,
     line_search,
+    make_centering,
     prox_l21,
     reg_path,
     smooth_gradient,
+    smooth_objective,
 )
 from mixedmtl.core import _layout, _row_norms
 from mixedmtl.modelselect import task_folds
@@ -332,14 +334,14 @@ def test_a_stopped_task_between_running_ones_leaves_the_batch(monkeypatch):
     monkeypatch.setattr(solver_module, "_task_subset", recorded)
     opts = SolverOptions(max_iter=500, tol=1e-12)
     W = np.zeros((3, 1, 5))
-    fits = solver_module._proximal_loop(problem._blocks, lam, 0.0, 0.0, opts, W, None, True)
+    fits = solver_module._proximal_loop(problem._blocks, lam, 0.0, 0.0, opts, W, True)
     alive, stacks = cuts[0]
     assert alive == [True, False, True]
     assert len(stacks) == 1 and len(stacks[0]) == 2
     npt.assert_array_equal(stacks[0], [problem.tasks[0].X, problem.tasks[2].X])
     for i, task in enumerate(problem.tasks):
         alone = fista_fit(MtlProblem((task,)), Hyperparameters(lam[i]), opts)
-        result = solver_module._fit_result(W, None, fits, i)
+        result = solver_module._fit_result(W, 5, fits, i)
         assert result.coef.W.tobytes() == alone.coef.W.tobytes()
         assert result.objective_trace.tobytes() == alone.objective_trace.tobytes()
         assert (result.final_L, result.converged) == (alone.final_L, alone.converged)
@@ -372,7 +374,7 @@ def test_a_failure_after_the_batch_is_cut_names_the_fit_it_belongs_to(monkeypatc
     monkeypatch.setattr(solver_module, "_backtrack", failing)
     opts = SolverOptions(max_iter=500, tol=1e-12)
     with pytest.raises(SolverError) as err:
-        next(_path(problem._blocks, lam[None], 0.0, 0.0, opts, np.zeros((3, 1, 5)), None))
+        next(_path(problem._blocks, lam[None], 0.0, 0.0, opts, np.zeros((3, 1, 5))))
     assert cuts == [[True, False, True]]
     assert err.value.__cause__.fit == 2
     assert f"lambda={float(lam[2])!r}" in str(err.value)
@@ -565,6 +567,30 @@ def test_intercept_only_solution_at_lam_max():
     assert result.coef.intercepts[1] == pytest.approx(problem.tasks[1].y.mean(), abs=1e-4)
 
 
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_intercepts_stay_outside_every_penalty_and_the_prox(seed):
+    # Each task's intercept rides in the batch as one more coefficient; no
+    # penalty and no row of the prox may reach it.
+    rng = np.random.default_rng(seed)
+    problem = random_mixed_problem(rng)
+    alpha, beta = rng.uniform(0.1, 1.0, size=2)
+    W, b = rng.standard_normal((problem.p, problem.t)), rng.standard_normal(problem.t)
+    coef = CoefficientMatrix(W, b)
+    _, grad_b = smooth_gradient(problem, coef, alpha, beta)
+    _, plain_b = smooth_gradient(problem, coef)
+    assert grad_b.tobytes() == plain_b.tobytes()
+    excess = smooth_objective(problem, coef, alpha, beta) - smooth_objective(problem, coef)
+    centered = W @ make_centering(problem.t)
+    npt.assert_allclose(excess, alpha * np.sum(centered**2) + beta * np.sum(W**2), rtol=1e-12)
+    # Far above lam_max every row is zero, and the intercepts take a plain
+    # gradient step at the accepted L.
+    hyper = Hyperparameters(1e6 * lam_max(problem, fit_intercept=True), alpha, beta)
+    L, cand = line_search(problem, hyper, coef, 1.0)
+    assert not cand.W.any()
+    assert cand.intercepts.tobytes() == (b - grad_b / L).tobytes()
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_line_search_exhausts_doublings_on_extreme_curvature():
     # Curvature ~1e70 cannot be reached from L0=1 within 60 doublings, and
@@ -633,13 +659,10 @@ def test_each_batch_member_matches_reg_path_on_its_own_rows(seed, fit_intercept)
     tight = SolverOptions(max_iter=20000, tol=1e-14, fit_intercept=fit_intercept)
 
     members = _layout(problem, rows)
-    W = np.zeros((k + 1, problem.t, problem.p))
-    b = np.zeros((k + 1, problem.t)) if fit_intercept else None
+    W = np.zeros((k + 1, problem.t, problem.p + 1 if fit_intercept else problem.p))
     for point in range(2):
-        batch = solver_module._proximal_loop(
-            members, lams[:, point], alpha, beta, tight, W, b, True
-        )
-        fits = [solver_module._fit_result(W, b, batch, m) for m in range(k + 1)]
+        batch = solver_module._proximal_loop(members, lams[:, point], alpha, beta, tight, W, True)
+        fits = [solver_module._fit_result(W, problem.p, batch, m) for m in range(k + 1)]
         for m, (copy, fit) in enumerate(zip(copies, fits)):
             hyper = Hyperparameters(lams[m, point], alpha, beta)
             sequence = LambdaSequence(lams[m], ratio=factors[m, 1] / factors[m, 0])
