@@ -5,6 +5,11 @@ and echoes its full resolved configuration (defaults included) to
 runlog.json in the same directory, so identical command lines reproduce
 byte-identical output trees.
 
+A numeric flag is the library parameter of the same name (--n-per-task is
+SimulationSpec's n_per_task): _add_flags declares it with the library's
+default and type, and _call passes it to the library by that name.  The
+flags whose names differ from their parameter's are passed explicitly.
+
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 Errors are reported on stderr as one line: "<category>: <message>" with
 category in {usage-error, data-error, numerical-error}.
@@ -14,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import os
 import sys
 from functools import partial
@@ -42,8 +48,8 @@ from .modelio import (
     write_task_files,
 )
 from .modelselect import auc, cross_validate, explained_variance
-from .regpath import lam_max, lambda_sequence, reg_path
-from .simdata import BENCHMARK_METHODS, SimulationSpec, run_benchmark, simulate
+from .regpath import lam_max, lambda_sequence, path_options, reg_path
+from .simdata import SimulationSpec, run_benchmark, simulate
 from .simdata import _benchmark_grid
 from .solver import SolverError, fista_fit
 
@@ -78,23 +84,21 @@ def _load_fit_inputs(manifest_path):
     return problem, feature_names, manifest, record
 
 
+def _call(call, args, *positional, **explicit):
+    """call(*positional, **explicit), with every parsed flag whose dest is one
+    of call's other parameters passed by that name."""
+    params = inspect.signature(call).parameters
+    flags = {name: value for name, value in vars(args).items() if name in params}
+    return call(*positional, **{**flags, **explicit})
+
+
 def _solver_options(args, fit_intercept: bool) -> SolverOptions:
-    return SolverOptions(
-        max_iter=args.max_iter, tol=args.tol, L0=args.l0, fit_intercept=fit_intercept
-    )
+    return _call(SolverOptions, args, L0=args.l0, fit_intercept=fit_intercept)
 
 
 def cmd_simulate(args) -> int:
     out_dir = _ensure_out_dir(args.out_dir)
-    spec = SimulationSpec(
-        t_classification=args.t_classification,
-        t_regression=args.t_regression,
-        p=args.p,
-        n_per_task=args.n_per_task,
-        sparsity=args.sparsity,
-        noise_scale=args.noise_scale,
-        seed=args.seed,
-    )
+    spec = _call(SimulationSpec, args)
     sim = simulate(spec)
     width = len(str(spec.p))
     feature_names = [f"x{j + 1:0{width}d}" for j in range(spec.p)]
@@ -136,7 +140,7 @@ def cmd_simulate(args) -> int:
 def cmd_fit(args) -> int:
     problem, feature_names, manifest, record = _load_fit_inputs(args.manifest)
     opts = _solver_options(args, manifest.fit_intercept)
-    hyper = Hyperparameters(args.lam, args.alpha, args.beta)
+    hyper = _call(Hyperparameters, args)
     result = fista_fit(problem, hyper, opts)
     model = ModelFile(
         feature_names=feature_names,
@@ -159,12 +163,12 @@ def cmd_path(args) -> int:
     problem, feature_names, manifest, _ = _load_fit_inputs(args.manifest)
     opts = _solver_options(args, manifest.fit_intercept)
     top = lam_max(problem, fit_intercept=opts.fit_intercept)
-    sequence = lambda_sequence(top, ratio=args.ratio, n=args.n_lambda)
-    path = reg_path(problem, sequence, alpha=args.alpha, beta=args.beta, opts=opts)
+    sequence = _call(lambda_sequence, args, top, n=args.n_lambda)
+    path = _call(reg_path, args, problem, sequence, opts=opts)
 
     rows = []
     for lam, fit, nonzero in zip(sequence.values, path.fits, path.nonzero_rows):
-        objective = full_objective(problem, fit.coef, Hyperparameters(lam, args.alpha, args.beta))
+        objective = full_objective(problem, fit.coef, _call(Hyperparameters, args, lam))
         rows.append([lam, objective, str(int(nonzero))])
     out_dir = _ensure_out_dir(args.out_dir)
     write_csv(os.path.join(out_dir, "path.csv"), ["lambda", "objective", "nonzero_rows"], rows)
@@ -190,17 +194,7 @@ def cmd_path(args) -> int:
 def cmd_cv(args) -> int:
     problem, _, manifest, _ = _load_fit_inputs(args.manifest)
     opts = _solver_options(args, manifest.fit_intercept)
-    result = cross_validate(
-        problem,
-        alpha=args.alpha,
-        beta=args.beta,
-        k=args.k,
-        seed=args.seed,
-        opts=opts,
-        n_lambda=args.n_lambda,
-        ratio=args.ratio,
-        one_se=args.one_se,
-    )
+    result = _call(cross_validate, args, problem, opts=opts)
     out_dir = _ensure_out_dir(args.out_dir)
     write_csv(
         os.path.join(out_dir, "cv.csv"),
@@ -270,13 +264,7 @@ def _bench_grid(args) -> tuple:
     except ValueError as err:
         raise UsageError(f"could not parse --ratios/--seeds: {err}") from None
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    spec = SimulationSpec(
-        t_classification=args.t_classification,
-        t_regression=args.t_regression,
-        p=args.p,
-        sparsity=args.sparsity,
-        noise_scale=args.noise_scale,
-    )
+    spec = _call(SimulationSpec, args)
     try:
         return (spec, *_benchmark_grid(spec, methods, ratios, seeds, args.k))
     except ValueError as err:
@@ -294,17 +282,7 @@ def cmd_bench(args) -> int:
         path = os.path.dirname(path)
     out_dir = _ensure_out_dir(args.out_dir)
     try:
-        rows = run_benchmark(
-            spec,
-            methods=methods,
-            ratios=ratios,
-            seeds=seeds,
-            k=args.k,
-            n_lambda=args.n_lambda,
-            lambda_ratio=args.lambda_ratio,
-            alpha=args.alpha,
-            beta=args.beta,
-        )
+        rows = _call(run_benchmark, args, spec, methods=methods, ratios=ratios, seeds=seeds)
     except BaseException:
         for path in made:
             os.rmdir(path)
@@ -325,20 +303,23 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _add_spec_flags(sub) -> None:
-    sub.add_argument("--t-classification", type=int, default=10)
-    sub.add_argument("--t-regression", type=int, default=10)
-    sub.add_argument("--p", type=int, default=200)
-    sub.add_argument("--sparsity", type=float, default=0.9)
-    sub.add_argument("--noise-scale", type=float, default=0.5)
+def _add_flags(sub, source, *names) -> None:
+    """Declare --name (dashes for underscores, dest name) for each of names,
+    with the default, and its type, of source's parameter of that name, or
+    of its attribute when source is an options object."""
+    for name in names:
+        if callable(source):
+            default = inspect.signature(source).parameters[name].default
+        else:
+            default = getattr(source, name)
+        sub.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
 
 
-def _add_solver_flags(sub, max_iter: int, tol: float) -> None:
-    sub.add_argument("--alpha", type=float, default=0.0)
-    sub.add_argument("--beta", type=float, default=0.0)
-    sub.add_argument("--max-iter", type=int, default=max_iter)
-    sub.add_argument("--tol", type=float, default=tol)
-    sub.add_argument("--l0", type=float, default=1.0)
+def _add_solver_flags(sub, opts: SolverOptions) -> None:
+    """--alpha and --beta, and the flags of opts, the options the command fits with."""
+    _add_flags(sub, Hyperparameters, "alpha", "beta")
+    _add_flags(sub, opts, "max_iter", "tol")
+    sub.add_argument("--l0", type=float, default=opts.L0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,36 +331,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
 
+    spec_flags = ("t_classification", "t_regression", "p", "sparsity", "noise_scale")
     sub = commands.add_parser("simulate", help="generate a synthetic mixed-task dataset")
-    _add_spec_flags(sub)
-    sub.add_argument("--n-per-task", type=int, default=100)
-    sub.add_argument("--seed", type=int, default=0)
+    _add_flags(sub, SimulationSpec, *spec_flags, "n_per_task", "seed")
     sub.add_argument("--out-dir", required=True)
     sub.set_defaults(func=cmd_simulate)
 
     sub = commands.add_parser("fit", help="fit a model at a fixed penalty")
     sub.add_argument("--manifest", required=True)
     sub.add_argument("--lambda", dest="lam", type=float, required=True)
-    _add_solver_flags(sub, max_iter=1000, tol=1e-8)
+    _add_solver_flags(sub, SolverOptions())
     sub.add_argument("--out-dir", required=True)
     sub.set_defaults(func=cmd_fit)
 
     sub = commands.add_parser("path", help="fit the full regularization path")
     sub.add_argument("--manifest", required=True)
-    sub.add_argument("--ratio", type=float, default=0.01)
+    _add_flags(sub, lambda_sequence, "ratio")
     sub.add_argument("--n-lambda", type=int, default=100)
-    _add_solver_flags(sub, max_iter=100, tol=1e-6)
+    _add_solver_flags(sub, path_options())
     sub.add_argument("--save-coefficients", action="store_true")
     sub.add_argument("--out-dir", required=True)
     sub.set_defaults(func=cmd_path)
 
     sub = commands.add_parser("cv", help="select the penalty by cross-validation")
     sub.add_argument("--manifest", required=True)
-    sub.add_argument("--k", type=int, default=10)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--ratio", type=float, default=0.01)
-    sub.add_argument("--n-lambda", type=int, default=100)
-    _add_solver_flags(sub, max_iter=100, tol=1e-6)
+    _add_flags(sub, cross_validate, "k", "seed", "ratio", "n_lambda")
+    _add_solver_flags(sub, path_options())
     sub.add_argument("--one-se", action="store_true")
     sub.add_argument("--out-dir", required=True)
     sub.set_defaults(func=cmd_cv)
@@ -398,15 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_eval)
 
     sub = commands.add_parser("bench", help="run the simulation benchmark")
-    _add_spec_flags(sub)
-    sub.add_argument("--methods", default=",".join(BENCHMARK_METHODS))
-    sub.add_argument("--ratios", default="0.1,0.4,0.8")
-    sub.add_argument("--seeds", default="1,2,3,4,5")
-    sub.add_argument("--k", type=int, default=5)
-    sub.add_argument("--n-lambda", type=int, default=50)
-    sub.add_argument("--lambda-ratio", type=float, default=0.01)
-    sub.add_argument("--alpha", type=float, default=0.0)
-    sub.add_argument("--beta", type=float, default=0.0)
+    _add_flags(sub, SimulationSpec, *spec_flags)
+    for name in ("methods", "ratios", "seeds"):
+        default = inspect.signature(run_benchmark).parameters[name].default
+        sub.add_argument("--" + name, default=",".join(map(str, default)))
+    _add_flags(sub, run_benchmark, "k", "n_lambda", "lambda_ratio", "alpha", "beta")
     sub.add_argument("--out-dir", required=True)
     sub.set_defaults(func=cmd_bench)
 
@@ -426,7 +399,8 @@ def _check_flag_ranges(args) -> None:
     """
     # Flag dest -> (the call, its parameter); library defaults fill in the
     # rest, except that the simulation checks see --t-classification too.
-    spec = partial(SimulationSpec, t_classification=getattr(args, "t_classification", 10))
+    t_classification = getattr(args, "t_classification", SimulationSpec.t_classification)
+    spec = partial(SimulationSpec, t_classification=t_classification)
     checks = {
         "lam": (Hyperparameters, "lam"),
         "alpha": (partial(Hyperparameters, 0.0), "alpha"),
@@ -436,11 +410,7 @@ def _check_flag_ranges(args) -> None:
         "l0": (SolverOptions, "L0"),
         "ratio": (partial(lambda_sequence, 1.0), "ratio"),
         "lambda_ratio": (partial(lambda_sequence, 1.0), "ratio"),
-        **{
-            name: (spec, name)
-            for name in ("t_classification", "t_regression", "p", "n_per_task", "sparsity",
-                         "noise_scale", "seed")
-        },
+        **{field.name: (spec, field.name) for field in dataclasses.fields(SimulationSpec)},
     }
     for dest, (check, param) in checks.items():
         if dest not in vars(args):

@@ -329,6 +329,17 @@ class Hyperparameters:
             object.__setattr__(self, field_name, value)
 
 
+def _whole(name, value, least) -> int:
+    """value as an int; a ValueError that names name when value is not a
+    whole number, or is below least."""
+    whole = int(value) if np.isfinite(value) else None
+    if whole != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if whole < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return whole
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     """Stopping rule and start of a fit.  L0 is the first curvature
@@ -341,13 +352,12 @@ class SolverOptions:
     fit_intercept: bool = False
 
     def __post_init__(self):
-        if int(self.max_iter) < 1:
-            raise ValueError("max_iter must be >= 1")
+        max_iter = _whole("max_iter", self.max_iter, 1)
         if not 0.0 < self.tol < np.inf:
             raise ValueError("tol must be positive and finite")
         if not 0.0 < self.L0 < np.inf:
             raise ValueError("L0 must be positive and finite")
-        object.__setattr__(self, "max_iter", int(self.max_iter))
+        object.__setattr__(self, "max_iter", max_iter)
         object.__setattr__(self, "tol", float(self.tol))
         object.__setattr__(self, "L0", float(self.L0))
         object.__setattr__(self, "fit_intercept", bool(self.fit_intercept))

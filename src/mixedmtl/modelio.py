@@ -179,14 +179,23 @@ class TaskManifest:
             raise DataError("manifest task names must be unique")
 
 
-def parse_manifest(path) -> TaskManifest:
+def _read_json(path, what):
+    """The JSON document in the file path; a missing file, bytes that are
+    not UTF-8 and text that is not JSON raise a DataError that names the
+    file as what (a manifest, a model file)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise DataError(f"manifest {path!r} does not exist") from None
+        raise DataError(f"{what} {path!r} does not exist") from None
+    except UnicodeDecodeError as err:
+        raise DataError(f"{what} {path!r} is not valid UTF-8: {err}") from None
     except json.JSONDecodeError as err:
-        raise DataError(f"manifest {path!r} is not valid JSON: {err}") from None
+        raise DataError(f"{what} {path!r} is not valid JSON: {err}") from None
+
+
+def parse_manifest(path) -> TaskManifest:
+    raw = _read_json(path, "manifest")
     if not isinstance(raw, dict) or not isinstance(raw.get("tasks"), list):
         raise DataError(f"manifest {path!r} must be an object with a 'tasks' list")
     tasks = []
@@ -239,6 +248,8 @@ def read_task_csv(path):
             text = fh.read()
     except FileNotFoundError:
         raise DataError(f"data file {path!r} does not exist") from None
+    except UnicodeDecodeError as err:
+        raise DataError(f"data file {path!r} is not valid UTF-8: {err}") from None
     if '"' in text:
         return _scan_task_csv(path, text)
     # csv ends a record at "\r\n", "\r" or "\n" and drops empty records.
@@ -489,13 +500,7 @@ def save_model(model: ModelFile, path) -> None:
 
 
 def load_model(path) -> ModelFile:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise DataError(f"model file {path!r} does not exist") from None
-    except json.JSONDecodeError as err:
-        raise DataError(f"model file {path!r} is not valid JSON: {err}") from None
+    doc = _read_json(path, "model file")
     if not isinstance(doc, dict):
         raise DataError(f"model file {path!r} must hold a JSON object")
     if doc.get("format_version") != MODEL_FORMAT_VERSION:

@@ -40,8 +40,9 @@ from .core import (
     _batch_objective,
     _layout,
     _split,
+    _whole,
 )
-from .regpath import LambdaSequence, _lam_max, _path, lambda_sequence, path_options
+from .regpath import LambdaSequence, _lam_max, _path, _start, lambda_sequence, path_options
 from .regpath import lam_max, reg_path  # noqa: F401  (perfbench/tracing.py patches these here)
 from .solver import FitResult, _fit_result
 
@@ -90,11 +91,13 @@ def kfold_split(N: int, k: int, seed) -> list:
 
     Deterministic given the seed.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    k = _whole("k", k, 2)
     if k > N:
         raise ValueError(f"cannot split {N} samples into {k} folds")
-    rng = np.random.default_rng(seed)
+    try:
+        rng = np.random.default_rng(seed)
+    except ValueError:  # numpy's message for a negative seed names no parameter
+        raise ValueError(f"seed must be >= 0, got {seed!r}") from None
     parts = np.array_split(rng.permutation(N), k)
     return [np.sort(part) for part in parts]
 
@@ -116,7 +119,7 @@ def _stratified_kfold_split(labels: np.ndarray, k: int, seed) -> list:
 def _task_seed(seed: int, name: str) -> list:
     # Mixing in the task name keeps a task's folds independent of which
     # other tasks happen to be present.
-    return [int(seed), zlib.crc32(name.encode("utf-8"))]
+    return [_whole("seed", seed, 0), zlib.crc32(name.encode("utf-8"))]
 
 
 def _task_fold(task, k: int, seed: int) -> list:
@@ -129,6 +132,7 @@ def _task_fold(task, k: int, seed: int) -> list:
 
 def task_folds(problem: MtlProblem, k: int, seed: int) -> list:
     """Fold index sets per task (stratified for classification tasks)."""
+    k = _whole("k", k, 2)
     return [_task_fold(task, k, seed) for task in problem.tasks]
 
 
@@ -146,12 +150,13 @@ def _check_fold(task, fitted, fold: int) -> None:
         raise DataError(f"fold {fold} leaves task {task.name!r} with a single class")
 
 
-def _grids(problem, members, opts, n_lambda, ratio, per_task) -> list:
+def _grids(members, W, n_lambda, ratio) -> list:
     """The penalty grid of each selection (the joint one, or one per task in
-    task order), from lam_max as the batch evaluates it, so without
-    intercepts the full-data fit at the head of a grid is exactly zero."""
+    task order) of the path's start W on the layout members, from lam_max
+    as the batch evaluates it, so the full-data fit at the head of a grid
+    is exactly zero."""
     sequences = []
-    for top in _lam_max(problem, opts.fit_intercept, members, per_task):
+    for top in _lam_max(members, W):
         if n_lambda != 1:
             sequences.append(lambda_sequence(top, ratio=ratio, n=n_lambda))
         elif top > 0.0:
@@ -188,8 +193,7 @@ def _cross_validate(
     cross_validate of that task alone would, in one batch.  Returns the
     CvResults (one, or one per task) and the selected full-data fits as
     one (p, t) CoefficientMatrix."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    k = _whole("k", k, 2)
     Hyperparameters(0.0, alpha, beta)  # rejects alpha and beta as fista_fit does
     opts = opts or path_options()
 
@@ -207,7 +211,8 @@ def _cross_validate(
         except DataError:
             if rows:
                 checked = MtlProblem(tasks[: len(rows)])
-                _grids(checked, _layout(checked, rows), opts, n_lambda, ratio, True)
+                start = _start(checked, k + 1, opts.fit_intercept, per_task)
+                _grids(_layout(checked, rows), start, n_lambda, ratio)
             raise
     else:
         rows = [_member_rows(task, _task_fold(task, k, seed), k) for task in tasks]
@@ -216,12 +221,11 @@ def _cross_validate(
                 _check_fold(task, fitted, fold)
     members = _layout(problem, rows)
     validation = _layout(problem, [~fitted[:, :k] for fitted in rows])
-    sequences = _grids(problem, members, opts, n_lambda, ratio, per_task)
+    W = _start(problem, k + 1, opts.fit_intercept, per_task)
+    sequences = _grids(members, W, n_lambda, ratio)
 
     # Fit m * units + u is member m's fit of selection u (the joint fit, or task u).
-    units = len(sequences)
-    t_fit = problem.t // units
-    W = np.zeros(((k + 1) * units, t_fit, problem.p + 1 if opts.fit_intercept else problem.p))
+    units, t_fit = len(sequences), W.shape[1]
     lams = np.tile(np.stack([sequence.values for sequence in sequences], axis=1), (1, k + 1))
     fold_errors = np.empty((units, k, len(lams)))
     folds, full = slice(k * units), slice(k * units, None)

@@ -36,8 +36,9 @@ from .core import (
     _batch_gradient,
     _n_features,
     _row_norms,
+    _whole,
 )
-from .solver import SolverError, _Workspace, _fit_result, _proximal_loop, _resolve_init
+from .solver import SolverError, _Workspace, _fit_result, _proximal_loop
 from .solver import fista_fit  # noqa: F401  (perfbench/tracing.py patches it here)
 
 __all__ = [
@@ -70,8 +71,8 @@ class LambdaSequence:
         values = np.array(self.values, dtype=float)
         if values.ndim != 1 or values.shape[0] < 1:
             raise ValueError("values must be a non-empty 1-d array")
-        if not np.all(values > 0.0):
-            raise ValueError("penalty values must be positive")
+        if not np.all((values > 0.0) & (values < np.inf)):
+            raise ValueError(f"values must be positive and finite, got {values!r}")
         if np.any(np.diff(values) >= 0.0):
             raise ValueError("penalty values must be strictly decreasing")
         ratio = float(self.ratio)
@@ -125,38 +126,53 @@ def _optimal_zero_intercepts(problem: MtlProblem) -> np.ndarray:
 def lam_max(problem: MtlProblem, fit_intercept: bool = False) -> float:
     """Smallest penalty for which the all-zero coefficient matrix is optimal.
 
-    Equals the largest row norm of the negative loss gradient at W = 0
-    (with intercepts first optimized at zero coefficients when enabled).
+    Equals the largest row norm of the negative loss gradient at the null
+    model: W = 0, with each task's intercept-only fit when intercepts are
+    fitted.  A path starts there, so at this penalty its head stays zero.
     Returns 0.0 for degenerate all-zero cross products; callers must not
-    build a path from that.
+    build a path from that.  Raises DataError when the cross products
+    overflow.
     """
-    return _lam_max(problem, fit_intercept, problem._blocks)[0]
+    return _lam_max(problem._blocks, _start(problem, 1, fit_intercept))[0]
 
 
-def _lam_max(problem, fit_intercept, blocks, per_task=False) -> list:
-    """lam_max of the last member of a core._layout of the problem (its
-    own, or cross-validation's with the full-data fit last): one value for
-    its joint fit, or one per task; taken with the solver's batched
-    gradient and prox_l21's row norms, so without intercepts a path from
-    zero then stays exactly zero at this penalty."""
-    B, t, p = blocks[0][4].shape[0], problem.t, problem.p
-    shape = (B * t, 1) if per_task else (B, t)  # a batch of fits, as the solver's
+def _start(problem, members, fit_intercept, per_task=False):
+    """The start of a path of members (1, or cross-validation's k + 1): a
+    batch of fits, one joint fit per member or one per member and task,
+    at the null model: zero coefficients and, when intercepts are fitted,
+    each task's intercept-only fit as its last coefficient."""
+    t, p = problem.t, problem.p
+    shape = (members * t, 1) if per_task else (members, t)  # a batch of fits, as the solver's
     W = np.zeros(shape + (p + 1 if fit_intercept else p,))
     if fit_intercept:
-        W[..., p] = np.tile(_optimal_zero_intercepts(problem), (B, 1)).reshape(shape)
-    grad = _batch_gradient(blocks, W, 0.0, 0.0)
-    return _row_norms(grad[..., :p])[-(shape[0] // B):].max(axis=1).tolist()
+        W[..., p] = np.tile(_optimal_zero_intercepts(problem), (members, 1)).reshape(shape)
+    return W
+
+
+def _lam_max(blocks, W) -> list:
+    """lam_max of the last member of the batch of fits W on a core._layout
+    (reg_path's, or cross-validation's with the full-data fit last), W a
+    path's _start: one value for its joint fit, or one per task; taken
+    with the solver's batched gradient and prox_l21's row norms, so a path
+    from W then stays at zero rows at this penalty."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = _batch_gradient(blocks, W, 0.0, 0.0)
+        norms = _row_norms(grad[..., : _n_features(blocks)])
+    if not np.isfinite(norms).all():
+        raise DataError("lam_max overflows: the cross products X^T y are too large; "
+                        "rescale the features or outcomes")
+    return norms[-(W.shape[0] // blocks[0][4].shape[0]):].max(axis=1).tolist()
 
 
 def lambda_sequence(lam_max_val: float, ratio: float = 0.01, n: int = 100) -> LambdaSequence:
     """Geometric grid of n values from lam_max_val down to ratio * lam_max_val."""
     if not lam_max_val > 0.0:
         raise DataError(f"lam_max must be positive to build a path, got {lam_max_val!r}")
+    if not lam_max_val < np.inf:
+        raise ValueError(f"lam_max_val must be finite, got {lam_max_val!r}")
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must lie in (0, 1), got {ratio!r}")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    values = np.geomspace(lam_max_val, ratio * lam_max_val, num=int(n))
+    values = np.geomspace(lam_max_val, ratio * lam_max_val, num=_whole("n", n, 2))
     return LambdaSequence(values=values, ratio=float(ratio))
 
 
@@ -169,12 +185,13 @@ def reg_path(
 ) -> PathResult:
     """Fit the whole path in descending-penalty order with warm starts.
 
-    The first fit starts from the all-zero matrix; every later fit starts
-    from the previous solution.
+    The first fit starts from the null model, where lam_max is taken:
+    zero coefficients and, when intercepts are fitted, each task's
+    intercept-only fit.  Every later fit starts from the previous solution.
     """
     Hyperparameters(0.0, alpha, beta)  # rejects alpha and beta as fista_fit does
     opts = opts or path_options()
-    W = _resolve_init(problem, opts, None)
+    W = _start(problem, 1, opts.fit_intercept)
     path = _path(problem._blocks, sequence.values[:, None], alpha, beta, opts, W)
     fits = [_fit_result(W, problem.p, point, 0) for point in path]
     nonzero = [np.sum(np.linalg.norm(f.coef.W, axis=1) > NONZERO_ROW_THRESHOLD) for f in fits]

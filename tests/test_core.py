@@ -449,3 +449,11 @@ def test_coefficients_and_options_validation():
         SolverOptions(tol=0.0)
     with pytest.raises(ValueError):
         SolverOptions(L0=-1.0)
+
+
+@pytest.mark.parametrize("max_iter", [2.7, float("inf")])
+def test_solver_options_reject_a_fractional_or_infinite_max_iter(max_iter):
+    # max_iter=2.7 was truncated to 2, and inf raised an OverflowError.
+    with pytest.raises(ValueError, match="^max_iter must be an integer"):
+        SolverOptions(max_iter=max_iter)
+    assert SolverOptions(max_iter=3.0).max_iter == 3

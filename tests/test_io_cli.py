@@ -1,7 +1,10 @@
 import csv
+import functools
+import inspect
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import warnings
 
@@ -14,25 +17,29 @@ from hypothesis import strategies as st
 from mixedmtl import (
     CoefficientMatrix,
     DataError,
+    Hyperparameters,
     MtlProblem,
     ModelFile,
     SimulationSpec,
+    SolverOptions,
     TaskDataset,
     TaskKind,
     auc,
+    cross_validate,
     explained_variance,
     load_model,
     load_problem,
     model_predictions,
     model_scores,
     predict,
+    run_benchmark,
     save_model,
     sigmoid,
     simulate,
     standardize,
 )
-from mixedmtl import core, lam_max, lambda_sequence, modelio, path_options, reg_path
-from mixedmtl.cli import main
+from mixedmtl import cli, core, lam_max, lambda_sequence, modelio, path_options, reg_path
+from mixedmtl.cli import build_parser, main
 from mixedmtl.modelio import format_float, parse_manifest, read_task_csv, write_csv
 from util import pool_workers
 
@@ -537,6 +544,52 @@ def test_malformed_json_is_a_data_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("data-error: model file")
     assert _run(["fit", "--manifest", manifest, "--lambda", 1, "--out-dir", tmp_path / "f"]) == 3
     assert capsys.readouterr().err.startswith("data-error: manifest")
+
+
+def _spoiled(path):
+    """Put a 0xff byte, which is not UTF-8, after the first 11 bytes of the
+    file path; returns the path as a str."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[:11] + b"\xff" + raw[11:])
+    return str(path)
+
+
+def test_readers_name_a_file_that_is_not_utf8(tmp_path):
+    # A bare UnicodeDecodeError named no file.
+    model, manifest, data = tmp_path / "m.json", tmp_path / "manifest.json", tmp_path / "d.csv"
+    save_model(_small_model(), model)
+    _write(manifest, json.dumps({"tasks": []}))
+    _write(data, "f1,f2\n1,2\n")
+    for read, path in ((load_model, model), (parse_manifest, manifest), (read_task_csv, data)):
+        path = _spoiled(path)
+        with pytest.raises(DataError, match=re.escape(f"{path!r} is not valid UTF-8")):
+            read(path)
+
+
+def test_cli_names_an_input_file_that_is_not_utf8(tmp_path, capsys):
+    sim = _simulate_dir(tmp_path)
+    fit = tmp_path / "fit"
+    assert _run(["fit", "--manifest", sim / "train" / "manifest.json", "--lambda", 1,
+                 "--out-dir", fit]) == 0
+    capsys.readouterr()
+    fit_argv = ["fit", "--manifest", "{}/manifest.json", "--lambda", 1]
+    predict_argv = ["predict", "--model", "{}/model.json", "--data", "{}/clf01.csv",
+                    "--task", "clf01"]
+    for i, (spoiled, argv) in enumerate([
+        ("manifest.json", fit_argv),
+        ("reg01.csv", fit_argv),
+        ("model.json", predict_argv),
+        ("clf01.csv", predict_argv),
+    ]):
+        case, out = tmp_path / f"case{i}", tmp_path / f"out{i}"
+        shutil.copytree(sim / "train", case)
+        shutil.copy(fit / "model.json", case)
+        path = _spoiled(case / spoiled)
+        assert _run([str(arg).format(case) for arg in argv] + ["--out-dir", out]) == 3, spoiled
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("data-error: "), spoiled
+        assert f"{path!r} is not valid UTF-8" in err[0], spoiled
+        assert not out.exists(), spoiled
 
 
 @pytest.mark.parametrize("case", ["ragged_coefficients", "text_lambda", "unknown_kind"])
@@ -1320,3 +1373,102 @@ def test_cli_bench_writes_table(tmp_path):
     )
     assert len(lines) == 3
     assert lines[1].startswith("mtlcomb,") and lines[2].startswith("mtlbin,")
+
+
+# Per command, what its flags default from and are passed to by name: the
+# library calls, and the solver options it fits with.
+_FLAG_SOURCES = {
+    "simulate": [SimulationSpec],
+    "fit": [Hyperparameters, SolverOptions()],
+    "path": [lambda_sequence, reg_path, path_options()],
+    "cv": [cross_validate, path_options()],
+    "predict": [],
+    "eval": [],
+    "bench": [SimulationSpec, run_benchmark],
+}
+# Flags whose name is not their parameter's, lists, switches, and files.
+_EXPLICIT_FLAGS = {"l0", "methods", "ratios", "seeds", "one_se", "save_coefficients",
+                   "manifest", "model", "data", "task", "out_dir"}
+_REQUIRED_FLAGS = {
+    "fit": ["--manifest", "m", "--lambda", "1"],
+    "path": ["--manifest", "m"],
+    "cv": ["--manifest", "m"],
+    "predict": ["--model", "m", "--data", "d", "--task", "t"],
+    "eval": ["--model", "m", "--manifest", "m"],
+}
+
+
+def _library_defaults(source) -> dict:
+    if callable(source):
+        return {name: param.default for name, param in inspect.signature(source).parameters.items()}
+    return vars(source)
+
+
+def test_every_cli_flag_is_a_library_parameter_with_its_default():
+    # The CLI passes each flag to the library by its dest: a flag that no
+    # call takes, or a parameter renamed in the library, fails here instead
+    # of being ignored.
+    for command, sources in _FLAG_SOURCES.items():
+        argv = [command, *_REQUIRED_FLAGS.get(command, []), "--out-dir", "o"]
+        parsed = vars(build_parser().parse_args(argv))
+        defaults = [_library_defaults(source) for source in sources]
+        for dest, value in parsed.items():
+            if dest in ("command", "func") or dest in _EXPLICIT_FLAGS:
+                continue
+            if (command, dest) == ("path", "n_lambda"):  # lambda_sequence's n
+                assert value == _library_defaults(lambda_sequence)["n"]
+                continue
+            library = [found[dest] for found in defaults if dest in found]
+            assert library, (command, dest)
+            for default in library:
+                if default is not inspect.Parameter.empty:
+                    assert value == default and type(value) is type(default), (command, dest)
+        if "l0" in parsed:
+            assert parsed["l0"] == sources[-1].L0
+    bench = vars(build_parser().parse_args(["bench", "--out-dir", "o"]))
+    for name in ("methods", "ratios", "seeds"):
+        assert bench[name] == ",".join(map(str, _library_defaults(run_benchmark)[name]))
+
+
+def _recorded(monkeypatch, name) -> list:
+    """The arguments of each call the CLI makes to its library function name."""
+    calls, original = [], getattr(cli, name)
+
+    @functools.wraps(original)
+    def recorded(*args, **kwargs):
+        calls.append(inspect.signature(original).bind(*args, **kwargs).arguments)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recorded)
+    return calls
+
+
+def test_cli_flags_reach_their_library_parameters(tmp_path, monkeypatch):
+    # Every numeric flag at a value other than its default.
+    train = _simulate_dir(tmp_path) / "train" / "manifest.json"
+    calls = _recorded(monkeypatch, "cross_validate")
+    assert _run(["cv", "--manifest", train, "--k", 3, "--seed", 4, "--ratio", 0.2,
+                 "--n-lambda", 3, "--alpha", 0.1, "--beta", 0.2, "--max-iter", 20,
+                 "--tol", 1e-4, "--l0", 2.0, "--one-se", "--out-dir", tmp_path / "cv"]) == 0
+    (call,) = calls
+    assert {name: call[name] for name in ("k", "seed", "ratio", "n_lambda", "alpha", "beta",
+                                          "one_se")} == {
+        "k": 3, "seed": 4, "ratio": 0.2, "n_lambda": 3, "alpha": 0.1, "beta": 0.2, "one_se": True
+    }
+    assert call["opts"] == SolverOptions(max_iter=20, tol=1e-4, L0=2.0)
+
+    calls = _recorded(monkeypatch, "run_benchmark")
+    assert _run(["bench", "--t-classification", 1, "--t-regression", 2, "--p", 12,
+                 "--sparsity", 0.7, "--noise-scale", 0.3, "--methods", "mtlcomb",
+                 "--ratios", "0.9", "--seeds", "3", "--k", 3, "--n-lambda", 3,
+                 "--lambda-ratio", 0.2, "--alpha", 0.1, "--beta", 0.2,
+                 "--out-dir", tmp_path / "bench"]) == 0
+    (call,) = calls
+    assert call["spec"] == SimulationSpec(
+        t_classification=1, t_regression=2, p=12, sparsity=0.7, noise_scale=0.3
+    )
+    assert {name: call[name] for name in ("methods", "ratios", "seeds", "k", "n_lambda",
+                                          "lambda_ratio", "alpha", "beta")} == {
+        "methods": ["mtlcomb"], "ratios": [0.9], "seeds": [3], "k": 3, "n_lambda": 3,
+        "lambda_ratio": 0.2, "alpha": 0.1, "beta": 0.2,
+    }

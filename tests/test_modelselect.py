@@ -58,6 +58,21 @@ def test_kfold_errors():
         kfold_split(3, 4, seed=0)
 
 
+@pytest.mark.parametrize("name, call", [
+    ("k", lambda problem: kfold_split(10, 2.5, 0)),
+    ("seed", lambda problem: kfold_split(10, 2, -1)),
+    ("seed", lambda problem: task_folds(problem, 2, -1)),
+    ("seed", lambda problem: cross_validate(problem, k=2, seed=-1, n_lambda=3)),
+], ids=["kfold_split-k", "kfold_split-seed", "task_folds-seed", "cross_validate-seed"])
+def test_fold_arguments_are_rejected_by_name(name, call):
+    # A fractional fold count is not truncated, and a negative seed is
+    # reported by its name rather than by numpy's "expected non-negative
+    # integer".
+    problem = MtlProblem((TaskDataset(np.eye(6, 2), np.arange(6.0), "regression", "r"),))
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call(problem)
+
+
 def test_stratified_folds_keep_both_classes():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((24, 3))

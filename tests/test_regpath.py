@@ -97,6 +97,18 @@ def test_lam_max_with_intercepts():
     assert lam_max(problem, fit_intercept=True) == pytest.approx(expected, rel=1e-12)
 
 
+def test_lam_max_overflow_is_a_data_error():
+    # X^T y overflows: one DataError, and no numpy warning before it (the
+    # suite turns a RuntimeWarning into a failure).
+    X = np.array([[1e160], [2e160]])
+    problem = MtlProblem((TaskDataset(X, [1e160, -3e160], "regression", "r"),))
+    for fit_intercept in (False, True):
+        with pytest.raises(DataError, match="overflow"):
+            lam_max(problem, fit_intercept=fit_intercept)
+        with pytest.raises(DataError, match="overflow"):
+            cross_validate(problem, k=2, opts=path_options(fit_intercept), n_lambda=3)
+
+
 def test_lam_max_intercept_needs_both_classes():
     X = np.ones((3, 2))
     problem = MtlProblem((TaskDataset(X, np.ones(3), "classification", "c"),))
@@ -138,6 +150,18 @@ def test_lambda_sequence_errors():
         lambda_sequence(1.0, ratio=1.5)
     with pytest.raises(ValueError):
         lambda_sequence(1.0, n=1)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("values", lambda: LambdaSequence(values=np.array([np.inf, 1.0]), ratio=0.5)),
+    ("lam_max_val", lambda: lambda_sequence(np.inf)),
+    ("n", lambda: lambda_sequence(1.0, 0.1, n=2.5)),
+], ids=["LambdaSequence-inf", "lambda_sequence-inf", "lambda_sequence-n"])
+def test_lambda_sequence_names_the_argument_it_rejects(name, call):
+    # An infinite penalty and a fractional point count are rejected where
+    # they are passed, not at the first fit or by truncation.
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
 
 
 def test_lambda_sequence_type_validation():
@@ -257,6 +281,35 @@ def test_path_with_intercepts_zero_head():
     path = reg_path(sim.train, lambda_sequence(top, ratio=0.1, n=5), opts=opts)
     assert path.nonzero_rows[0] == 0
     assert path.fits[0].coef.intercepts is not None
+
+
+def _offset_problem(seed):
+    """Two classification and two regression tasks whose features have mean
+    0.5 and whose regression outcomes are shifted by 5: intercepts far from 0."""
+    rng = np.random.default_rng(seed)
+    w = np.r_[np.ones(3), np.zeros(27)]
+    tasks = []
+    for i, kind in enumerate(["classification"] * 2 + ["regression"] * 2):
+        X = rng.standard_normal((40, 30)) + 0.5
+        s = X @ w + rng.standard_normal(40)
+        y = np.where(s > np.median(s), 1.0, -1.0) if kind == "classification" else s + 5.0
+        tasks.append(TaskDataset(X, y, kind, f"task{i}"))
+    return MtlProblem(tuple(tasks))
+
+
+def test_path_with_intercepts_starts_at_the_null_model():
+    # lam_max is taken at the null model (W = 0, each task's intercept-only
+    # fit), and so a path starts there: at lam_max its head stays exactly
+    # zero, for reg_path and for cross-validation's full-data fit.  From zero
+    # intercepts the head kept a row of norm up to about 1e-3.
+    for seed in range(4):
+        problem = _offset_problem(seed)
+        opts = path_options(fit_intercept=True)
+        top = lam_max(problem, fit_intercept=True)
+        head = reg_path(problem, lambda_sequence(top, ratio=0.01, n=10), opts=opts).fits[0]
+        assert not head.coef.W.any(), seed
+        fit = cross_validate(problem, k=3, seed=seed, opts=opts, n_lambda=1).fit
+        assert not fit.coef.W.any(), seed
 
 
 @pytest.mark.parametrize("name", ["alpha", "beta"])
