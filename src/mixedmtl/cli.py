@@ -166,17 +166,17 @@ def cmd_path(args) -> int:
     sequence = _call(lambda_sequence, args, top, n=args.n_lambda)
     path = _call(reg_path, args, problem, sequence, opts=opts)
 
-    rows = []
-    for lam, fit, nonzero in zip(sequence.values, path.fits, path.nonzero_rows):
-        objective = full_objective(problem, fit.coef, _call(Hyperparameters, args, lam))
-        rows.append([lam, objective, str(int(nonzero))])
+    # Each fit is built when it is read, so one loop writes its path.csv
+    # row and its coefficient file.
     out_dir = _ensure_out_dir(args.out_dir)
-    write_csv(os.path.join(out_dir, "path.csv"), ["lambda", "objective", "nonzero_rows"], rows)
-
     if args.save_coefficients:
         coef_dir = _ensure_out_dir(os.path.join(out_dir, "coefficients"))
         task_names = [task.name for task in problem.tasks]
-        for idx, fit in enumerate(path.fits):
+    rows = []
+    for idx, (lam, fit, nonzero) in enumerate(zip(sequence.values, path.fits, path.nonzero_rows)):
+        objective = full_objective(problem, fit.coef, _call(Hyperparameters, args, lam))
+        rows.append([lam, objective, str(int(nonzero))])
+        if args.save_coefficients:
             coef_rows = [
                 [name] + list(fit.coef.W[j]) for j, name in enumerate(feature_names)
             ]
@@ -187,6 +187,7 @@ def cmd_path(args) -> int:
                 ["feature"] + task_names,
                 coef_rows,
             )
+    write_csv(os.path.join(out_dir, "path.csv"), ["lambda", "objective", "nonzero_rows"], rows)
     _write_runlog(args, manifest)
     return 0
 
@@ -266,7 +267,7 @@ def _bench_grid(args) -> tuple:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     spec = _call(SimulationSpec, args)
     try:
-        return (spec, *_benchmark_grid(spec, methods, ratios, seeds, args.k))
+        return (spec, *_benchmark_grid(spec, methods, ratios, seeds, args.k, args.n_lambda))
     except ValueError as err:
         raise UsageError(f"--{err}") from None
 

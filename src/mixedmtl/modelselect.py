@@ -42,7 +42,8 @@ from .core import (
     _split,
     _whole,
 )
-from .regpath import LambdaSequence, _lam_max, _path, _start, lambda_sequence, path_options
+from .regpath import LambdaSequence, _keep, _lam_max, _path, _rebuild, _start
+from .regpath import lambda_sequence, path_options
 from .regpath import lam_max, reg_path  # noqa: F401  (perfbench/tracing.py patches these here)
 from .solver import FitResult, _fit_result
 
@@ -193,7 +194,7 @@ def _cross_validate(
     cross_validate of that task alone would, in one batch.  Returns the
     CvResults (one, or one per task) and the selected full-data fits as
     one (p, t) CoefficientMatrix."""
-    k = _whole("k", k, 2)
+    k, n_lambda = _whole("k", k, 2), _whole("n_lambda", n_lambda, 1)
     Hyperparameters(0.0, alpha, beta)  # rejects alpha and beta as fista_fit does
     opts = opts or path_options()
 
@@ -229,12 +230,12 @@ def _cross_validate(
     lams = np.tile(np.stack([sequence.values for sequence in sequences], axis=1), (1, k + 1))
     fold_errors = np.empty((units, k, len(lams)))
     folds, full = slice(k * units), slice(k * units, None)
-    points = []  # the full-data fits at each penalty, with their per-fit lists
+    points = []  # the full-data fits at each penalty, kept, with their per-fit lists
     unconverged = [0] * units
     for j, (traces, L, converged, _) in enumerate(_path(members, lams, alpha, beta, opts, W)):
         errors = _batch_objective(validation, W[folds], 0.0, 0.0) / t_fit
         fold_errors[:, :, j] = errors.reshape(k, units).T
-        points.append((W[full].copy(), (traces[full], L[full], converged[full])))
+        points.append((_keep(W[full], problem.p), (traces[full], L[full], converged[full])))
         for m, fit_converged in enumerate(converged):
             unconverged[m % units] += not fit_converged
 
@@ -246,7 +247,8 @@ def _cross_validate(
         if one_se:
             threshold = mean_err[best_idx] + se_err[best_idx]
             best_idx = int(np.flatnonzero(mean_err <= threshold)[0])
-        W_best, fits = points[best_idx]
+        kept, fits = points[best_idx]
+        W_best = _rebuild(kept, problem.p)
         chosen.append(W_best[u])
         results.append(CvResult(
             sequence=sequence,

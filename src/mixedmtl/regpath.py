@@ -17,11 +17,13 @@ k + 1 members, each one joint fit or one fit per task (the single-task
 baseline, where each task follows its own lam_max-anchored grid).  The
 path fits one coefficient array in place, point after point (each
 task's intercept, when fitted, as its last coefficient), so a caller
-copies out what it keeps of a point before the next begins.
+keeps a point through _keep before the next begins: its nonzero rows
+and intercepts, from which _rebuild makes the dense batch again.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -88,18 +90,60 @@ class LambdaSequence:
 
 @dataclass(frozen=True)
 class PathResult:
-    """One fit per penalty value, in descending-penalty order."""
+    """One fit per penalty value, in descending-penalty order.
+
+    fits is a read-only sequence (length, indexing, slicing, iteration)
+    over the points the path kept, each as its nonzero rows: a FitResult,
+    with its dense coef.W, is built each time a fit is read, so nothing
+    dense outlives its reader.  A row that is zero in a fit reads +0.0.
+    nonzero_rows counts each fit's rows whose norm exceeds
+    NONZERO_ROW_THRESHOLD.
+    """
 
     sequence: LambdaSequence
-    fits: tuple
+    fits: Sequence
     nonzero_rows: np.ndarray
 
     def __post_init__(self):
-        fits = tuple(self.fits)
-        if len(fits) != self.sequence.length:
+        if len(self.fits) != self.sequence.length:
             raise ValueError("one fit per penalty value is required")
-        object.__setattr__(self, "fits", fits)
         object.__setattr__(self, "nonzero_rows", np.array(self.nonzero_rows, dtype=int))
+
+
+def _keep(W, p):
+    """A path point as it is kept, from the batch slice W (fits, t_fit, p),
+    or (fits, t_fit, p + 1) with intercepts: the features nonzero in any
+    of its fits, their coefficients, and the intercept column (empty
+    without intercepts)."""
+    rows = np.flatnonzero(W[..., :p].any(axis=(0, 1)))
+    return rows, W[..., rows], W[..., p:].copy()
+
+
+def _rebuild(kept, p):
+    """The batch slice that _keep kept, with +0.0 in every row it left out."""
+    rows, values, intercepts = kept
+    W = np.zeros(values.shape[:2] + (p + intercepts.shape[2],))
+    W[..., rows] = values
+    W[..., p:] = intercepts
+    return W
+
+
+class _KeptFits(Sequence):
+    """PathResult.fits: one kept point per penalty, a _keep of a batch of
+    one fit with its per-fit lists (solver._proximal_loop's), each built
+    as a FitResult when it is read."""
+
+    def __init__(self, points, p):
+        self._points, self._p = points, p
+
+    def __len__(self):
+        return len(self._points)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        kept, fits = self._points[index]
+        return _fit_result(_rebuild(kept, self._p), self._p, fits, 0)
 
 
 def _optimal_zero_intercepts(problem: MtlProblem) -> np.ndarray:
@@ -188,14 +232,19 @@ def reg_path(
     The first fit starts from the null model, where lam_max is taken:
     zero coefficients and, when intercepts are fitted, each task's
     intercept-only fit.  Every later fit starts from the previous solution.
+    Each point is kept as its nonzero rows, and its FitResult is built
+    when PathResult.fits is read.
     """
     Hyperparameters(0.0, alpha, beta)  # rejects alpha and beta as fista_fit does
     opts = opts or path_options()
-    W = _start(problem, 1, opts.fit_intercept)
+    p, W = problem.p, _start(problem, 1, opts.fit_intercept)
     path = _path(problem._blocks, sequence.values[:, None], alpha, beta, opts, W)
-    fits = [_fit_result(W, problem.p, point, 0) for point in path]
-    nonzero = [np.sum(np.linalg.norm(f.coef.W, axis=1) > NONZERO_ROW_THRESHOLD) for f in fits]
-    return PathResult(sequence=sequence, fits=tuple(fits), nonzero_rows=nonzero)
+    points = [(_keep(W, p), fits[:3]) for fits in path]
+    # Each kept row's norm as the dense (p, t) fit's row would give it.
+    norms = [np.linalg.norm(np.ascontiguousarray(values[0].T), axis=1)
+             for (_, values, _), _ in points]
+    nonzero = [np.sum(row_norms > NONZERO_ROW_THRESHOLD) for row_norms in norms]
+    return PathResult(sequence=sequence, fits=_KeptFits(points, p), nonzero_rows=nonzero)
 
 
 def _path(blocks, lams, alpha, beta, opts, W):

@@ -35,6 +35,7 @@ from .core import (
     TaskDataset,
     TaskKind,
     _map_cells,
+    _whole,
     predict,
 )
 from .modelselect import (
@@ -238,7 +239,7 @@ def _run_cell(method, cell_spec, alpha, beta, k, n_lambda, lambda_ratio):
     return recovery, mean_ev, mean_pev
 
 
-def _benchmark_grid(spec, methods, ratios, seeds, k) -> tuple:
+def _benchmark_grid(spec, methods, ratios, seeds, k, n_lambda) -> tuple:
     """run_benchmark's arguments as checked lists; a ValueError names the one at fault."""
     methods, ratios, seeds = list(methods), [float(r) for r in ratios], [int(s) for s in seeds]
     p = spec.p
@@ -258,6 +259,7 @@ def _benchmark_grid(spec, methods, ratios, seeds, k) -> tuple:
         raise ValueError(f"ratios must give round(ratio * p) >= k={k} at p={p}, got {small}")
     if not seeds or min(seeds) < 0:
         raise ValueError(f"seeds must be non-empty and nonnegative, got {seeds}")
+    _whole("n_lambda", n_lambda, 1)
     return methods, ratios, seeds
 
 
@@ -292,7 +294,7 @@ def run_benchmark(
     are too small for BLAS to thread, but a grid of large problems can
     oversubscribe the CPUs.
     """
-    methods, ratios, seeds = _benchmark_grid(spec, methods, ratios, seeds, k)
+    methods, ratios, seeds = _benchmark_grid(spec, methods, ratios, seeds, k, n_lambda)
     Hyperparameters(0.0, alpha, beta)  # rejects alpha and beta as fista_fit does
     cells = [
         (method, dataclasses.replace(spec, n_per_task=int(round(ratio * spec.p)), seed=seed))

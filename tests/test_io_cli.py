@@ -38,7 +38,7 @@ from mixedmtl import (
     simulate,
     standardize,
 )
-from mixedmtl import cli, core, lam_max, lambda_sequence, modelio, path_options, reg_path
+from mixedmtl import cli, core, lam_max, lambda_sequence, modelio, path_options, reg_path, regpath
 from mixedmtl.cli import build_parser, main
 from mixedmtl.modelio import format_float, parse_manifest, read_task_csv, write_csv
 from util import pool_workers
@@ -1167,6 +1167,27 @@ def test_cli_path_save_coefficients(tmp_path):
         values = np.array([[float(cell) for cell in line[1:]] for line in lines[1:]])
         npt.assert_array_equal(values[:3], fit.coef.W)
         npt.assert_array_equal(values[3], fit.coef.intercepts)
+
+
+def test_cli_path_reads_each_fit_once(tmp_path, monkeypatch):
+    # A path's fits are built when read: cmd_path writes each point's
+    # path.csv row and coefficient file from one read, and a zero
+    # coefficient is written as 0, never -0.
+    sim = _simulate_dir(tmp_path)
+    reads = []
+    fit_result = regpath._fit_result
+    monkeypatch.setattr(regpath, "_fit_result", lambda *args: reads.append(1) or fit_result(*args))
+    out = tmp_path / "path"
+    assert _run([
+        "path", "--manifest", sim / "train" / "manifest.json", "--n-lambda", 5,
+        "--ratio", 0.05, "--save-coefficients", "--out-dir", out,
+    ]) == 0
+    assert len(reads) == 5
+    assert len((out / "path.csv").read_text().splitlines()) == 6
+    cells = [cell for name in sorted(os.listdir(out / "coefficients"))
+             for line in (out / "coefficients" / name).read_text().splitlines()
+             for cell in line.split(",")]
+    assert "0" in cells and "-0" not in cells
 
 
 def test_cli_exit_codes(tmp_path, capsys, monkeypatch):

@@ -73,6 +73,18 @@ def test_fold_arguments_are_rejected_by_name(name, call):
         call(problem)
 
 
+@pytest.mark.parametrize("n_lambda, message", [
+    (0, "n_lambda must be >= 1$"),
+    (1.5, "n_lambda must be an integer, got 1.5$"),
+], ids=["zero", "fraction"])
+def test_cross_validate_checks_n_lambda_by_its_name(n_lambda, message):
+    # A one-point grid is accepted, so the bound is 1 and the message names
+    # n_lambda, not lambda_sequence's n (which needs 2 points).
+    problem = MtlProblem((TaskDataset(np.eye(6, 2), np.arange(6.0), "regression", "r"),))
+    with pytest.raises(ValueError, match="^" + message):
+        cross_validate(problem, k=2, n_lambda=n_lambda)
+
+
 def test_stratified_folds_keep_both_classes():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((24, 3))

@@ -1,7 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from mixedmtl import regpath
 from mixedmtl import (
     CoefficientMatrix,
     DataError,
@@ -24,6 +29,8 @@ from mixedmtl import (
     simulate,
     smooth_gradient,
 )
+from mixedmtl.regpath import NONZERO_ROW_THRESHOLD
+from mixedmtl.solver import _fit_result
 
 from util import random_labels, random_mixed_problem
 
@@ -262,6 +269,77 @@ def test_path_prefixes_are_shorter_paths_bit_for_bit(fit_intercept):
                 assert short.objective_trace.tobytes() == long.objective_trace.tobytes()
                 assert (short.final_L, short.iterations, short.converged) == (
                     long.final_L, long.iterations, long.converged)
+
+
+def _same_fit(a, b):
+    assert np.array_equal(a.coef.W, b.coef.W)
+    assert (a.coef.intercepts is None) == (b.coef.intercepts is None)
+    if a.coef.intercepts is not None:
+        assert np.array_equal(a.coef.intercepts, b.coef.intercepts)
+    assert np.array_equal(a.objective_trace, b.objective_trace)
+    assert (a.final_L, a.iterations, a.converged) == (b.final_L, b.iterations, b.converged)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), fit_intercept=st.booleans(), weights=st.booleans(),
+       tiny=st.booleans())
+def test_kept_path_reads_every_fit_of_the_dense_path(seed, fit_intercept, weights, tiny):
+    # reg_path keeps each point as its nonzero rows and builds a fit when
+    # it is read: every fit equals the dense batch _path leaves at that
+    # point, with +0.0 in its zero rows.  A tiny problem has only
+    # regression tasks, with outcomes scaled by 1e-9, so its nonzero rows
+    # lie far below NONZERO_ROW_THRESHOLD: the store keeps every nonzero
+    # row, not only the rows it counts.
+    rng = np.random.default_rng(seed)
+    problem = random_mixed_problem(rng, c=0 if tiny else None, n_lo=4)
+    if tiny:
+        problem = MtlProblem(tuple(TaskDataset(task.X, 1e-9 * task.y, "regression", task.name)
+                                   for task in problem.tasks))
+    opts = path_options(fit_intercept)
+    alpha, beta = (0.1, 0.05) if weights else (0.0, 0.0)
+    sequence = lambda_sequence(lam_max(problem, fit_intercept=fit_intercept), 0.02, 6)
+    path = reg_path(problem, sequence, alpha, beta, opts)
+
+    W = regpath._start(problem, 1, fit_intercept)
+    points = regpath._path(problem._blocks, sequence.values[:, None], alpha, beta, opts, W)
+    dense = [_fit_result(W.copy(), problem.p, fits, 0) for fits in points]
+    reads = list(path.fits)
+    assert len(path.fits) == len(reads) == len(dense) == sequence.length
+    for fit, expected in zip(reads, dense):
+        _same_fit(fit, expected)
+        zero_rows = fit.coef.W[~fit.coef.W.any(axis=1)]
+        assert not np.signbit(zero_rows).any()
+    if tiny:
+        assert reads[-1].coef.W.any() and not path.nonzero_rows.any()
+
+    for i in range(-len(reads), len(reads)):
+        _same_fit(path.fits[i], reads[i])
+    for part in (slice(1, -1), slice(None, None, -2), slice(4, 100)):
+        sliced = path.fits[part]
+        assert isinstance(sliced, tuple) and len(sliced) == len(reads[part])
+        for fit, expected in zip(sliced, reads[part]):
+            _same_fit(fit, expected)
+    with pytest.raises(IndexError):
+        path.fits[len(reads)]
+    counts = [np.sum(np.linalg.norm(fit.coef.W, axis=1) > NONZERO_ROW_THRESHOLD) for fit in dense]
+    assert path.nonzero_rows.tolist() == counts
+
+
+def test_a_kept_path_costs_its_nonzero_rows():
+    # A wide, sparse path holds each point's nonzero rows once reg_path
+    # returns, not one dense p x t matrix per point.
+    spec = SimulationSpec(t_classification=2, t_regression=2, p=2000, n_per_task=100,
+                          sparsity=0.995, noise_scale=0.5, seed=0)
+    problem = simulate(spec).train
+    sequence = lambda_sequence(lam_max(problem), ratio=0.05, n=30)
+    tracemalloc.start()
+    try:
+        path = reg_path(problem, sequence)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    dense = sequence.length * problem.p * problem.t * 8
+    assert retained < dense / 4, (retained, dense, path.nonzero_rows.tolist())
 
 
 def test_path_reports_offending_lambda():

@@ -5,6 +5,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mixedmtl import simdata
 from mixedmtl import (
     CoefficientMatrix,
     DataError,
@@ -224,6 +225,19 @@ def test_benchmark_validates_inputs():
     for ratio in (0.01, 0.1):
         with pytest.raises(ValueError, match=r"ratios must give round\(ratio \* p\) >= k=5"):
             run_benchmark(_tiny_spec(), methods=("mtlcomb",), ratios=(0.8, ratio), seeds=(1,), k=5)
+
+
+def test_benchmark_checks_n_lambda_before_any_cell(monkeypatch):
+    # n_lambda is checked with the grid, under its own name, and no cell
+    # simulates its data first.
+    def no_cell(spec):
+        raise AssertionError("a benchmark cell ran")
+
+    monkeypatch.setattr(simdata, "simulate", no_cell)
+    pool_workers(monkeypatch, 1)
+    with pytest.raises(ValueError, match=r"^n_lambda must be >= 1$"):
+        run_benchmark(_tiny_spec(), methods=("mtlcomb",), ratios=(0.8,), seeds=(1,), k=2,
+                      n_lambda=0)
 
 
 def test_benchmark_pool_rows_equal_in_process_rows(monkeypatch):
