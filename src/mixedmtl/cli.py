@@ -12,7 +12,9 @@ flags whose names differ from their parameter's are passed explicitly.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 Errors are reported on stderr as one line: "<category>: <message>" with
-category in {usage-error, data-error, numerical-error}.
+category in {usage-error, data-error, numerical-error}.  A command that
+does not return 0 leaves no --out-dir directory that it made: main
+removes the topmost one that did not exist before the command ran.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import argparse
 import dataclasses
 import inspect
 import os
+import shutil
 import sys
 from functools import partial
 
@@ -274,20 +277,8 @@ def _bench_grid(args) -> tuple:
 
 def cmd_bench(args) -> int:
     spec, methods, ratios, seeds = _bench_grid(args)
-    # Made before the grid runs, so an unusable --out-dir fails at once; if a
-    # cell fails, the directories this run made are removed, leaf first.
-    made = []
-    path = os.path.abspath(args.out_dir)
-    while not os.path.lexists(path):
-        made.append(path)
-        path = os.path.dirname(path)
-    out_dir = _ensure_out_dir(args.out_dir)
-    try:
-        rows = _call(run_benchmark, args, spec, methods=methods, ratios=ratios, seeds=seeds)
-    except BaseException:
-        for path in made:
-            os.rmdir(path)
-        raise
+    out_dir = _ensure_out_dir(args.out_dir)  # before the grid runs: an unusable one fails at once
+    rows = _call(run_benchmark, args, spec, methods=methods, ratios=ratios, seeds=seeds)
     write_csv(
         os.path.join(out_dir, "benchmark.csv"),
         [
@@ -437,12 +428,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exit_info:
         return int(exit_info.code or 0)
+    # The topmost directory of --out-dir that does not exist yet goes, with
+    # all in it, unless the command returns 0 (whatever else ends it).
+    made, path, code = None, os.path.abspath(args.out_dir), None
+    while not os.path.lexists(path):
+        made, path = path, os.path.dirname(path)
     try:
         _check_flag_ranges(args)
         # The solver reports a non-finite objective as a SolverError, so
         # numpy's overflow warnings would only precede that one line.
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            code = args.func(args)
+        return code
     except UsageError as err:
         print(f"usage-error: {err}", file=sys.stderr)
         return 2
@@ -455,6 +452,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"data-error: {err}", file=sys.stderr)
         return 3
+    finally:
+        if code != 0 and made is not None:
+            shutil.rmtree(made, ignore_errors=True)
 
 
 if __name__ == "__main__":

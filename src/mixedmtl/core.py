@@ -422,6 +422,12 @@ def _n_features(blocks) -> int:
     return blocks[0][2].shape[2]
 
 
+def _n_members(blocks) -> int:
+    """The member count B of a _layout: 1 for a problem's own, k + 1 for
+    cross-validation's."""
+    return blocks[0][4].shape[0]
+
+
 def _row_norms(W, out=None, squares=None) -> np.ndarray:
     """Euclidean norm of each feature's row, per fit of a batch W
     (fits, t_fit, p): an array (fits, p), written into out when given.
@@ -443,7 +449,7 @@ def _member_dots(A, C) -> np.ndarray:
 def _by_member(blocks, A):
     """A batch of fits A (fits, t_fit, ...) as (B, t, ...) for the B members
     of a layout: the same array for joint fits, a reshape for task columns."""
-    return A.reshape((blocks[0][4].shape[0], -1) + A.shape[2:])
+    return A.reshape((_n_members(blocks), -1) + A.shape[2:])
 
 
 def _block_scores(blocks, W):

@@ -51,6 +51,7 @@ import numpy as np
 from .core import (
     CoefficientMatrix,
     DataError,
+    Hyperparameters,
     MtlProblem,
     StandardizationRecord,
     TaskDataset,
@@ -433,6 +434,12 @@ class ModelFile:
                       (record.feature_mean, record.feature_scale, record.constant_features)}
             if len(records) != t or not shapes <= {(p,)}:
                 raise DataError(f"standardization does not match {p} rows and {t} columns")
+        try:
+            Hyperparameters(self.lam, self.alpha, self.beta)
+        except ValueError as err:
+            raise DataError(str(err)) from None
+        if self.seed is not None and (type(self.seed) is not int or self.seed < 0):
+            raise DataError(f"seed must be null or an integer >= 0, got {self.seed!r}")
 
     def task_index(self, name: str) -> int:
         try:

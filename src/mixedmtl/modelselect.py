@@ -4,13 +4,15 @@ Cross-validation fits one warm-started path of k + 1 members in
 lockstep on the problem's own X: a fold is a member that gives its
 validation rows weight 0 and the rest the kind's loss weight over their
 count, and member k + 1 fits every row, which gives the model at the
-selected penalty without a refit.  The CV criterion is the same
-weighted loss the solver minimizes (2 x mean logit loss for
-classification tasks, 0.5 x mean squared error for regression tasks):
-core's smooth objective without its penalties, under the complementary
-weights (each fold's validation rows over their count), divided by the
-number of tasks and averaged over folds, so the selected penalty
-targets the objective that was actually optimized.
+selected penalty without a refit: that member's fits are kept, point
+by point, in regpath's kept-path type (_KeptPath), and the selected fit
+is read back from it.  The CV criterion is the same weighted loss the
+solver minimizes (2 x mean logit loss for classification tasks, 0.5 x
+mean squared error for regression tasks): core's smooth objective
+without its penalties, under the complementary weights (each fold's
+validation rows over their count), divided by the number of tasks and
+averaged over folds, so the selected penalty targets the objective
+that was actually optimized.
 Folds are drawn per task; classification folds are stratified to keep
 both classes in every split.
 
@@ -19,7 +21,8 @@ task: (k + 1) * t single-task fits in one batch, each task on its own
 lam_max-anchored grid, with a task leaving the batch once its fits have
 stopped.  Each task's selection equals cross-validation of that task
 alone, bit for bit, and so do its errors: task by task, its folds
-before its grid.
+before its grid.  Either way cross-validation returns only its results,
+one CvResult per selection.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    CoefficientMatrix,
     DataError,
     Hyperparameters,
     MtlProblem,
@@ -39,13 +41,12 @@ from .core import (
     TaskKind,
     _batch_objective,
     _layout,
-    _split,
     _whole,
 )
-from .regpath import LambdaSequence, _keep, _lam_max, _path, _rebuild, _start
+from .regpath import LambdaSequence, _KeptPath, _lam_max, _path, _start
 from .regpath import lambda_sequence, path_options
 from .regpath import lam_max, reg_path  # noqa: F401  (perfbench/tracing.py patches these here)
-from .solver import FitResult, _fit_result
+from .solver import FitResult
 
 __all__ = [
     "CvResult",
@@ -184,16 +185,15 @@ def cross_validate(
     across folds.  one_se switches to the one-standard-error rule (the
     largest penalty whose mean error is within one SE of the minimum).
     """
-    return _cross_validate(problem, alpha, beta, k, seed, opts, n_lambda, ratio, one_se)[0][0]
+    return _cross_validate(problem, alpha, beta, k, seed, opts, n_lambda, ratio, one_se)[0]
 
 
 def _cross_validate(
     problem, alpha, beta, k, seed, opts, n_lambda, ratio, one_se, per_task=False
-) -> tuple:
+) -> list:
     """cross_validate's body.  per_task selects each task's penalty as
     cross_validate of that task alone would, in one batch.  Returns the
-    CvResults (one, or one per task) and the selected full-data fits as
-    one (p, t) CoefficientMatrix."""
+    CvResults: one for the joint fit, or one per task."""
     k, n_lambda = _whole("k", k, 2), _whole("n_lambda", n_lambda, 1)
     Hyperparameters(0.0, alpha, beta)  # rejects alpha and beta as fista_fit does
     opts = opts or path_options()
@@ -230,16 +230,15 @@ def _cross_validate(
     lams = np.tile(np.stack([sequence.values for sequence in sequences], axis=1), (1, k + 1))
     fold_errors = np.empty((units, k, len(lams)))
     folds, full = slice(k * units), slice(k * units, None)
-    points = []  # the full-data fits at each penalty, kept, with their per-fit lists
-    unconverged = [0] * units
-    for j, (traces, L, converged, _) in enumerate(_path(members, lams, alpha, beta, opts, W)):
+    kept, unconverged = _KeptPath(problem.p, full), [0] * units
+    for j, fits in enumerate(_path(members, lams, alpha, beta, opts, W)):
         errors = _batch_objective(validation, W[folds], 0.0, 0.0) / t_fit
         fold_errors[:, :, j] = errors.reshape(k, units).T
-        points.append((_keep(W[full], problem.p), (traces[full], L[full], converged[full])))
-        for m, fit_converged in enumerate(converged):
+        kept.keep(W, fits)
+        for m, fit_converged in enumerate(fits[2]):
             unconverged[m % units] += not fit_converged
 
-    results, chosen = [], []
+    results = []
     for u, sequence in enumerate(sequences):
         mean_err = fold_errors[u].mean(axis=0)
         se_err = fold_errors[u].std(axis=0, ddof=1) / np.sqrt(k)
@@ -247,9 +246,6 @@ def _cross_validate(
         if one_se:
             threshold = mean_err[best_idx] + se_err[best_idx]
             best_idx = int(np.flatnonzero(mean_err <= threshold)[0])
-        kept, fits = points[best_idx]
-        W_best = _rebuild(kept, problem.p)
-        chosen.append(W_best[u])
         results.append(CvResult(
             sequence=sequence,
             mean_cv_error=mean_err,
@@ -257,10 +253,10 @@ def _cross_validate(
             best_lambda=float(sequence.values[best_idx]),
             folds=k,
             seed=int(seed),
-            fit=_fit_result(W_best, problem.p, fits, u),
+            fit=kept.fit(best_idx, u),
             unconverged=unconverged[u],
         ))
-    return results, CoefficientMatrix(*_split(np.concatenate(chosen), problem.p))
+    return results
 
 
 def auc(scores, labels) -> float:

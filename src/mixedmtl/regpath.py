@@ -17,8 +17,10 @@ k + 1 members, each one joint fit or one fit per task (the single-task
 baseline, where each task follows its own lam_max-anchored grid).  The
 path fits one coefficient array in place, point after point (each
 task's intercept, when fitted, as its last coefficient), so a caller
-keeps a point through _keep before the next begins: its nonzero rows
-and intercepts, from which _rebuild makes the dense batch again.
+keeps a point in a _KeptPath before the next begins: the nonzero rows,
+intercepts and per-fit lists of the fits it selects (reg_path's one
+fit, or cross-validation's full-data member), from which it reads any
+kept fit back as a FitResult.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ from .core import (
     TaskKind,
     _batch_gradient,
     _n_features,
+    _n_members,
     _row_norms,
     _whole,
 )
-from .solver import SolverError, _Workspace, _fit_result, _proximal_loop
+from .solver import FitResult, SolverError, _Workspace, _fit_result, _proximal_loop
 from .solver import fista_fit  # noqa: F401  (perfbench/tracing.py patches it here)
 
 __all__ = [
@@ -92,10 +95,11 @@ class LambdaSequence:
 class PathResult:
     """One fit per penalty value, in descending-penalty order.
 
-    fits is a read-only sequence (length, indexing, slicing, iteration)
-    over the points the path kept, each as its nonzero rows: a FitResult,
-    with its dense coef.W, is built each time a fit is read, so nothing
-    dense outlives its reader.  A row that is zero in a fit reads +0.0.
+    fits is the path as _KeptPath keeps it, a read-only sequence (length,
+    indexing, slicing, iteration) over its points, each as its nonzero
+    rows: a FitResult, with its dense coef.W, is built each time a fit is
+    read, so nothing dense outlives its reader.  A row that is zero in a
+    fit reads +0.0.
     nonzero_rows counts each fit's rows whose norm exceeds
     NONZERO_ROW_THRESHOLD.
     """
@@ -110,31 +114,41 @@ class PathResult:
         object.__setattr__(self, "nonzero_rows", np.array(self.nonzero_rows, dtype=int))
 
 
-def _keep(W, p):
-    """A path point as it is kept, from the batch slice W (fits, t_fit, p),
-    or (fits, t_fit, p + 1) with intercepts: the features nonzero in any
-    of its fits, their coefficients, and the intercept column (empty
-    without intercepts)."""
-    rows = np.flatnonzero(W[..., :p].any(axis=(0, 1)))
-    return rows, W[..., rows], W[..., p:].copy()
+class _KeptPath(Sequence):
+    """A path as it is kept: at each point the fits that select picks of
+    the batch (all of them for reg_path, the full-data member's for
+    cross-validation) as the features nonzero in any of them, their
+    coefficients and the intercept column (empty without intercepts),
+    with their per-fit lists (solver._proximal_loop's).  Nothing dense is
+    kept: a fit is built as a FitResult when it is read, and every zero in
+    its coef.W, kept or left out, reads +0.0.  As PathResult.fits it reads
+    each point's first fit."""
 
+    def __init__(self, p, select=slice(None)):
+        self._p, self._select, self._points = p, select, []
 
-def _rebuild(kept, p):
-    """The batch slice that _keep kept, with +0.0 in every row it left out."""
-    rows, values, intercepts = kept
-    W = np.zeros(values.shape[:2] + (p + intercepts.shape[2],))
-    W[..., rows] = values
-    W[..., p:] = intercepts
-    return W
+    def keep(self, W, fits) -> None:
+        """Keep the point the batch W holds, with its per-fit lists fits."""
+        W, p = W[self._select], self._p
+        rows = np.flatnonzero(W[..., :p].any(axis=(0, 1)))
+        values, lists = W[..., rows], [x[self._select] for x in fits[:3]]
+        values += 0.0  # -0.0 reads +0.0, as in the rows left out
+        self._points.append((rows, values, W[..., p:].copy(), lists))
 
+    def fit(self, j, i=0) -> FitResult:
+        """Kept fit i of point j."""
+        rows, values, intercepts, lists = self._points[j]
+        W = np.zeros(values.shape[:2] + (self._p + intercepts.shape[2],))
+        W[..., rows] = values
+        W[..., self._p:] = intercepts
+        return _fit_result(W, self._p, lists, i)
 
-class _KeptFits(Sequence):
-    """PathResult.fits: one kept point per penalty, a _keep of a batch of
-    one fit with its per-fit lists (solver._proximal_loop's), each built
-    as a FitResult when it is read."""
-
-    def __init__(self, points, p):
-        self._points, self._p = points, p
+    def nonzero_rows(self) -> list:
+        """Each point's count of rows whose norm over its kept fits exceeds
+        NONZERO_ROW_THRESHOLD, each norm as the dense (p, t) fit's row
+        would give it."""
+        return [np.sum(np.linalg.norm(np.ascontiguousarray(np.vstack(values).T), axis=1)
+                       > NONZERO_ROW_THRESHOLD) for _, values, _, _ in self._points]
 
     def __len__(self):
         return len(self._points)
@@ -142,8 +156,7 @@ class _KeptFits(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
-        kept, fits = self._points[index]
-        return _fit_result(_rebuild(kept, self._p), self._p, fits, 0)
+        return self.fit(index)
 
 
 def _optimal_zero_intercepts(problem: MtlProblem) -> np.ndarray:
@@ -205,7 +218,7 @@ def _lam_max(blocks, W) -> list:
     if not np.isfinite(norms).all():
         raise DataError("lam_max overflows: the cross products X^T y are too large; "
                         "rescale the features or outcomes")
-    return norms[-(W.shape[0] // blocks[0][4].shape[0]):].max(axis=1).tolist()
+    return norms[-(W.shape[0] // _n_members(blocks)):].max(axis=1).tolist()
 
 
 def lambda_sequence(lam_max_val: float, ratio: float = 0.01, n: int = 100) -> LambdaSequence:
@@ -237,14 +250,10 @@ def reg_path(
     """
     Hyperparameters(0.0, alpha, beta)  # rejects alpha and beta as fista_fit does
     opts = opts or path_options()
-    p, W = problem.p, _start(problem, 1, opts.fit_intercept)
-    path = _path(problem._blocks, sequence.values[:, None], alpha, beta, opts, W)
-    points = [(_keep(W, p), fits[:3]) for fits in path]
-    # Each kept row's norm as the dense (p, t) fit's row would give it.
-    norms = [np.linalg.norm(np.ascontiguousarray(values[0].T), axis=1)
-             for (_, values, _), _ in points]
-    nonzero = [np.sum(row_norms > NONZERO_ROW_THRESHOLD) for row_norms in norms]
-    return PathResult(sequence=sequence, fits=_KeptFits(points, p), nonzero_rows=nonzero)
+    W, kept = _start(problem, 1, opts.fit_intercept), _KeptPath(problem.p)
+    for fits in _path(problem._blocks, sequence.values[:, None], alpha, beta, opts, W):
+        kept.keep(W, fits)
+    return PathResult(sequence=sequence, fits=kept, nonzero_rows=kept.nonzero_rows())
 
 
 def _path(blocks, lams, alpha, beta, opts, W):

@@ -212,18 +212,18 @@ def _run_cell(method, cell_spec, alpha, beta, k, n_lambda, lambda_ratio):
     settings = dict(alpha=alpha, beta=beta, k=k, seed=cell_spec.seed, opts=path_options(),
                     n_lambda=n_lambda, ratio=lambda_ratio, one_se=False)
     fitted = binarize_problem(train) if method == "mtlbin" else train
+    # No intercepts: path_options() fits none.
     if method != "singletask":
-        coef = cross_validate(fitted, **settings).fit.coef
-        rank_matrix = coef.W
+        W = rank_matrix = cross_validate(fitted, **settings).fit.coef.W
     else:
-        coef = _cross_validate(train, per_task=True, **settings)[1]
+        W = np.hstack([result.fit.coef.W
+                       for result in _cross_validate(train, per_task=True, **settings)])
         # Meta-analysis style aggregation: mean absolute coefficient per feature.
-        rank_matrix = np.abs(coef.W).mean(axis=1)[:, None]
+        rank_matrix = np.abs(W).mean(axis=1)[:, None]
 
     evs, pevs = [], []
     for i, (test_task, fitted_task) in enumerate(zip(test.tasks, fitted.tasks)):
-        b = 0.0 if coef.intercepts is None else coef.intercepts[i]
-        s = predict(test_task.X, coef.W[:, i], test_task.kind, b, output="score")
+        s = predict(test_task.X, W[:, i], test_task.kind, output="score")
         if fitted_task.kind is TaskKind.REGRESSION:
             evs.append(explained_variance(s, test_task.y))
         elif test_task.kind is TaskKind.CLASSIFICATION:

@@ -69,6 +69,7 @@ from .core import (
     _member_dots,
     _members,
     _n_features,
+    _n_members,
     _row_norms,
     _split,
     _task_subset,
@@ -283,7 +284,7 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, accelerated, work=None, f=
     as four lists (_fit_result reads one fit).
     Per-fit scalars are Python floats; the working arrays hold all fits of
     the tasks still running."""
-    n_fits, B, p = W.shape[0], blocks[0][4].shape[0], _n_features(blocks)
+    n_fits, B, p = W.shape[0], _n_members(blocks), _n_features(blocks)
     W_out = W
     lam = np.asarray(lam, dtype=float)
     lam_m = lam.tolist()

@@ -592,19 +592,37 @@ def test_cli_names_an_input_file_that_is_not_utf8(tmp_path, capsys):
         assert not out.exists(), spoiled
 
 
-@pytest.mark.parametrize("case", ["ragged_coefficients", "text_lambda", "unknown_kind"])
+# A JSON document's field, its bad value, and the error load_model names.
+_BAD_MODEL_VALUES = {
+    "nan_lambda": ("lambda", float("nan"), "DataError: lam must be a nonnegative real"),
+    "negative_lambda": ("lambda", -1.0, "DataError: lam must be a nonnegative real"),
+    "infinite_alpha": ("alpha", float("inf"), "DataError: alpha must be a nonnegative real"),
+    "nan_beta": ("beta", float("nan"), "DataError: beta must be a nonnegative real"),
+    "text_seed": ("seed", "abc", "DataError: seed must be null or an integer >= 0"),
+    "fractional_seed": ("seed", -3.5, "DataError: seed must be null or an integer >= 0"),
+    "negative_seed": ("seed", -1, "DataError: seed must be null or an integer >= 0"),
+    "boolean_seed": ("seed", True, "DataError: seed must be null or an integer >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", ["ragged_coefficients", "text_lambda", "unknown_kind",
+                                  *_BAD_MODEL_VALUES])
 def test_model_with_a_bad_value_is_a_malformed_file(tmp_path, capsys, case):
     model = tmp_path / "m.json"
     save_model(_small_model(), model)
     doc = json.loads(model.read_text())
+    error = "ValueError: "
     if case == "ragged_coefficients":
         doc["coefficients"][0] = doc["coefficients"][0][:-1]
     elif case == "text_lambda":
         doc["hyperparameters"]["lambda"] = "strong"
-    else:
+    elif case == "unknown_kind":
         doc["tasks"][0]["kind"] = "ranking"
+    else:
+        field, value, error = _BAD_MODEL_VALUES[case]
+        (doc if field == "seed" else doc["hyperparameters"])[field] = value
     _write(model, json.dumps(doc))
-    with pytest.raises(DataError, match=r"model file .*m\.json.* is malformed \(ValueError: "):
+    with pytest.raises(DataError, match=r"model file .*m\.json.* is malformed \(" + error):
         load_model(model)
     data = tmp_path / "d.csv"
     _write(data, "f1,f2,f3\n1,2,3\n")
@@ -1134,6 +1152,37 @@ def test_simulate_writes_no_manifest_when_a_task_file_fails(tmp_path, monkeypatc
     assert "No space left on device" in capsys.readouterr().err
     assert not (out / "train" / "manifest.json").exists()
     assert not (out / "test" / "manifest.json").exists()
+    assert not out.exists()
+
+
+def test_path_leaves_no_out_dir_when_a_coefficient_file_fails(tmp_path, monkeypatch, capsys):
+    # Every command's --out-dir follows one rule: a directory the failed
+    # command made is removed, with all in it; one that existed stays.
+    sim = _simulate_dir(tmp_path)
+    real_write_csv = cli.write_csv
+
+    def failing_write_csv(path, header, rows):
+        if os.path.basename(path) == "lambda_0002.csv":
+            raise failure
+        real_write_csv(path, header, rows)
+
+    monkeypatch.setattr(cli, "write_csv", failing_write_csv)
+    argv = ["path", "--manifest", sim / "train" / "manifest.json", "--n-lambda", 4,
+            "--save-coefficients", "--out-dir"]
+    out = tmp_path / "made" / "path"
+    failure = OSError(28, "No space left on device")
+    assert _run(argv + [out]) == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert not (tmp_path / "made").exists()
+    failure = KeyboardInterrupt()
+    with pytest.raises(KeyboardInterrupt):
+        _run(argv + [out])
+    assert not (tmp_path / "made").exists()
+    failure = OSError(28, "No space left on device")
+    (tmp_path / "kept").mkdir()
+    assert _run(argv + [tmp_path / "kept"]) == 3
+    assert sorted(os.listdir(tmp_path / "kept" / "coefficients")) == [
+        "lambda_0000.csv", "lambda_0001.csv"]
 
 
 def test_cli_path_save_coefficients(tmp_path):

@@ -268,8 +268,8 @@ def test_cross_validate_counts_unconverged_member_fits():
     assert 0 < capped.unconverged <= (3 + 1) * 6
     loose = SolverOptions(max_iter=5000, tol=1e-6)
     assert cross_validate(problem, k=3, seed=0, n_lambda=6, opts=loose).unconverged == 0
-    results, _ = _cross_validate(problem, 0.0, 0.0, 3, 0, SolverOptions(max_iter=1), 6, 0.01,
-                                 False, per_task=True)
+    results = _cross_validate(problem, 0.0, 0.0, 3, 0, SolverOptions(max_iter=1), 6, 0.01,
+                              False, per_task=True)
     assert [result.unconverged for result in results] == [
         cross_validate(MtlProblem((task,)), k=3, seed=0, n_lambda=6,
                        opts=SolverOptions(max_iter=1)).unconverged
@@ -313,10 +313,9 @@ def test_per_task_cross_validation_equals_each_task_alone(seed, fit_intercept, o
     opts = SolverOptions(max_iter=int(rng.integers(1, 120)), tol=1e-6,
                          fit_intercept=fit_intercept)
     args = (alpha, beta, k, seed % 1000, opts, n_lambda, 0.05, one_se)
-    results, coef = _cross_validate(problem, *args, per_task=True)
+    results = _cross_validate(problem, *args, per_task=True)
     assert len(results) == problem.t
-    assert coef.W.shape == (problem.p, problem.t)
-    for i, (task, result) in enumerate(zip(problem.tasks, results)):
+    for task, result in zip(problem.tasks, results):
         alone = cross_validate(MtlProblem((task,)), *args)
         assert result.best_lambda == alone.best_lambda
         npt.assert_array_equal(result.sequence.values, alone.sequence.values)
@@ -326,12 +325,13 @@ def test_per_task_cross_validation_equals_each_task_alone(seed, fit_intercept, o
         npt.assert_array_equal(result.fit.objective_trace, alone.fit.objective_trace)
         assert result.fit.iterations == alone.fit.iterations
         assert result.unconverged == alone.unconverged
-        npt.assert_array_equal(coef.W[:, i], alone.fit.coef.W[:, 0])
+        assert result.fit.coef.W.shape == (problem.p, 1)
+        npt.assert_array_equal(result.fit.coef.W[:, 0], alone.fit.coef.W[:, 0])
         if fit_intercept:
             npt.assert_array_equal(result.fit.coef.intercepts, alone.fit.coef.intercepts)
-            assert coef.intercepts[i] == alone.fit.coef.intercepts[0]
+            assert result.fit.coef.intercepts[0] == alone.fit.coef.intercepts[0]
         else:
-            assert coef.intercepts is None
+            assert result.fit.coef.intercepts is None
 
 
 def test_per_task_cross_validation_drops_finished_tasks(monkeypatch):
@@ -350,8 +350,8 @@ def test_per_task_cross_validation_drops_finished_tasks(monkeypatch):
     rng = np.random.default_rng(5)
     for trial in range(6):
         problem = _uneven_problem(rng, fit_intercept=bool(trial % 2))
-        results, _ = _cross_validate(problem, 0.0, 0.0, 3, trial, path_options(trial % 2 == 1),
-                                     8, 0.01, False, per_task=True)
+        results = _cross_validate(problem, 0.0, 0.0, 3, trial, path_options(trial % 2 == 1),
+                                  8, 0.01, False, per_task=True)
         for task, result in zip(problem.tasks, results):
             alone = cross_validate(MtlProblem((task,)), k=3, seed=trial, n_lambda=8,
                                    opts=path_options(trial % 2 == 1), ratio=0.01)

@@ -1,9 +1,10 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from mixedmtl import regpath
@@ -17,6 +18,7 @@ from mixedmtl import (
     SolverError,
     SolverOptions,
     TaskDataset,
+    TaskKind,
     cross_validate,
     fista_fit,
     full_objective,
@@ -29,6 +31,7 @@ from mixedmtl import (
     simulate,
     smooth_gradient,
 )
+from mixedmtl.modelselect import _cross_validate
 from mixedmtl.regpath import NONZERO_ROW_THRESHOLD
 from mixedmtl.solver import _fit_result
 
@@ -323,6 +326,45 @@ def test_kept_path_reads_every_fit_of_the_dense_path(seed, fit_intercept, weight
         path.fits[len(reads)]
     counts = [np.sum(np.linalg.norm(fit.coef.W, axis=1) > NONZERO_ROW_THRESHOLD) for fit in dense]
     assert path.nonzero_rows.tolist() == counts
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), fit_intercept=st.booleans(), per_task=st.booleans(),
+       one_se=st.booleans())
+def test_cross_validation_reads_its_fits_from_the_kept_path(seed, fit_intercept, per_task,
+                                                            one_se):
+    # Cross-validation keeps the full-data member's points of its batched
+    # path in the kept-path type: each result's fit, joint or per task,
+    # equals that member's fit in the dense batch _path leaves at the
+    # selected point, with +0.0 for every zero coefficient (a per-task
+    # fit's row can be zero where another task's is not).
+    rng = np.random.default_rng(seed)
+    problem = random_mixed_problem(rng, t=int(rng.integers(1, 4)), n_lo=8, n_hi=16)
+    # Every training split keeps both classes when each class has two samples.
+    assume(all(min(np.sum(task.y > 0), np.sum(task.y < 0)) >= 2
+               for task in problem.tasks if task.kind is TaskKind.CLASSIFICATION))
+    k = int(rng.integers(2, 4))
+    alpha, beta = (0.1, 0.05) if rng.integers(0, 2) else (0.0, 0.0)
+    batches = []  # the dense batch and its per-fit lists at each point
+
+    def recording(blocks, lam, alpha, beta, opts, W, accelerated, work=None, f=None):
+        fits = proximal_loop(blocks, lam, alpha, beta, opts, W, accelerated, work, f)
+        batches.append((W.copy(), fits))
+        return fits
+
+    proximal_loop = regpath._proximal_loop
+    with mock.patch.object(regpath, "_proximal_loop", recording):
+        results = _cross_validate(problem, alpha, beta, k, seed % 1000,
+                                  path_options(fit_intercept), 6, 0.05, one_se, per_task)
+    units = problem.t if per_task else 1
+    assert len(results) == units and len(batches) == 6
+    for u, result in enumerate(results):
+        j = int(np.flatnonzero(result.sequence.values == result.best_lambda)[0])
+        W, fits = batches[j]
+        _same_fit(result.fit, _fit_result(W, problem.p, fits, k * units + u))
+        assert result.fit.objective_trace.tobytes() == np.array(fits[0][k * units + u]).tobytes()
+        zeros = result.fit.coef.W[result.fit.coef.W == 0.0]
+        assert not np.signbit(zeros).any()
 
 
 def test_a_kept_path_costs_its_nonzero_rows():
