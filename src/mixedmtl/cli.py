@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Every subcommand writes its outputs into --out-dir with fixed file names
-and echoes its full resolved configuration (defaults included) to
+Every subcommand writes its outputs into --out-dir with fixed file names,
+and main echoes its full resolved configuration (defaults included) to
 runlog.json in the same directory, so identical command lines reproduce
 byte-identical output trees.
 
@@ -10,11 +10,22 @@ SimulationSpec's n_per_task): _add_flags declares it with the library's
 default and type, and _call passes it to the library by that name.  The
 flags whose names differ from their parameter's are passed explicitly.
 
+main runs every command in one order: the usage checks (argparse, then
+_check_flag_ranges, bench's lists included); then --out-dir is made, and
+a runlog.json already in it removed; then the command reads its inputs
+(a model file is checked as modelio.ModelFile checks it: unique feature
+and task names, finite values, positive feature scales), computes, writes
+its own files and returns the runlog entries only it knows (the
+manifest's fit_intercept and standardize for fit, path and cv); last,
+main writes runlog.json.  So runlog.json in a directory marks that the
+last command into it finished.
+
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure.
 Errors are reported on stderr as one line: "<category>: <message>" with
 category in {usage-error, data-error, numerical-error}.  A command that
-does not return 0 leaves no --out-dir directory that it made: main
-removes the topmost one that did not exist before the command ran.
+does not exit 0 leaves no --out-dir directory that main made: main
+removes the topmost one that did not exist before the command ran.  A
+directory that existed keeps what the command wrote, without runlog.json.
 """
 
 from __future__ import annotations
@@ -63,28 +74,16 @@ class UsageError(ValueError):
     pass
 
 
-def _ensure_out_dir(path) -> str:
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
-def _write_runlog(args, manifest=None) -> None:
-    """runlog.json in --out-dir: the command and every parsed flag, plus the
-    manifest's fit_intercept and standardize options when one was loaded."""
-    config = {key: value for key, value in vars(args).items() if key not in ("command", "func")}
-    if manifest is not None:
-        config |= {"fit_intercept": manifest.fit_intercept, "standardize": manifest.standardize}
-    doc = {"command": args.command, "config": config, "version": __version__}
-    write_json(os.path.join(args.out_dir, "runlog.json"), doc)
-
-
 def _load_fit_inputs(manifest_path):
-    """Load, optionally standardize, and report the pieces fit-like commands need."""
+    """The problem (standardized when the manifest asks), its feature names,
+    the standardization record or None, and the manifest's options, which
+    fit-like commands return for runlog.json."""
     problem, feature_names, manifest = load_problem(manifest_path)
     record = None
     if manifest.standardize:
         problem, record = standardize(problem, standardize_regression_outcomes=True)
-    return problem, feature_names, manifest, record
+    options = {"fit_intercept": manifest.fit_intercept, "standardize": manifest.standardize}
+    return problem, feature_names, record, options
 
 
 def _call(call, args, *positional, **explicit):
@@ -99,8 +98,7 @@ def _solver_options(args, fit_intercept: bool) -> SolverOptions:
     return _call(SolverOptions, args, L0=args.l0, fit_intercept=fit_intercept)
 
 
-def cmd_simulate(args) -> int:
-    out_dir = _ensure_out_dir(args.out_dir)
+def cmd_simulate(args) -> None:
     spec = _call(SimulationSpec, args)
     sim = simulate(spec)
     width = len(str(spec.p))
@@ -109,7 +107,8 @@ def cmd_simulate(args) -> int:
     files = []
     manifests = []
     for split, problem in (("train", sim.train), ("test", sim.test)):
-        split_dir = _ensure_out_dir(os.path.join(out_dir, split))
+        split_dir = os.path.join(args.out_dir, split)
+        os.makedirs(split_dir, exist_ok=True)
         entries = []
         for task in problem.tasks:
             file_name = f"{task.name}.csv"
@@ -132,17 +131,15 @@ def cmd_simulate(args) -> int:
         write_json(path, manifest)
 
     write_csv(
-        os.path.join(out_dir, "true_support.csv"),
+        os.path.join(args.out_dir, "true_support.csv"),
         ["feature", "row"],
         [[feature_names[j], str(j)] for j in sim.true_support],
     )
-    _write_runlog(args)
-    return 0
 
 
-def cmd_fit(args) -> int:
-    problem, feature_names, manifest, record = _load_fit_inputs(args.manifest)
-    opts = _solver_options(args, manifest.fit_intercept)
+def cmd_fit(args) -> dict:
+    problem, feature_names, record, options = _load_fit_inputs(args.manifest)
+    opts = _solver_options(args, options["fit_intercept"])
     hyper = _call(Hyperparameters, args)
     result = fista_fit(problem, hyper, opts)
     model = ModelFile(
@@ -151,29 +148,28 @@ def cmd_fit(args) -> int:
         task_kinds=[task.kind for task in problem.tasks],
         coef=result.coef,
         standardization=record,
-        standardize_outcomes=manifest.standardize,
+        standardize_outcomes=options["standardize"],
         lam=hyper.lam,
         alpha=hyper.alpha,
         beta=hyper.beta,
         seed=None,
     )
-    save_model(model, os.path.join(_ensure_out_dir(args.out_dir), "model.json"))
-    _write_runlog(args, manifest)
-    return 0
+    save_model(model, os.path.join(args.out_dir, "model.json"))
+    return options
 
 
-def cmd_path(args) -> int:
-    problem, feature_names, manifest, _ = _load_fit_inputs(args.manifest)
-    opts = _solver_options(args, manifest.fit_intercept)
+def cmd_path(args) -> dict:
+    problem, feature_names, _, options = _load_fit_inputs(args.manifest)
+    opts = _solver_options(args, options["fit_intercept"])
     top = lam_max(problem, fit_intercept=opts.fit_intercept)
     sequence = _call(lambda_sequence, args, top, n=args.n_lambda)
     path = _call(reg_path, args, problem, sequence, opts=opts)
 
     # Each fit is built when it is read, so one loop writes its path.csv
     # row and its coefficient file.
-    out_dir = _ensure_out_dir(args.out_dir)
     if args.save_coefficients:
-        coef_dir = _ensure_out_dir(os.path.join(out_dir, "coefficients"))
+        coef_dir = os.path.join(args.out_dir, "coefficients")
+        os.makedirs(coef_dir, exist_ok=True)
         task_names = [task.name for task in problem.tasks]
     rows = []
     for idx, (lam, fit, nonzero) in enumerate(zip(sequence.values, path.fits, path.nonzero_rows)):
@@ -190,28 +186,27 @@ def cmd_path(args) -> int:
                 ["feature"] + task_names,
                 coef_rows,
             )
-    write_csv(os.path.join(out_dir, "path.csv"), ["lambda", "objective", "nonzero_rows"], rows)
-    _write_runlog(args, manifest)
-    return 0
+    write_csv(os.path.join(args.out_dir, "path.csv"), ["lambda", "objective", "nonzero_rows"],
+              rows)
+    return options
 
 
-def cmd_cv(args) -> int:
-    problem, _, manifest, _ = _load_fit_inputs(args.manifest)
-    opts = _solver_options(args, manifest.fit_intercept)
+def cmd_cv(args) -> dict:
+    problem, _, _, options = _load_fit_inputs(args.manifest)
+    opts = _solver_options(args, options["fit_intercept"])
     result = _call(cross_validate, args, problem, opts=opts)
-    out_dir = _ensure_out_dir(args.out_dir)
     write_csv(
-        os.path.join(out_dir, "cv.csv"),
+        os.path.join(args.out_dir, "cv.csv"),
         ["lambda", "mean_error", "se_error"],
         list(zip(result.sequence.values, result.mean_cv_error, result.se_cv_error)),
     )
-    with open(os.path.join(out_dir, "best_lambda.txt"), "w", encoding="utf-8", newline="\n") as fh:
+    with open(os.path.join(args.out_dir, "best_lambda.txt"), "w", encoding="utf-8",
+              newline="\n") as fh:
         fh.write(format_float(result.best_lambda) + "\n")
-    _write_runlog(args, manifest)
-    return 0
+    return options
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> None:
     model = load_model(args.model)
     task_idx = model.task_index(args.task)
     header, values = read_task_csv(args.data)
@@ -224,15 +219,13 @@ def cmd_predict(args) -> int:
     columns = model_predictions(model, X, task_idx)
     names = list(columns)
     write_csv(
-        os.path.join(_ensure_out_dir(args.out_dir), "predictions.csv"),
+        os.path.join(args.out_dir, "predictions.csv"),
         names,
         list(zip(*[columns[name] for name in names])),
     )
-    _write_runlog(args)
-    return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     model = load_model(args.model)
     # Evaluation applies the model's stored standardization to raw inputs;
     # the manifest's own standardize flag is deliberately ignored here.
@@ -253,10 +246,7 @@ def cmd_eval(args) -> int:
         except DataError as err:
             raise DataError(f"task {task.name!r}: {err}") from None
         rows.append([task.name, task.kind.value] + metric)
-    out_dir = _ensure_out_dir(args.out_dir)
-    write_csv(os.path.join(out_dir, "eval.csv"), ["task", "kind", "metric", "value"], rows)
-    _write_runlog(args)
-    return 0
+    write_csv(os.path.join(args.out_dir, "eval.csv"), ["task", "kind", "metric", "value"], rows)
 
 
 def _bench_grid(args) -> tuple:
@@ -275,12 +265,11 @@ def _bench_grid(args) -> tuple:
         raise UsageError(f"--{err}") from None
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     spec, methods, ratios, seeds = _bench_grid(args)
-    out_dir = _ensure_out_dir(args.out_dir)  # before the grid runs: an unusable one fails at once
     rows = _call(run_benchmark, args, spec, methods=methods, ratios=ratios, seeds=seeds)
     write_csv(
-        os.path.join(out_dir, "benchmark.csv"),
+        os.path.join(args.out_dir, "benchmark.csv"),
         [
             "method",
             "ratio",
@@ -291,8 +280,6 @@ def cmd_bench(args) -> int:
         ],
         [dataclasses.astuple(row) for row in rows],
     )
-    _write_runlog(args)
-    return 0
 
 
 def _add_flags(sub, source, *names) -> None:
@@ -386,8 +373,8 @@ def _check_flag_ranges(args) -> None:
     in place of the parameter name.  --k has cross_validate's range;
     --n-lambda has lambda_sequence's for the path and also takes a one-point
     grid for cross-validation (cv, bench).  Every --seed takes
-    SimulationSpec's seed range.  bench's lists are checked by cmd_bench,
-    also before its --out-dir exists.
+    SimulationSpec's seed range.  bench's lists are checked by _bench_grid,
+    which cmd_bench calls again for them.
     """
     # Flag dest -> (the call, its parameter); library defaults fill in the
     # rest, except that the simulation checks see --t-classification too.
@@ -420,6 +407,8 @@ def _check_flag_ranges(args) -> None:
     min_points = 2 if args.command == "path" else 1
     if getattr(args, "n_lambda", min_points) < min_points:
         raise UsageError(f"--n-lambda must be >= {min_points}, got {args.n_lambda}")
+    if args.command == "bench":
+        _bench_grid(args)
 
 
 def main(argv=None) -> int:
@@ -429,16 +418,25 @@ def main(argv=None) -> int:
     except SystemExit as exit_info:
         return int(exit_info.code or 0)
     # The topmost directory of --out-dir that does not exist yet goes, with
-    # all in it, unless the command returns 0 (whatever else ends it).
+    # all in it, unless main returns 0 (whatever else ends it).
     made, path, code = None, os.path.abspath(args.out_dir), None
     while not os.path.lexists(path):
         made, path = path, os.path.dirname(path)
+    runlog = os.path.join(args.out_dir, "runlog.json")
     try:
         _check_flag_ranges(args)
-        # The solver reports a non-finite objective as a SolverError, so
-        # numpy's overflow warnings would only precede that one line.
+        os.makedirs(args.out_dir, exist_ok=True)
+        if os.path.lexists(runlog):
+            os.remove(runlog)
+        # runlog.json holds every parsed flag and the entries that only the
+        # command knows.  The solver reports a non-finite objective as a
+        # SolverError, so numpy's overflow warnings would only precede that
+        # one line.
+        config = {key: value for key, value in vars(args).items() if key not in ("command", "func")}
         with np.errstate(over="ignore", invalid="ignore"):
-            code = args.func(args)
+            config |= args.func(args) or {}
+        write_json(runlog, {"command": args.command, "config": config, "version": __version__})
+        code = 0
         return code
     except UsageError as err:
         print(f"usage-error: {err}", file=sys.stderr)

@@ -428,12 +428,24 @@ class ModelFile:
             raise DataError(f"{len(self.feature_names)} feature names for {p} rows")
         if len(self.task_names) != t or len(self.task_kinds) != t:
             raise DataError(f"task names/kinds do not match {t} columns")
+        for what, names in (("feature", self.feature_names), ("task", self.task_names)):
+            if len(set(names)) != len(names):
+                duplicated = sorted({name for name in names if names.count(name) > 1})
+                raise DataError(f"{what} names must be unique, got duplicated {duplicated}")
         if self.standardization is not None:
             records = self.standardization.tasks
             shapes = {np.shape(vector) for record in records for vector in
                       (record.feature_mean, record.feature_scale, record.constant_features)}
             if len(records) != t or not shapes <= {(p,)}:
                 raise DataError(f"standardization does not match {p} rows and {t} columns")
+            # The values core.standardize writes; an outcome_scale of 0 flags
+            # a constant outcome, and None (as 0 here) no outcome transform.
+            for name, record in zip(self.task_names, records):
+                outcome = [record.outcome_mean or 0.0, record.outcome_scale or 0.0]
+                if not (np.isfinite([*record.feature_mean, *record.feature_scale, *outcome]).all()
+                        and np.all(record.feature_scale > 0) and outcome[1] >= 0):
+                    raise DataError(f"task {name!r}: standardization values must be finite, "
+                                    "feature scales > 0 and the outcome scale >= 0")
         try:
             Hyperparameters(self.lam, self.alpha, self.beta)
         except ValueError as err:

@@ -592,16 +592,45 @@ def test_cli_names_an_input_file_that_is_not_utf8(tmp_path, capsys):
         assert not out.exists(), spoiled
 
 
-# A JSON document's field, its bad value, and the error load_model names.
+# A JSON document's field (as its keys from the top), its bad value, and
+# the error load_model names.
+_NAN, _INF = float("nan"), float("inf")
+_STANDARDIZATION_VALUES = "DataError: task 'r': standardization values must be finite"
 _BAD_MODEL_VALUES = {
-    "nan_lambda": ("lambda", float("nan"), "DataError: lam must be a nonnegative real"),
-    "negative_lambda": ("lambda", -1.0, "DataError: lam must be a nonnegative real"),
-    "infinite_alpha": ("alpha", float("inf"), "DataError: alpha must be a nonnegative real"),
-    "nan_beta": ("beta", float("nan"), "DataError: beta must be a nonnegative real"),
-    "text_seed": ("seed", "abc", "DataError: seed must be null or an integer >= 0"),
-    "fractional_seed": ("seed", -3.5, "DataError: seed must be null or an integer >= 0"),
-    "negative_seed": ("seed", -1, "DataError: seed must be null or an integer >= 0"),
-    "boolean_seed": ("seed", True, "DataError: seed must be null or an integer >= 0"),
+    "nan_lambda": (("hyperparameters", "lambda"), _NAN,
+                   "DataError: lam must be a nonnegative real"),
+    "negative_lambda": (("hyperparameters", "lambda"), -1.0,
+                        "DataError: lam must be a nonnegative real"),
+    "infinite_alpha": (("hyperparameters", "alpha"), _INF,
+                       "DataError: alpha must be a nonnegative real"),
+    "nan_beta": (("hyperparameters", "beta"), _NAN, "DataError: beta must be a nonnegative real"),
+    "text_seed": (("seed",), "abc", "DataError: seed must be null or an integer >= 0"),
+    "fractional_seed": (("seed",), -3.5, "DataError: seed must be null or an integer >= 0"),
+    "negative_seed": (("seed",), -1, "DataError: seed must be null or an integer >= 0"),
+    "boolean_seed": (("seed",), True, "DataError: seed must be null or an integer >= 0"),
+    "duplicated_feature": (("feature_names", 1), "f1",
+                           re.escape("DataError: feature names must be unique, got duplicated "
+                                     "['f1']")),
+    "duplicated_task": (("tasks", 1, "name"), "c",
+                        re.escape("DataError: task names must be unique, got duplicated ['c']")),
+    "nan_feature_mean": (("standardization", "tasks", 1, "feature_mean", 0), _NAN,
+                         _STANDARDIZATION_VALUES),
+    "infinite_feature_mean": (("standardization", "tasks", 1, "feature_mean", 2), -_INF,
+                              _STANDARDIZATION_VALUES),
+    "zero_feature_scale": (("standardization", "tasks", 1, "feature_scale", 1), 0.0,
+                           _STANDARDIZATION_VALUES),
+    "negative_feature_scale": (("standardization", "tasks", 1, "feature_scale", 1), -2.0,
+                               _STANDARDIZATION_VALUES),
+    "infinite_feature_scale": (("standardization", "tasks", 1, "feature_scale", 0), _INF,
+                               _STANDARDIZATION_VALUES),
+    "nan_feature_scale": (("standardization", "tasks", 1, "feature_scale", 0), _NAN,
+                          _STANDARDIZATION_VALUES),
+    "nan_outcome_mean": (("standardization", "tasks", 1, "outcome_mean"), _NAN,
+                         _STANDARDIZATION_VALUES),
+    "infinite_outcome_scale": (("standardization", "tasks", 1, "outcome_scale"), _INF,
+                               _STANDARDIZATION_VALUES),
+    "negative_outcome_scale": (("standardization", "tasks", 1, "outcome_scale"), -1.0,
+                               _STANDARDIZATION_VALUES),
 }
 
 
@@ -609,7 +638,7 @@ _BAD_MODEL_VALUES = {
                                   *_BAD_MODEL_VALUES])
 def test_model_with_a_bad_value_is_a_malformed_file(tmp_path, capsys, case):
     model = tmp_path / "m.json"
-    save_model(_small_model(), model)
+    save_model(_small_model(with_standardization=True), model)
     doc = json.loads(model.read_text())
     error = "ValueError: "
     if case == "ragged_coefficients":
@@ -619,8 +648,8 @@ def test_model_with_a_bad_value_is_a_malformed_file(tmp_path, capsys, case):
     elif case == "unknown_kind":
         doc["tasks"][0]["kind"] = "ranking"
     else:
-        field, value, error = _BAD_MODEL_VALUES[case]
-        (doc if field == "seed" else doc["hyperparameters"])[field] = value
+        keys, value, error = _BAD_MODEL_VALUES[case]
+        functools.reduce(lambda node, key: node[key], keys[:-1], doc)[keys[-1]] = value
     _write(model, json.dumps(doc))
     with pytest.raises(DataError, match=r"model file .*m\.json.* is malformed \(" + error):
         load_model(model)
@@ -629,6 +658,19 @@ def test_model_with_a_bad_value_is_a_malformed_file(tmp_path, capsys, case):
     assert _run(["predict", "--model", model, "--data", data, "--task", "c",
                  "--out-dir", tmp_path / "p"]) == 3
     assert capsys.readouterr().err.startswith("data-error: model file")
+
+
+def test_model_with_a_constant_outcome_loads(tmp_path):
+    # standardize flags a constant regression outcome with outcome_scale 0.
+    model = tmp_path / "m.json"
+    save_model(_small_model(with_standardization=True), model)
+    doc = json.loads(model.read_text())
+    doc["standardization"]["tasks"][1]["outcome_scale"] = 0.0
+    _write(model, json.dumps(doc))
+    loaded = load_model(model)
+    assert loaded.standardization.tasks[1].outcome_scale == 0.0
+    npt.assert_array_equal(model_predictions(loaded, np.ones((2, 3)), 1)["prediction"],
+                           [doc["standardization"]["tasks"][1]["outcome_mean"]] * 2)
 
 
 def _eval_manifest(tmp_path, c_labels, r_outcomes):
@@ -1180,9 +1222,34 @@ def test_path_leaves_no_out_dir_when_a_coefficient_file_fails(tmp_path, monkeypa
     assert not (tmp_path / "made").exists()
     failure = OSError(28, "No space left on device")
     (tmp_path / "kept").mkdir()
+    # runlog.json marks a finished command: an old one goes before the run.
+    _write(tmp_path / "kept" / "runlog.json", "{}\n")
     assert _run(argv + [tmp_path / "kept"]) == 3
+    assert sorted(os.listdir(tmp_path / "kept")) == ["coefficients"]
     assert sorted(os.listdir(tmp_path / "kept" / "coefficients")) == [
         "lambda_0000.csv", "lambda_0001.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--p", 5],
+    ["fit", "--manifest", "gone.json", "--lambda", 1],
+    ["path", "--manifest", "gone.json"],
+    ["cv", "--manifest", "gone.json"],
+    ["predict", "--model", "gone.json", "--data", "gone.csv", "--task", "c"],
+    ["eval", "--model", "gone.json", "--manifest", "gone.json"],
+    ["bench", "--p", 20, "--ratios", 0.8, "--seeds", 1, "--k", 3, "--n-lambda", 3],
+], ids=lambda argv: argv[0])
+def test_unusable_out_dir_fails_before_any_input_is_read(tmp_path, capsys, argv):
+    # main makes --out-dir before the command runs, so the error names it,
+    # not the missing input, and the file stays as it was.
+    out = tmp_path / "f"
+    _write(out, "kept\n")
+    argv = [str(tmp_path / arg) if str(arg).startswith("gone.") else arg for arg in argv]
+    assert _run(argv + ["--out-dir", out]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data-error: "), err
+    assert repr(str(out)) in err[0], err
+    assert out.read_text() == "kept\n"
 
 
 def test_cli_path_save_coefficients(tmp_path):
