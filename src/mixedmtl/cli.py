@@ -15,7 +15,9 @@ _check_flag_ranges, bench's lists included); then --out-dir is made, and
 a runlog.json already in it removed; then the command reads its inputs
 (a model file is checked as modelio.ModelFile checks it: unique feature
 and task names, finite values, positive feature scales), computes, writes
-its own files and returns the runlog entries only it knows (the
+its own files (first removing those of its naming scheme that an earlier
+run left: path's coefficients/lambda_*.csv, simulate's train/ and test/
+task files) and returns the runlog entries only it knows (the
 manifest's fit_intercept and standardize for fit, path and cv); last,
 main writes runlog.json.  So runlog.json in a directory marks that the
 last command into it finished.
@@ -34,6 +36,7 @@ import argparse
 import dataclasses
 import inspect
 import os
+import re
 import shutil
 import sys
 from functools import partial
@@ -98,6 +101,18 @@ def _solver_options(args, fit_intercept: bool) -> SolverOptions:
     return _call(SolverOptions, args, L0=args.l0, fit_intercept=fit_intercept)
 
 
+def _clear(directory, pattern) -> str:
+    """Make directory if it is missing, and remove from it the files whose
+    names fullmatch the regular expression pattern: a command's own files
+    there, which an earlier run into the same --out-dir may have left
+    beyond the ones this run writes.  Returns directory."""
+    os.makedirs(directory, exist_ok=True)
+    for name in os.listdir(directory):
+        if re.fullmatch(pattern, name):
+            os.remove(os.path.join(directory, name))
+    return directory
+
+
 def cmd_simulate(args) -> None:
     spec = _call(SimulationSpec, args)
     sim = simulate(spec)
@@ -107,8 +122,8 @@ def cmd_simulate(args) -> None:
     files = []
     manifests = []
     for split, problem in (("train", sim.train), ("test", sim.test)):
-        split_dir = os.path.join(args.out_dir, split)
-        os.makedirs(split_dir, exist_ok=True)
+        # simdata names each task clf01, ... or reg01, ...
+        split_dir = _clear(os.path.join(args.out_dir, split), r"(clf|reg)\d{2,}\.csv")
         entries = []
         for task in problem.tasks:
             file_name = f"{task.name}.csv"
@@ -168,8 +183,7 @@ def cmd_path(args) -> dict:
     # Each fit is built when it is read, so one loop writes its path.csv
     # row and its coefficient file.
     if args.save_coefficients:
-        coef_dir = os.path.join(args.out_dir, "coefficients")
-        os.makedirs(coef_dir, exist_ok=True)
+        coef_dir = _clear(os.path.join(args.out_dir, "coefficients"), r"lambda_\d{4,}\.csv")
         task_names = [task.name for task in problem.tasks]
     rows = []
     for idx, (lam, fit, nonzero) in enumerate(zip(sequence.values, path.fits, path.nonzero_rows)):

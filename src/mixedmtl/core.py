@@ -31,17 +31,14 @@ A problem owns its features: each run of consecutive tasks of one kind
 and one sample count n keeps its rows in one read-only (tasks, n, p)
 stack (copied in once as the problem is built, unless the tasks' X
 already are its entries), and each task's X is a view of it.  Evaluation runs
-on a layout of blocks, one per run, built once per problem: the run's
+on a layout of _Blocks, one per run, built once per problem: the run's
 stack X, its outcomes Y (tasks, n) and the row weights M of B members
 (B, tasks, n) (the kind's loss weight over the number of rows a member
 fits, exactly 0 on rows it leaves out, so they add nothing to a loss or
 a gradient).  A problem alone is one member on every row;
-cross-validation's folds are members too.  A block's scores for all
-members are one batched product with its stack, and so is its share of
-the gradient; losses, residuals and intercept gradients take one numpy
-call per block.  Nothing is padded and the stacks are the only copy of
-X: a layout, and a layout narrowed to some of its tasks, hold views of
-them.
+cross-validation's folds are members too.  Nothing is padded and the
+stacks are the only copy of X: a layout, and a layout narrowed to some
+of its tasks, hold views of them.
 
 The kernels take a batch of fits, W of shape (fits, t_fit, p), or
 (fits, t_fit, p + 1) with the intercepts last: a fit is either one
@@ -53,12 +50,24 @@ alpha and beta terms take its first p coefficients.  A task column's
 loss sums its own n rows, so it equals its one-task problem's bit for
 bit.
 
+Evaluation is two steps.  _scores takes the products with X: a batch's
+scores are one (B, entries) array, member b's row holding each block's
+(tasks, n) scores in turn, one batched product per block.  Then
+_objective_from and _gradient_from take the losses, or the residuals and
+their one batched product X^T R per block, from given scores, which they
+leave as they are.  Scores are linear in the batch (an intercept is a
+coefficient on a column of ones), so a caller that keeps the scores of
+earlier batches forms a combination's scores without a product: the
+solver scores only its line-search candidates afresh.  _batch_objective
+and _batch_gradient are the two steps on fresh scores.
+
 _map_cells is the package's one worker pool: the benchmark's cells and
 modelio's batches of CSV files map over it.
 """
 
 from __future__ import annotations
 
+import collections
 import copy
 import dataclasses
 import enum
@@ -240,13 +249,17 @@ def _stack_of(Xs):
     return None
 
 
+# A run of a _layout: its tasks' kind, its slice of W's columns, its stack
+# X (tasks, n, p), outcomes Y (tasks, n) and the row weights M (B, tasks, n)
+# of its B members.
+_Block = collections.namedtuple("_Block", "kind columns X Y M")
+
+
 def _layout(problem: MtlProblem, rows=None) -> tuple:
-    """One block (kind, columns, X, Y, M) per run of the problem's stacks:
-    columns is the run's slice of W's columns, X its stack (tasks, n, p),
-    Y (tasks, n) its outcomes and M (B, tasks, n) the row weights of B
-    members.  rows holds one (n_i, B) boolean array per task, the rows
-    each member fits; a member weights them by the kind's loss weight over
-    their count.  Without rows there is one member, on every row."""
+    """One _Block per run of the problem's stacks.  rows holds one (n_i, B)
+    boolean array per task, the rows each member fits; a member weights
+    them by the kind's loss weight over their count.  Without rows there
+    is one member, on every row."""
     blocks, start = [], 0
     for X in problem._stacks:
         columns = slice(start, start + len(X))
@@ -258,7 +271,7 @@ def _layout(problem: MtlProblem, rows=None) -> tuple:
         M = np.empty(fitted[0].shape[1:] + Y.shape)  # C order, so the dots run in BLAS
         for j, r in enumerate(fitted):
             M[:, j] = np.where(r.T, weight / r.sum(axis=0)[:, None], 0.0)
-        blocks.append((kind, columns, X, Y, M))
+        blocks.append(_Block(kind, columns, X, Y, M))
     return tuple(blocks)
 
 
@@ -274,7 +287,7 @@ def _task_subset(blocks, alive) -> tuple:
         if n:
             if local[-1] - local[0] == n - 1:
                 local = slice(local[0], local[0] + n)
-            subset.append((kind, slice(start, start + n), X[local], Y[local], M[:, local]))
+            subset.append(_Block(kind, slice(start, start + n), X[local], Y[local], M[:, local]))
             start += n
     return tuple(subset)
 
@@ -419,13 +432,18 @@ def _split(w, p):
 def _n_features(blocks) -> int:
     """The feature count p of a _layout; a batch of fits on it carries
     intercepts when it has p + 1 coefficients per task."""
-    return blocks[0][2].shape[2]
+    return blocks[0].X.shape[2]
 
 
 def _n_members(blocks) -> int:
     """The member count B of a _layout: 1 for a problem's own, k + 1 for
     cross-validation's."""
-    return blocks[0][4].shape[0]
+    return blocks[0].M.shape[0]
+
+
+def _task_sizes(blocks) -> np.ndarray:
+    """Each task column's share of a row of a batch's scores: its n."""
+    return np.concatenate([np.full(len(block.Y), block.Y.shape[1]) for block in blocks])
 
 
 def _row_norms(W, out=None, squares=None) -> np.ndarray:
@@ -452,19 +470,35 @@ def _by_member(blocks, A):
     return A.reshape((_n_members(blocks), -1) + A.shape[2:])
 
 
-def _block_scores(blocks, W):
-    """Each block of a _layout with its scores S (B, tasks, n) appended:
-    S[b, j] is the j-th task's X w + b under member b's coefficients w and
-    intercept b (a batch of fits W seen as (B, t, p), or (B, t, p + 1) with
-    the intercepts last)."""
+def _by_entry(blocks, values):
+    """Per-fit values of a batch on a _layout spread over its scores: (B, 1)
+    for joint fits, else each task column's value on its n entries."""
+    values = _by_member(blocks, np.asarray(values))
+    return values if values.shape[1] == 1 else np.repeat(values, _task_sizes(blocks), axis=1)
+
+
+def _views(blocks, S):
+    """Each block of a _layout with its (B, tasks, n) view of a batch's
+    scores S (B, entries)."""
+    start = 0
+    for block in blocks:
+        yield block, S[:, start:start + block.Y.size].reshape(block.M.shape)
+        start += block.Y.size
+
+
+def _scores(blocks, W, out=None) -> np.ndarray:
+    """The scores of a batch of fits W on a _layout (written into out when
+    given): a block's S[b, j] is its j-th task's X w + b under member b's
+    coefficients w and intercept b (W seen as (B, t, p), or (B, t, p + 1)
+    with the intercepts last)."""
     W, p = _by_member(blocks, W), _n_features(blocks)
-    for kind, columns, X, Y, M in blocks:
-        S = np.empty(M.shape)
+    S = np.empty((W.shape[0], _task_sizes(blocks).sum())) if out is None else out
+    for (_, columns, X, _, _), s in _views(blocks, S):
         np.matmul(W[:, columns, :p].transpose(1, 0, 2), X.transpose(0, 2, 1),
-                  out=S.transpose(1, 0, 2))
+                  out=s.transpose(1, 0, 2))
         if W.shape[2] > p:
-            S += W[:, columns, p, None]
-        yield kind, columns, X, Y, M, S
+            s += W[:, columns, p, None]
+    return S
 
 
 def _outputs(scores, kind: TaskKind, output: Optional[str]) -> np.ndarray:
@@ -483,22 +517,23 @@ def _outputs(scores, kind: TaskKind, output: Optional[str]) -> np.ndarray:
     raise ValueError(f"unknown output {output!r}")
 
 
-def _batch_objective(blocks, W, alpha, beta) -> np.ndarray:
+def _objective_from(blocks, W, S, alpha, beta) -> np.ndarray:
     """F of each fit of a batch W (fits, t_fit, p), or (fits, t_fit, p + 1)
-    with the intercepts last, on a _layout of its members."""
+    with the intercepts last, on a _layout of its members, from the
+    batch's scores S, which are left as they are."""
     total = np.zeros(W.shape[0])
     per_member = _by_member(blocks, total)
-    for kind, columns, _, Y, M, S in _block_scores(blocks, W):
+    for (kind, columns, _, Y, M), s in _views(blocks, S):
         if kind is TaskKind.CLASSIFICATION:
-            # log(1 + exp(-u)) at the margins u = y * s, written over the
-            # block's scores: numpy's logaddexp(0, -u) per element, on the
-            # vectorized exp and log1p instead of its scalar loop.
-            u = np.multiply(Y, S, out=S)
+            # log(1 + exp(-u)) at the margins u = y * s: numpy's
+            # logaddexp(0, -u) per element, on the vectorized exp and log1p
+            # instead of its scalar loop.
+            u = np.multiply(Y, s)
             losses = np.abs(u)
             np.log1p(np.exp(np.negative(losses, out=losses), out=losses), out=losses)
             losses -= np.minimum(u, 0.0, out=u)
         else:
-            losses = np.square(np.subtract(S, Y, out=S), out=S)
+            losses = np.square(s - Y)
         if W.shape[1] == 1:
             # A task column sums its own task's rows, a joint fit all of them.
             per_member[:, columns] += np.matmul(M[..., None, :], losses[..., None])[..., 0, 0]
@@ -513,18 +548,19 @@ def _batch_objective(blocks, W, alpha, beta) -> np.ndarray:
     return total
 
 
-def _batch_gradient(blocks, W, alpha, beta, out=None):
+def _gradient_from(blocks, W, S, alpha, beta, out=None):
     """Gradient of F per fit, shaped like the batch W (the intercepts' part
-    last, without penalty), written into out when given."""
+    last, without penalty), from the batch's scores S, written into out
+    when given."""
     grad = np.empty(W.shape) if out is None else out
     grad_m, p = _by_member(blocks, grad), _n_features(blocks)
-    for kind, columns, X, Y, M, S in _block_scores(blocks, W):
+    for (kind, columns, X, Y, M), s in _views(blocks, S):
         # Each row's weighted loss derivative; 0.5 * (tanh(s / 2) - y) is
         # -y * sigmoid(-y * s) for y = +-1.
         if kind is TaskKind.CLASSIFICATION:
-            R = 0.5 * M * (np.tanh(0.5 * S) - Y)
+            R = 0.5 * M * (np.tanh(0.5 * s) - Y)
         else:
-            R = 2.0 * M * (S - Y)
+            R = 2.0 * M * (s - Y)
         np.matmul(R.transpose(1, 0, 2), X, out=grad_m[:, columns, :p].transpose(1, 0, 2))
         if W.shape[2] > p:
             grad_m[:, columns, p] = R.sum(axis=2)
@@ -534,6 +570,16 @@ def _batch_gradient(blocks, W, alpha, beta, out=None):
     if beta != 0.0:
         penalized += 2.0 * beta * W
     return grad
+
+
+def _batch_objective(blocks, W, alpha, beta) -> np.ndarray:
+    """_objective_from on W's fresh scores."""
+    return _objective_from(blocks, W, _scores(blocks, W), alpha, beta)
+
+
+def _batch_gradient(blocks, W, alpha, beta, out=None):
+    """_gradient_from on W's fresh scores."""
+    return _gradient_from(blocks, W, _scores(blocks, W), alpha, beta, out)
 
 
 def _smooth_objective_raw(problem, W, intercepts, alpha, beta) -> float:

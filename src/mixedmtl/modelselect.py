@@ -12,7 +12,8 @@ mean squared error for regression tasks): core's smooth objective
 without its penalties, under the complementary weights (each fold's
 validation rows over their count), divided by the number of tasks and
 averaged over folds, so the selected penalty targets the objective
-that was actually optimized.
+that was actually optimized.  It is taken from the fold members' scores
+that the path keeps from point to point, with no product with X.
 Folds are drawn per task; classification folds are stratified to keep
 both classes in every split.
 
@@ -39,8 +40,9 @@ from .core import (
     MtlProblem,
     SolverOptions,
     TaskKind,
-    _batch_objective,
     _layout,
+    _objective_from,
+    _scores,
     _whole,
 )
 from .regpath import LambdaSequence, _KeptPath, _lam_max, _path, _start
@@ -231,8 +233,10 @@ def _cross_validate(
     fold_errors = np.empty((units, k, len(lams)))
     folds, full = slice(k * units), slice(k * units, None)
     kept, unconverged = _KeptPath(problem.p, full), [0] * units
-    for j, fits in enumerate(_path(members, lams, alpha, beta, opts, W)):
-        errors = _batch_objective(validation, W[folds], 0.0, 0.0) / t_fit
+    S = _scores(members, W)  # the path keeps its members' scores here
+    for j, fits in enumerate(_path(members, lams, alpha, beta, opts, W, S)):
+        # The fold members' kept scores under the validation weights.
+        errors = _objective_from(validation, W[folds], S[:k], 0.0, 0.0) / t_fit
         fold_errors[:, :, j] = errors.reshape(k, units).T
         kept.keep(W, fits)
         for m, fit_converged in enumerate(fits[2]):

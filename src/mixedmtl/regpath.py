@@ -16,7 +16,9 @@ of one, cross-validation runs its k folds and the full-data fit as
 k + 1 members, each one joint fit or one fit per task (the single-task
 baseline, where each task follows its own lam_max-anchored grid).  The
 path fits one coefficient array in place, point after point (each
-task's intercept, when fitted, as its last coefficient), so a caller
+task's intercept, when fitted, as its last coefficient), with one array
+of their scores beside it, so each point starts from the scores its
+predecessor ended with and takes no product with X to start; a caller
 keeps a point in a _KeptPath before the next begins: the nonzero rows,
 intercepts and per-fit lists of the fits it selects (reg_path's one
 fit, or cross-validation's full-data member), from which it reads any
@@ -41,6 +43,7 @@ from .core import (
     _n_features,
     _n_members,
     _row_norms,
+    _scores,
     _whole,
 )
 from .solver import FitResult, SolverError, _Workspace, _fit_result, _proximal_loop
@@ -256,19 +259,22 @@ def reg_path(
     return PathResult(sequence=sequence, fits=kept, nonzero_rows=kept.nonzero_rows())
 
 
-def _path(blocks, lams, alpha, beta, opts, W):
+def _path(blocks, lams, alpha, beta, opts, W, S=None):
     """Warm-started path of the batch of fits W on a core._layout (shape
     (fits, t_fit, p), or (fits, t_fit, p + 1) with each task's intercept
     last), fit m at lams[j][m] at point j: fits W in place, each point
     starting from the last, and yields each point's per-fit lists (those
-    of solver._proximal_loop) once W holds its fits.  The points share
-    one workspace, and each point starts from the F its predecessor
-    returned, so a caller must not write W between points."""
-    work, f = _Workspace.like(W, _n_features(blocks)), None
+    of solver._proximal_loop) once W holds its fits.  S, when given,
+    holds W's scores (core._scores), and the path writes them in place
+    with W; without it the path scores W itself.  The points share one
+    workspace, and each point starts from the scores, and so from the F,
+    its predecessor ended with: the path takes no product with X outside
+    its line searches but for its start's scores.  A caller must not
+    write W or S between points."""
+    work, S = _Workspace.like(W, blocks), _scores(blocks, W) if S is None else S
     for lam in lams:
         try:
-            fits = _proximal_loop(blocks, lam, alpha, beta, opts, W, True, work, f)
+            fits = _proximal_loop(blocks, lam, alpha, beta, opts, W, True, work, S)
         except SolverError as err:
             raise SolverError(f"path fit failed at lambda={float(lam[err.fit])!r}: {err}") from err
-        f = fits[3]
         yield fits

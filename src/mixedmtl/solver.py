@@ -11,15 +11,24 @@ condition
 
 holds, and carries over between iterations.  After eight turns in a row
 whose step passed at its first trial, a fit halves its L before the next
-step, so L stays L0 * 2**k and g / L and lam / L scale exactly.  The loop
-carries F at its iterate, so a step from the iterate evaluates F only
-at candidates, and returns it: a path point starts from the last
-point's F, and only a single fit evaluates F at its start.  A momentum
-step that would increase the full objective, or a momentum point where
-F is non-finite, restarts the momentum (the step is retaken from the
-iterate), which keeps the objective trace non-increasing.  ``ista_fit``
-is the same loop at zero momentum; it serves as a slow-but-simple
-cross-check.
+step, so L stays L0 * 2**k and g / L and lam / L scale exactly.
+
+Only candidates are scored afresh.  The loop carries the scores s(W)
+(core._scores) of its iterate and previous iterate with them, and takes
+F and its gradient from given scores (core._objective_from,
+core._gradient_from).  Scores are linear in a fit, so the momentum
+point's are s(W) + mom * (s(W) - s(W_prev)), formed like the point: the
+objective at a momentum point takes no product with X, and a gradient
+takes only its product X^T R.  Each line-search trial scores its
+candidate afresh, and an accepted candidate's scores become the
+iterate's, so an iterate's scores are always a fresh product and
+rounding cannot drift.  The caller may hold the scores of its start, as
+a path does from point to point; else the loop scores its start.  A
+momentum step that would increase the full objective, or a momentum
+point where F is non-finite, restarts the momentum (the step is retaken
+from the iterate), which keeps the objective trace non-increasing.
+``ista_fit`` is the same loop at zero momentum; it serves as a
+slow-but-simple cross-check.
 
 The loop fits a batch of fits in lockstep, each with its own lam, L,
 momentum, restart and stopping test; a stopped fit is frozen.  The fits
@@ -31,24 +40,28 @@ turn evaluates F or its gradient once for all fits, one batched product
 per block of the layout (a run of tasks of one kind and sample count).
 With single-task fits, tasks whose fits have all stopped leave the
 batch: on the turns where a task finishes, each block is cut to its
-tasks still running (views when they form one span, else a gather).
-``fista_fit`` and ``ista_fit`` are the batch of one.  The loop fits the
-caller's array in place (a task cut from the batch is written back at
-once, the rest at the end) and returns only per-fit lists; a FitResult
-is built from the array only for a fit that is read.  With intercepts
-the batch is (fits, t_fit, p + 1), each task's intercept last
-(core._members): the prox and the row-norm penalty take the first p
-coefficients, and the intercepts take the plain gradient step.
+tasks still running (views when they form one span, else a gather), and
+the carried scores to those tasks' entries.  ``fista_fit`` and
+``ista_fit`` are the batch of one.  The loop fits the caller's array in
+place, and the caller's scores with it (a task cut from the batch is
+written back at once, the rest at the end), and returns only per-fit
+lists; a FitResult is built from the array only for a fit that is read.
+With intercepts the batch is (fits, t_fit, p + 1), each task's
+intercept last (core._members): the prox and the row-norm penalty take
+the first p coefficients, and the intercepts take the plain gradient
+step.
 
 A turn allocates no array the size of the batch, with intercepts or
 without (an alpha or beta term makes its own): the loop steps in a
 _Workspace (the momentum point, the gradient, one array for S - g / L
-and then the step, the prox's row norms and shrink factors, and a spare
-candidate), made once per path or single fit, and a narrowed batch uses
-views of its first entries.  The spare rotates with the iterates:
-candidate -> iterate -> previous iterate -> next candidate.  The
-iterates are the loop's own copies, so the caller's array is the
-output and never scratch.
+and then the step, the prox's row norms and shrink factors, a spare
+candidate, and the scores of the iterate, the previous iterate, the
+candidate and the momentum point, one flat array each), made once per
+path or single fit, and a narrowed batch uses views of its first
+entries.  The spare and the scores rotate with the iterates: candidate
+-> iterate -> previous iterate -> next candidate.  The iterates are the
+loop's own copies, so the caller's arrays are the output and never
+scratch.
 """
 
 from __future__ import annotations
@@ -64,14 +77,17 @@ from .core import (
     Hyperparameters,
     MtlProblem,
     SolverOptions,
-    _batch_gradient,
-    _batch_objective,
+    _by_entry,
+    _gradient_from,
     _member_dots,
     _members,
     _n_features,
     _n_members,
+    _objective_from,
     _row_norms,
+    _scores,
     _split,
+    _task_sizes,
     _task_subset,
 )
 
@@ -163,10 +179,12 @@ def _task_fits(B, tasks):
 class _Workspace:
     """The scratch arrays of proximal steps on a batch of fits (fits,
     t_fit, p), or (fits, t_fit, p + 1) with intercepts: the momentum
-    point, the spare candidate (the loop rotates it with its iterates),
-    the gradient, the step array (first S - grad / L, then the step
-    cand - S), all shaped like the batch, and the prox's row norms
-    (fits, p) and shrink factors (fits, 1, p)."""
+    point, a spare candidate (the loop rotates it with its iterates), the
+    gradient, the step array (first S - grad / L, then the step cand - S),
+    all shaped like the batch, the prox's row norms (fits, p) and shrink
+    factors (fits, 1, p), and scores (4, B, entries): the scores
+    (core._scores) of the iterate, the previous iterate, the candidate and
+    the momentum point."""
 
     search: np.ndarray
     cand: np.ndarray
@@ -174,34 +192,38 @@ class _Workspace:
     step: np.ndarray
     norms: np.ndarray
     scale: np.ndarray
+    scores: np.ndarray
 
     @classmethod
-    def like(cls, W, p):
-        fits = W.shape[0]
-        return cls(*(np.empty(W.shape) for _ in range(4)), np.empty((fits, p)), np.empty((fits, 1, p)))
+    def like(cls, W, blocks):
+        fits, p, B = W.shape[0], _n_features(blocks), _n_members(blocks)
+        return cls(*(np.empty(W.shape) for _ in range(4)), np.empty((fits, p)),
+                   np.empty((fits, 1, p)), np.empty((4, B, _task_sizes(blocks).sum())))
 
-    def head(self, fits):
-        """The workspace of a batch cut to fits fits: views of the first
-        fits entries of these arrays."""
-        return _Workspace(**{name: array[:fits] for name, array in vars(self).items()})
+    def head(self, fits, entries):
+        """The workspace of a batch cut to fits fits with entries scores per
+        member: views of the first entries of these arrays."""
+        arrays = {name: array[:fits] for name, array in vars(self).items()}
+        return _Workspace(**arrays | {"scores": self.scores[..., :entries]})
 
 
-def _backtrack(blocks, lam, alpha, beta, Ws, f_s, L, pending, work):
+def _backtrack(blocks, lam, alpha, beta, Ws, Ss, f_s, L, pending, work, Wy, Sy):
     """Grow each pending fit's L by doubling until sufficient decrease
     holds at its prox candidate; the others keep L.  The prox and the
     row-norm penalty take the coefficients; intercepts take the plain
     gradient step.
 
-    f_s (F at the search point Ws), L and pending are lists; work is a
-    _Workspace whose arrays, but for search, do not overlap Ws.  Returns
-    (L, the candidate, F at the candidate, the candidate's row-norm sum),
-    the last two as lists, all from the last trial (the candidate is
-    work.cand): a fit that passed earlier kept its L, so every later
-    trial recomputed its candidate bit for bit.
+    Ss are the scores of the search point Ws and f_s (F there), L and
+    pending are lists; work is a _Workspace whose arrays, but for search,
+    do not overlap Ws.  Each trial writes its candidate into Wy and the
+    candidate's fresh scores into Sy.  Returns (L, F at the candidate, the
+    candidate's row-norm sum) as lists, all from the last trial: a fit
+    that passed earlier kept its L, so every later trial recomputed its
+    candidate bit for bit.
     """
     p = _n_features(blocks)
-    gW = _batch_gradient(blocks, Ws, alpha, beta, work.grad)
-    V, Wy = work.step, work.cand
+    gW = _gradient_from(blocks, Ws, Ss, alpha, beta, work.grad)
+    V = work.step
     for _ in range(MAX_DOUBLINGS + 1):
         L_arr = np.array(L)
         np.divide(gW, L_arr[:, None, None], out=V)
@@ -211,7 +233,7 @@ def _backtrack(blocks, lam, alpha, beta, Ws, f_s, L, pending, work):
         dW = np.subtract(Wy, Ws, out=V)
         linear = _member_dots(gW, dW)
         step_sq = _member_dots(dW, dW)
-        f_y = _batch_objective(blocks, Wy, alpha, beta)
+        f_y = _objective_from(blocks, Wy, _scores(blocks, Wy, Sy), alpha, beta)
         pending = [
             pend and not (sq <= _NULL_STEP_SQ or fy <= fs + lin + 0.5 * Lm * sq)
             for pend, fy, fs, lin, sq, Lm in zip(
@@ -221,7 +243,7 @@ def _backtrack(blocks, lam, alpha, beta, Ws, f_s, L, pending, work):
         if not any(pending):
             # Only pending fits double L, and a fit's arithmetic reads only
             # its own slice, so this trial repeats each earlier acceptance.
-            return L, Wy, f_y.tolist(), norms.sum(axis=1).tolist()
+            return L, f_y.tolist(), norms.sum(axis=1).tolist()
         L = [2.0 * Lm if pend else Lm for Lm, pend in zip(L, pending)]
     raise SolverError(
         f"line search did not reach sufficient decrease within {MAX_DOUBLINGS} "
@@ -244,15 +266,14 @@ def line_search(
     """
     if not L_prev > 0.0:
         raise ValueError("L_prev must be positive")
-    Ws = _members(search_point.W, search_point.intercepts)
-    f_s = _batch_objective(problem._blocks, Ws, hyper.alpha, hyper.beta)
+    blocks, Ws = problem._blocks, _members(search_point.W, search_point.intercepts)
+    work, Ss = _Workspace.like(Ws, blocks), _scores(blocks, Ws)
+    f_s = _objective_from(blocks, Ws, Ss, hyper.alpha, hyper.beta)
     if not np.isfinite(f_s[0]):
         raise SolverError("objective is non-finite at the search point")
-    L, Wc, _, _ = _backtrack(
-        problem._blocks, np.array([hyper.lam]), hyper.alpha, hyper.beta, Ws, [f_s[0]],
-        [float(L_prev)], [True], _Workspace.like(Ws, problem.p),
-    )
-    return L[0], CoefficientMatrix(*_split(Wc[0], problem.p))
+    L, _, _ = _backtrack(blocks, np.array([hyper.lam]), hyper.alpha, hyper.beta, Ws, Ss,
+                         [f_s[0]], [float(L_prev)], [True], work, work.cand, work.scores[2])
+    return L[0], CoefficientMatrix(*_split(work.cand[0], problem.p))
 
 
 def _resolve_init(problem, opts, w_init):
@@ -270,7 +291,7 @@ def _resolve_init(problem, opts, w_init):
     return W
 
 
-def _proximal_loop(blocks, lam, alpha, beta, opts, W, accelerated, work=None, f=None):
+def _proximal_loop(blocks, lam, alpha, beta, opts, W, accelerated, work=None, S=None):
     """Fit the batch of fits W, shape (fits, t_fit, p), or (fits, t_fit,
     p + 1) with each task's intercept last, fit m at penalty lam[m], on a
     core._layout of their B members (problem._blocks for one): B joint
@@ -278,20 +299,23 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, accelerated, work=None, f=
     The fits are written into W in place, and only there: the caller's
     array is the output, never scratch.  work is a _Workspace for W's
     shape (a new one when None; a path passes one to each of its points).
-    f is each fit's F at W when the caller holds it (a path point's start
-    is the last point's end); the loop evaluates it when None.  Returns
-    each fit's objective trace, final L, converged flag and F at its fit
-    as four lists (_fit_result reads one fit).
+    S is the caller's (B, entries) array of W's scores (core._scores),
+    written in place with W: a path point starts from the scores, and so
+    from the F, that its predecessor ended with.  Without S the loop
+    scores W itself.  Returns each fit's objective trace, final L and
+    converged flag as three lists (_fit_result reads one fit).
     Per-fit scalars are Python floats; the working arrays hold all fits of
     the tasks still running."""
     n_fits, B, p = W.shape[0], _n_members(blocks), _n_features(blocks)
-    W_out = W
     lam = np.asarray(lam, dtype=float)
     lam_m = lam.tolist()
+    work = _Workspace.like(W, blocks) if work is None else work
     # Copies: the rotation turns each iterate array into a later candidate.
-    W, W_prev = W.copy(), W.copy()
-    work = _Workspace.like(W, p) if work is None else work
-    f = _batch_objective(blocks, W, alpha, beta) if f is None else np.array(f)
+    W_out, W, W_prev, W_cand = W, W.copy(), W.copy(), work.cand
+    S_out = _scores(blocks, W) if S is None else S
+    (S, S_prev, S_cand, S_search), at = work.scores, np.arange(S_out.shape[1])
+    S[...] = S_prev[...] = S_out
+    f = _objective_from(blocks, W, S, alpha, beta)
     norms = _row_norms(W[..., :p], work.norms, work.step[..., :p])
     obj_prev = (f + lam * norms.sum(axis=1)).tolist()
     finite = list(map(math.isfinite, obj_prev))
@@ -307,37 +331,43 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, accelerated, work=None, f=
     converged = [False] * n_fits
     active = [True] * n_fits
     live = list(range(n_fits))  # the fit at each position of the batch
-    final_L, final_converged, final_f = [None] * n_fits, [None] * n_fits, [None] * n_fits
+    final_L, final_converged = [None] * n_fits, [None] * n_fits
 
-    def write_back(positions, W, L, converged, f):
-        """Write the fits at positions of the batch W into the caller's
-        array, and their final L, converged flags and F into the output.
-        The batch is passed in: a name of the loop read from here would
-        be a cell variable, slower to reach in every turn."""
+    def write_back(positions, entries, W, S, L, converged):
+        """Write the fits at positions of the batch W, and their entries of
+        its scores S (at[entries] of the caller's), into the caller's
+        arrays, and their final L and converged flags into the output.
+        The batch is passed in: a name of the loop read from here would be
+        a cell variable, slower to reach in every turn."""
         ids = [live[i] for i in positions]
         W_out[ids] = W[positions]
+        S_out[:, at[entries]] = S[:, entries]
         for fit, i in zip(ids, positions):
-            final_L[fit], final_converged[fit], final_f[fit] = L[i], converged[i], f[i]
+            final_L[fit], final_converged[fit] = L[i], converged[i]
 
     while any(active):
         mom = [(tp - 1.0) / tc if on else 0.0 for tp, tc, on in zip(t_prev, t_cur, active)]
         if any(mom):
+            # Scores are linear in a fit: the momentum point's are the same
+            # combination of the iterates' scores.
             m = np.array(mom)
             Ws = np.subtract(W, W_prev, out=work.search)
             Ws *= m[:, None, None]
             Ws += W
-            f_m = _batch_objective(blocks, Ws, alpha, beta).tolist()
+            Ss = np.subtract(S, S_prev, out=S_search)
+            Ss *= _by_entry(blocks, m)
+            Ss += S
+            f_m = _objective_from(blocks, Ws, Ss, alpha, beta).tolist()
             f_s = [fm if mo != 0.0 else fi for fm, mo, fi in zip(f_m, mom, f)]
         else:
-            Ws, f_s = W, f
+            Ws, Ss, f_s = W, S, f
         pending = [on and math.isfinite(fs) for on, fs in zip(active, f_s)]
         if any(pending):
             given = [0.5 * Lm if pend and run == _EASY_TURNS else Lm
                      for Lm, run, pend in zip(L, easy, pending)]
             try:
-                L, Wc, f_c, penalty = _backtrack(
-                    blocks, lam, alpha, beta, Ws, f_s, given, pending, work
-                )
+                L, f_c, penalty = _backtrack(blocks, lam, alpha, beta, Ws, Ss, f_s, given,
+                                             pending, work, W_cand, S_cand)
             except SolverError as err:
                 raise SolverError(str(err), live[err.fit]) from None
             easy = [(run % _EASY_TURNS + 1 if Lm == Lg else 0) if pend else run
@@ -375,30 +405,37 @@ def _proximal_loop(blocks, lam, alpha, beta, opts, W, accelerated, work=None, f=
                 t_prev[i], t_cur[i] = t_cur[i], t_next
 
         if any(step):
-            # The stepping fits move on; the others keep their iterate.
-            # (Their W_prev goes unused: one that stays active restarted.)
-            W_prev, W, work.cand = W, Wc, W_prev
+            # The stepping fits move on, with their candidates' scores; the
+            # others keep their iterate and its scores.  (Their W_prev goes
+            # unused: one that stays active restarted.)
+            W_prev, W, W_cand = W, W_cand, W_prev
+            S_prev, S, S_cand = S, S_cand, S_prev
             f = [fc if moved else fi for fc, moved, fi in zip(f_c, step, f)]
             if not all(step):
                 kept = np.logical_not(step)
                 np.copyto(W, W_prev, where=kept[:, None, None])
+                np.copyto(S, S_prev, where=_by_entry(blocks, kept))
 
         if stopped and len(live) > B and any(active):
             running = np.array(active).reshape(B, -1).any(axis=0)
             if not running.all():
                 # Tasks whose fits have all stopped leave the batch.
-                write_back(_task_fits(B, ~running), W, L, converged, f)
+                keep = np.repeat(running, _task_sizes(blocks))
+                write_back(_task_fits(B, ~running), ~keep, W, S, L, converged)
                 blocks, sel = _task_subset(blocks, running), _task_fits(B, running)
                 lam, W, W_prev = lam[sel], W[sel], W_prev[sel]
-                work = work.head(len(sel))
+                # compress keeps C order (S[:, keep] would not), so the losses do.
+                S, S_prev, at = S.compress(keep, 1), S_prev.compress(keep, 1), at[keep]
+                work = work.head(len(sel), len(at))
+                W_cand, (S_cand, S_search) = work.cand, work.scores[2:]
                 per_fit = (lam_m, f, L, easy, t_prev, t_cur, traces, converged, active,
                            obj_prev, live)
                 lam_m, f, L, easy, t_prev, t_cur, traces, converged, active, obj_prev, live = (
                     [x[i] for i in sel] for x in per_fit
                 )
 
-    write_back(np.arange(len(live)), W, L, converged, f)
-    return all_traces, final_L, final_converged, final_f
+    write_back(np.arange(len(live)), slice(None), W, S, L, converged)
+    return all_traces, final_L, final_converged
 
 
 def _single_fit(problem, hyper, opts, w_init, accelerated) -> FitResult:

@@ -30,8 +30,8 @@ from mixedmtl import (
 )
 from mixedmtl import SimulationSpec, binarize_problem, regpath, simulate, standardize
 from mixedmtl import lam_max, lambda_sequence, reg_path, solver
-from mixedmtl.core import (_batch_gradient, _batch_objective, _block_scores, _layout, _members,
-                           _task_subset)
+from mixedmtl.core import (_batch_gradient, _batch_objective, _layout, _members,
+                           _objective_from, _scores, _task_subset, _views)
 from mixedmtl.modelio import load_problem, write_csv, write_json
 from mixedmtl.modelselect import _cross_validate, task_folds
 from mixedmtl.solver import _fit_result
@@ -234,20 +234,20 @@ def test_task_subset_keeps_exactly_the_running_tasks_in_their_layout(tmp_path):
             r[0] = True
         blocks = _layout(problem, rows)
         W = rng.standard_normal((2, problem.t, problem.p))
-        full = [S for *_, S in _block_scores(blocks, W)]
+        full = [S for _, S in _views(blocks, _scores(blocks, W))]
         for alive in itertools.product([False, True], repeat=problem.t):
             alive = np.array(alive)
             if not alive.any():
                 continue
             narrowed = _task_subset(blocks, alive)
             kept = np.flatnonzero(alive)
-            parts = iter(zip(narrowed, _block_scores(narrowed, W[:, kept])))
+            parts = _views(narrowed, _scores(narrowed, W[:, kept]))
             position = 0
             for (_, columns, X_all, Y_all, M_all), S_all in zip(blocks, full):
                 local = np.flatnonzero(alive[columns])
                 if not len(local):
                     continue
-                (_, cut, X, Y, M), (*_, S) = next(parts)
+                (_, cut, X, Y, M), S = next(parts)
                 assert cut == slice(position, position + len(local))
                 position = cut.stop
                 assert np.shares_memory(X, X_all) == (local[-1] - local[0] == len(local) - 1)
@@ -309,8 +309,8 @@ def test_cv_error_is_the_validation_objective_of_each_fold_fit(seed, fit_interce
     # The fold fits are the batched path's members, one call per penalty.
     batches = []
 
-    def recording(blocks, lam, alpha, beta, opts, W, accelerated, work=None, f=None):
-        fits = proximal_loop(blocks, lam, alpha, beta, opts, W, accelerated, work, f)
+    def recording(blocks, lam, alpha, beta, opts, W, accelerated, work=None, S=None):
+        fits = proximal_loop(blocks, lam, alpha, beta, opts, W, accelerated, work, S)
         batches.append((W.copy(), fits))
         return fits
 
@@ -333,26 +333,31 @@ def test_cv_error_is_the_validation_objective_of_each_fold_fit(seed, fit_interce
 
 
 def _checking_path_loop(carried):
-    """regpath._proximal_loop that checks, on every call given the last
-    point's F (every path point after the first), that it is F evaluated
-    afresh at the point's start W, bit for bit; it appends whether each
-    call was given one to carried."""
+    """regpath._proximal_loop that checks, on every call given scores,
+    that they are the fresh scores of the point's start W, bit for bit,
+    so that the F the loop takes from them is F evaluated afresh there;
+    it appends whether each call was given scores to carried."""
     proximal_loop = regpath._proximal_loop
 
-    def checking(blocks, lam, alpha, beta, opts, W, accelerated, work=None, f=None):
-        carried.append(f is not None)
-        if f is not None:
+    def checking(blocks, lam, alpha, beta, opts, W, accelerated, work=None, S=None):
+        carried.append(S is not None)
+        if S is not None:
+            assert S.tobytes() == _scores(blocks, W).tobytes()
             fresh = _batch_objective(blocks, W, alpha, beta)
-            assert np.array(f).tobytes() == fresh.tobytes()
-        return proximal_loop(blocks, lam, alpha, beta, opts, W, accelerated, work, f)
+            assert _objective_from(blocks, W, S, alpha, beta).tobytes() == fresh.tobytes()
+        return proximal_loop(blocks, lam, alpha, beta, opts, W, accelerated, work, S)
 
     return checking
 
 
 @pytest.mark.parametrize("fit_intercept", [False, True])
 def test_a_path_point_starts_from_the_last_points_f(fit_intercept):
-    # Tasks of unequal scale stop at different turns, so per-task
-    # cross-validation cuts tasks from its batch in the middle of a point.
+    # Every point is given the scores of its start, and takes its F from
+    # them: the first point the path's one score pass at its start, each
+    # later one the scores its predecessor ended with.  Tasks of unequal
+    # scale stop at different turns, so per-task cross-validation cuts
+    # tasks from its batch in the middle of a point, and writes their
+    # scores back.
     rng = np.random.default_rng(23)
     tasks = simulate(SimulationSpec(t_classification=2, t_regression=3, p=12, n_per_task=24,
                                     sparsity=0.6, seed=4)).train.tasks
@@ -374,13 +379,14 @@ def test_a_path_point_starts_from_the_last_points_f(fit_intercept):
             mock.patch.object(solver, "_task_subset", recorded):
         sequence = lambda_sequence(lam_max(problem, fit_intercept), 0.02, 8)
         reg_path(problem, sequence, alpha=0.3, beta=0.1, opts=opts)
-        assert carried == [False] + [True] * 7
+        assert carried == [True] * 8
         carried.clear()
         cross_validate(problem, alpha=0.3, k=3, seed=2, opts=opts, n_lambda=6, ratio=0.02)
-        assert carried == [False] + [True] * 5
+        assert carried == [True] * 6
         carried.clear()
         assert not cut
         _cross_validate(problem, 0.3, 0.1, 3, 2, opts, 6, 0.02, False, per_task=True)
-        assert carried == [False] + [True] * 5
-    # Tasks left the batch before the last point, which starts from their F.
+        assert carried == [True] * 6
+    # Tasks left the batch before the last point, which starts from their
+    # written-back scores.
     assert min(cut) < 6

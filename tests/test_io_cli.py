@@ -1230,6 +1230,37 @@ def test_path_leaves_no_out_dir_when_a_coefficient_file_fails(tmp_path, monkeypa
         "lambda_0000.csv", "lambda_0001.csv"]
 
 
+def test_path_into_a_used_out_dir_keeps_only_this_runs_coefficients(tmp_path):
+    # A shorter path into the directory of a longer one removes the longer
+    # one's coefficient files; a file of another name stays.
+    sim = _simulate_dir(tmp_path)
+    out = tmp_path / "path"
+    argv = ["path", "--manifest", sim / "train" / "manifest.json", "--save-coefficients",
+            "--out-dir", out, "--n-lambda"]
+    assert _run(argv + [4]) == 0
+    _write(out / "coefficients" / "notes.txt", "kept\n")
+    assert _run(argv + [2]) == 0
+    assert sorted(os.listdir(out / "coefficients")) == [
+        "lambda_0000.csv", "lambda_0001.csv", "notes.txt"]
+    assert len((out / "path.csv").read_text().splitlines()) == 3
+
+
+def test_simulate_into_a_used_out_dir_keeps_only_this_runs_task_files(tmp_path):
+    # Fewer tasks into the directory of a run with more: each split holds
+    # exactly the task files its new manifest lists, and a file of another
+    # name stays.
+    out = _simulate_dir(tmp_path)
+    _write(out / "train" / "notes.csv", "kept\n")
+    assert _run(["simulate", "--p", 25, "--t-classification", 1, "--t-regression", 1,
+                 "--n-per-task", 40, "--out-dir", out]) == 0
+    for split in ("train", "test"):
+        listed = [task["data_path"] for task in
+                  json.loads((out / split / "manifest.json").read_text())["tasks"]]
+        assert listed == ["clf01.csv", "reg01.csv"]
+        extra = ["notes.csv"] if split == "train" else []
+        assert sorted(os.listdir(out / split)) == sorted(listed + ["manifest.json"] + extra)
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--p", 5],
     ["fit", "--manifest", "gone.json", "--lambda", 1],

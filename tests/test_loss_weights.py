@@ -42,8 +42,8 @@ def _problem(seed, standardize_outcomes=True):
 def _equal_weights(blocks):
     """The _layout with every task's loss weight 1 in place of its kind's
     2 or 0.5: each member's row weights of a task rescaled to sum to 1."""
-    return tuple((kind, columns, X, Y, M / M.sum(axis=2, keepdims=True))
-                 for kind, columns, X, Y, M in blocks)
+    return tuple(block._replace(M=block.M / block.M.sum(axis=2, keepdims=True))
+                 for block in blocks)
 
 
 def _zero_gradient_rows(problem, blocks):

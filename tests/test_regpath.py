@@ -347,8 +347,8 @@ def test_cross_validation_reads_its_fits_from_the_kept_path(seed, fit_intercept,
     alpha, beta = (0.1, 0.05) if rng.integers(0, 2) else (0.0, 0.0)
     batches = []  # the dense batch and its per-fit lists at each point
 
-    def recording(blocks, lam, alpha, beta, opts, W, accelerated, work=None, f=None):
-        fits = proximal_loop(blocks, lam, alpha, beta, opts, W, accelerated, work, f)
+    def recording(blocks, lam, alpha, beta, opts, W, accelerated, work=None, S=None):
+        fits = proximal_loop(blocks, lam, alpha, beta, opts, W, accelerated, work, S)
         batches.append((W.copy(), fits))
         return fits
 

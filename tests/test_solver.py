@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -7,6 +8,8 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import mixedmtl.modelselect as modelselect_module
+import mixedmtl.regpath as regpath_module
 import mixedmtl.solver as solver_module
 from mixedmtl import (
     CoefficientMatrix,
@@ -29,8 +32,8 @@ from mixedmtl import (
     smooth_gradient,
     smooth_objective,
 )
-from mixedmtl.core import _layout, _row_norms
-from mixedmtl.modelselect import task_folds
+from mixedmtl.core import _layout, _row_norms, _scores
+from mixedmtl.modelselect import _cross_validate, task_folds
 from mixedmtl.regpath import _path
 
 from util import random_mixed_problem
@@ -425,30 +428,161 @@ def test_ista_trace_is_monotone():
         assert np.all(np.diff(trace) <= 0.0)
 
 
-def test_ista_evaluates_the_objective_once_at_start_and_once_per_trial(monkeypatch):
-    # The loop carries the smooth objective of its iterate, so a step from
-    # the iterate evaluates it only at line-search candidates, one prox each.
-    calls = {"objective": 0, "prox": 0}
+def _count_products(monkeypatch):
+    """Count, through the solver module's attributes, its products with X
+    (score passes and gradients), its line-search trials (one prox each),
+    its turns that take a step (one backtracking search each) and its
+    narrowings."""
+    calls = dict.fromkeys(("scores", "gradient", "trials", "turns", "cuts"), 0)
 
-    def counted(name, fn):
+    def counted(name, attr):
+        fn = getattr(solver_module, attr)
+
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        return wrapper
 
-    monkeypatch.setattr(solver_module, "_batch_objective",
-                        counted("objective", solver_module._batch_objective))
-    monkeypatch.setattr(solver_module, "_prox_batch", counted("prox", solver_module._prox_batch))
+        monkeypatch.setattr(solver_module, attr, wrapper)
+
+    for name, attr in (("scores", "_scores"), ("gradient", "_gradient_from"),
+                       ("trials", "_prox_batch"), ("turns", "_backtrack"),
+                       ("cuts", "_task_subset")):
+        counted(name, attr)
+    return calls
+
+
+@pytest.mark.parametrize("fit", [fista_fit, ista_fit])
+@pytest.mark.parametrize("fit_intercept", [False, True])
+def test_x_is_taken_once_at_start_once_per_trial_and_once_per_gradient(monkeypatch, fit,
+                                                                        fit_intercept):
+    # The loop carries its iterate's scores and forms the momentum point's
+    # as a combination, so only the start and each line-search candidate
+    # take a score pass, and each turn that steps takes one gradient pass
+    # from given scores.  The solver reaches no other product with X.
+    assert not hasattr(solver_module, "_batch_objective")
+    assert not hasattr(solver_module, "_batch_gradient")
+    calls = _count_products(monkeypatch)
     rng = np.random.default_rng(19)
-    for fit_intercept in (False, True):
+    for _ in range(3):
         problem = random_mixed_problem(rng, p=6, t=3, n_lo=8)
         top = lam_max(problem, fit_intercept=fit_intercept)
         opts = SolverOptions(max_iter=40, L0=0.01, fit_intercept=fit_intercept)
-        calls.update(objective=0, prox=0)
-        result = ista_fit(problem, Hyperparameters(0.1 * max(top, 0.1)), opts)
+        calls.update(dict.fromkeys(calls, 0))
+        result = fit(problem, Hyperparameters(0.1 * max(top, 0.1), 0.05, 0.01), opts)
         assert result.iterations > 1
-        assert calls["prox"] > result.iterations  # L0 is small enough to double
-        assert calls["objective"] == 1 + calls["prox"]
+        assert calls["trials"] > calls["turns"]  # L0 is small enough to double
+        assert calls["scores"] == 1 + calls["trials"]
+        assert calls["gradient"] == calls["turns"] >= result.iterations
+        if fit is ista_fit:
+            # The last turn may stop on floating-point noise without a step.
+            assert calls["turns"] <= result.iterations + 1
+
+
+@pytest.mark.parametrize("accelerated", [True, False])
+@pytest.mark.parametrize("fit_intercept", [False, True])
+def test_a_narrowed_batch_takes_x_once_per_trial_and_once_per_gradient(monkeypatch, accelerated,
+                                                                        fit_intercept):
+    # Single-task fits of one block whose middle task starts above its
+    # lam_max: it stops at once and leaves the batch, and the narrowed
+    # batch still takes no product but at its trials and gradients.
+    rng = np.random.default_rng(22)
+    problem = MtlProblem(tuple(
+        TaskDataset(rng.standard_normal((12, 5)), rng.standard_normal(12), "regression", f"r{i}")
+        for i in range(3)
+    ))
+    tops = [lam_max(MtlProblem((task,)), fit_intercept) for task in problem.tasks]
+    lam = [0.1 * tops[0], 2.0 * tops[1], 0.1 * tops[2]]
+    opts = SolverOptions(max_iter=500, tol=1e-12, fit_intercept=fit_intercept)
+    W = np.zeros((3, 1, 6 if fit_intercept else 5))
+    if fit_intercept:
+        W[:, 0, 5] = [task.y.mean() for task in problem.tasks]
+    calls = _count_products(monkeypatch)
+    solver_module._proximal_loop(problem._blocks, lam, 0.0, 0.0, opts, W, accelerated)
+    assert calls["cuts"] >= 1
+    assert calls["scores"] == 1 + calls["trials"]
+    assert calls["gradient"] == calls["turns"] > 1
+
+
+def _counted_scores(calls):
+    def counted(*args, **kwargs):
+        calls["scores"] += 1
+        return _scores(*args, **kwargs)
+
+    return counted
+
+
+def test_a_path_takes_x_once_at_its_start_and_once_per_trial(monkeypatch):
+    # A path point starts from the scores its predecessor ended with, and
+    # cross-validation scores its folds from the kept scores, so a path or
+    # a cross-validation takes one score pass at its start and one per
+    # line-search trial, joint or per task.
+    calls = _count_products(monkeypatch)
+    for module in (regpath_module, modelselect_module):
+        monkeypatch.setattr(module, "_scores", _counted_scores(calls))
+    rng = np.random.default_rng(24)
+    problem = random_mixed_problem(rng, p=8, t=4, c=2, n_lo=12, n_hi=12)
+    problem = MtlProblem(tuple(
+        TaskDataset(task.X, task.y, task.kind, task.name) if task.kind is TaskKind.REGRESSION
+        else TaskDataset(task.X, np.resize([1.0, -1.0], 12), task.kind, task.name)
+        for task in problem.tasks
+    ))
+    sequence = lambda_sequence(lam_max(problem), 0.05, 5)
+    for run in (lambda: reg_path(problem, sequence, 0.1, 0.05),
+                lambda: _cross_validate(problem, 0.0, 0.0, 3, 1, None, 5, 0.05, False),
+                lambda: _cross_validate(problem, 0.0, 0.0, 3, 1, None, 5, 0.05, False, True)):
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        assert calls["trials"] > calls["turns"] > 0
+        assert calls["scores"] == 1 + calls["trials"]
+        assert calls["gradient"] == calls["turns"]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), fit_intercept=st.booleans(), per_task=st.booleans(),
+       accelerated=st.booleans())
+def test_carried_scores_are_the_scores_of_their_points(seed, fit_intercept, per_task,
+                                                        accelerated):
+    # The loop forms a momentum point's scores as a combination of its
+    # iterates' scores: they match a fresh product to 1e-12 of the scores'
+    # size.  Every iterate's scores are a candidate's fresh product, kept
+    # as they are through the rotation, a restore, a cut of the batch and
+    # the write-back: bit for bit a fresh product's.
+    rng = np.random.default_rng(seed)
+    problem = random_mixed_problem(rng, t=int(rng.integers(2, 6)), n_lo=6, n_hi=14)
+    B = int(rng.integers(1, 4))
+    rows = [rng.random((task.n_samples, B)) < 0.8 for task in problem.tasks]
+    for fitted in rows:
+        fitted[:2] = True
+    blocks = _layout(problem, rows)
+    t_fit, fits = (1, B * problem.t) if per_task else (problem.t, B)
+    W = rng.standard_normal((fits, t_fit, problem.p + fit_intercept)) * 0.3
+    # Some fits start far above their lam_max and stop at once, so a
+    # per-task batch is cut.
+    lam = rng.uniform(0.01, 0.3, fits) * rng.choice([1.0, 100.0], fits)
+    opts = SolverOptions(max_iter=int(rng.integers(5, 60)), tol=1e-10, L0=0.1)
+    checked = {"momentum": 0, "iterate": 0}
+    backtrack = solver_module._backtrack
+
+    def checking(blocks, lam, alpha, beta, Ws, Ss, f_s, L, pending, work, Wy, Sy):
+        fresh = _scores(blocks, Ws)
+        if Ws is work.search:
+            checked["momentum"] += 1
+            npt.assert_allclose(Ss, fresh, rtol=1e-12, atol=1e-12 * np.abs(fresh).max())
+        else:
+            checked["iterate"] += 1
+            assert np.ascontiguousarray(Ss).tobytes() == fresh.tobytes()
+        out = backtrack(blocks, lam, alpha, beta, Ws, Ss, f_s, L, pending, work, Wy, Sy)
+        assert np.ascontiguousarray(Sy).tobytes() == _scores(blocks, Wy).tobytes()
+        return out
+
+    S = _scores(blocks, W)
+    with mock.patch.object(solver_module, "_backtrack", checking):
+        solver_module._proximal_loop(blocks, lam, 0.1, 0.05, opts, W, accelerated, None, S)
+    assert S.tobytes() == _scores(blocks, W).tobytes()
+    # A third turn steps from a momentum point: some fit took two steps.
+    assert checked["iterate"] > 0
+    assert (checked["momentum"] > 0) == (accelerated and sum(checked.values()) > 2)
 
 
 @pytest.mark.parametrize("fit_intercept", [False, True])
