@@ -37,8 +37,10 @@ stack X, its outcomes Y (tasks, n) and the row weights M of B members
 fits, exactly 0 on rows it leaves out, so they add nothing to a loss or
 a gradient).  A problem alone is one member on every row;
 cross-validation's folds are members too.  Nothing is padded and the
-stacks are the only copy of X: a layout, and a layout narrowed to some
-of its tasks, hold views of them.
+stacks are the only lasting copy of X: a layout, and a layout narrowed
+to some of its tasks, hold views of them.  A layout cut to some features
+(_feature_subset) gathers their columns into a copy, which a path makes
+for one point's working set and drops after it (see regpath).
 
 The kernels take a batch of fits, W of shape (fits, t_fit, p), or
 (fits, t_fit, p + 1) with the intercepts last: a fit is either one
@@ -58,8 +60,10 @@ their one batched product X^T R per block, from given scores, which they
 leave as they are.  Scores are linear in the batch (an intercept is a
 coefficient on a column of ones), so a caller that keeps the scores of
 earlier batches forms a combination's scores without a product: the
-solver scores only its line-search candidates afresh.  _batch_objective
-and _batch_gradient are the two steps on fresh scores.
+solver scores only its line-search candidates afresh.  For the same
+reason a batch whose zero rows are left out of a cut layout keeps its
+scores.  _batch_objective and _batch_gradient are the two steps on fresh
+scores.
 
 _map_cells is the package's one worker pool: the benchmark's cells and
 modelio's batches of CSV files map over it.
@@ -290,6 +294,13 @@ def _task_subset(blocks, alive) -> tuple:
             subset.append(_Block(kind, slice(start, start + n), X[local], Y[local], M[:, local]))
             start += n
     return tuple(subset)
+
+
+def _feature_subset(blocks, rows) -> tuple:
+    """The layout cut to the features rows (sorted indices), as _task_subset
+    cuts tasks: each block's stack is gathered to X[:, :, rows], a copy;
+    its Y and M are the same arrays."""
+    return tuple(block._replace(X=block.X[:, :, rows]) for block in blocks)
 
 
 @dataclass(frozen=True)

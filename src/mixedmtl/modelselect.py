@@ -42,7 +42,6 @@ from .core import (
     TaskKind,
     _layout,
     _objective_from,
-    _scores,
     _whole,
 )
 from .regpath import LambdaSequence, _KeptPath, _lam_max, _path, _start
@@ -154,13 +153,13 @@ def _check_fold(task, fitted, fold: int) -> None:
         raise DataError(f"fold {fold} leaves task {task.name!r} with a single class")
 
 
-def _grids(members, W, n_lambda, ratio) -> list:
+def _grids(norms, n_lambda, ratio) -> list:
     """The penalty grid of each selection (the joint one, or one per task in
-    task order) of the path's start W on the layout members, from lam_max
-    as the batch evaluates it, so the full-data fit at the head of a grid
-    is exactly zero."""
+    task order) from the full-data member's gradient row norms at the
+    path's start (regpath._lam_max), so that member's fit at the head of a
+    grid is exactly zero."""
     sequences = []
-    for top in _lam_max(members, W):
+    for top in norms.max(axis=1).tolist():
         if n_lambda != 1:
             sequences.append(lambda_sequence(top, ratio=ratio, n=n_lambda))
         elif top > 0.0:
@@ -215,7 +214,7 @@ def _cross_validate(
             if rows:
                 checked = MtlProblem(tasks[: len(rows)])
                 start = _start(checked, k + 1, opts.fit_intercept, per_task)
-                _grids(_layout(checked, rows), start, n_lambda, ratio)
+                _grids(_lam_max(_layout(checked, rows), *start)[k * len(rows):], n_lambda, ratio)
             raise
     else:
         rows = [_member_rows(task, _task_fold(task, k, seed), k) for task in tasks]
@@ -224,17 +223,17 @@ def _cross_validate(
                 _check_fold(task, fitted, fold)
     members = _layout(problem, rows)
     validation = _layout(problem, [~fitted[:, :k] for fitted in rows])
-    W = _start(problem, k + 1, opts.fit_intercept, per_task)
-    sequences = _grids(members, W, n_lambda, ratio)
-
+    W, S = _start(problem, k + 1, opts.fit_intercept, per_task)
+    # The start's gradient gives the grids and the path's first strong set.
+    norms = _lam_max(members, W, S)
     # Fit m * units + u is member m's fit of selection u (the joint fit, or task u).
-    units, t_fit = len(sequences), W.shape[1]
+    units, t_fit = W.shape[0] // (k + 1), W.shape[1]
+    sequences = _grids(norms[k * units:], n_lambda, ratio)
     lams = np.tile(np.stack([sequence.values for sequence in sequences], axis=1), (1, k + 1))
     fold_errors = np.empty((units, k, len(lams)))
     folds, full = slice(k * units), slice(k * units, None)
     kept, unconverged = _KeptPath(problem.p, full), [0] * units
-    S = _scores(members, W)  # the path keeps its members' scores here
-    for j, fits in enumerate(_path(members, lams, alpha, beta, opts, W, S)):
+    for j, fits in enumerate(_path(members, lams, alpha, beta, opts, W, S, norms)):
         # The fold members' kept scores under the validation weights.
         errors = _objective_from(validation, W[folds], S[:k], 0.0, 0.0) / t_fit
         fold_errors[:, :, j] = errors.reshape(k, units).T

@@ -18,11 +18,24 @@ baseline, where each task follows its own lam_max-anchored grid).  The
 path fits one coefficient array in place, point after point (each
 task's intercept, when fitted, as its last coefficient), with one array
 of their scores beside it, so each point starts from the scores its
-predecessor ended with and takes no product with X to start; a caller
-keeps a point in a _KeptPath before the next begins: the nonzero rows,
-intercepts and per-fit lists of the fits it selects (reg_path's one
-fit, or cross-validation's full-data member), from which it reads any
-kept fit back as a FitResult.
+predecessor ended with.  The start is the null model, whose scores need
+no product (0, or each task's intercept), and whose one gradient gives
+lam_max and the first strong set.
+
+The head of a path selects few rows, so a point is solved on a working
+set: the batch's nonzero rows and the rows the sequential strong rule
+(Tibshirani et al. 2012) keeps, on a layout gathered to those columns of
+X.  One full gradient then certifies the point, as Celer's working sets
+are (Massias, Gramfort, Salmon 2018): a zero row that violates the KKT
+conditions joins the set and the point is solved again.  Sets are
+gathered only while they have at most p // 32 rows, so the copy is at
+most 1/32 of X; the first point over that cap turns the path to the full
+layout, where it stays and takes no gradient of its own.
+
+A caller keeps a point in a _KeptPath before the next begins: the
+nonzero rows, intercepts and per-fit lists of the fits it selects
+(reg_path's one fit, or cross-validation's full-data member), from
+which it reads any kept fit back as a FitResult.
 """
 
 from __future__ import annotations
@@ -39,9 +52,9 @@ from .core import (
     MtlProblem,
     SolverOptions,
     TaskKind,
-    _batch_gradient,
+    _feature_subset,
+    _gradient_from,
     _n_features,
-    _n_members,
     _row_norms,
     _scores,
     _whole,
@@ -61,6 +74,10 @@ __all__ = [
 
 # Row norm above which a feature counts as selected in path reports.
 NONZERO_ROW_THRESHOLD = 1e-8
+# A path point is solved on a gathered working set while the set has at
+# most p // _GATHER_DIVISOR rows: its copy of X's columns is then at most
+# 1/32 of X.
+_GATHER_DIVISOR = 32
 
 
 def path_options(fit_intercept: bool = False) -> SolverOptions:
@@ -193,35 +210,45 @@ def lam_max(problem: MtlProblem, fit_intercept: bool = False) -> float:
     build a path from that.  Raises DataError when the cross products
     overflow.
     """
-    return _lam_max(problem._blocks, _start(problem, 1, fit_intercept))[0]
+    return float(_lam_max(problem._blocks, *_start(problem, 1, fit_intercept)).max())
 
 
 def _start(problem, members, fit_intercept, per_task=False):
     """The start of a path of members (1, or cross-validation's k + 1): a
     batch of fits, one joint fit per member or one per member and task,
     at the null model: zero coefficients and, when intercepts are fitted,
-    each task's intercept-only fit as its last coefficient."""
+    each task's intercept-only fit as its last coefficient.  Returns it
+    with its scores (core._scores), which need no product: each task's
+    intercept on its rows, or 0."""
     t, p = problem.t, problem.p
     shape = (members * t, 1) if per_task else (members, t)  # a batch of fits, as the solver's
     W = np.zeros(shape + (p + 1 if fit_intercept else p,))
+    S = np.zeros((members, sum(task.n_samples for task in problem.tasks)))
     if fit_intercept:
-        W[..., p] = np.tile(_optimal_zero_intercepts(problem), (members, 1)).reshape(shape)
-    return W
+        intercepts = _optimal_zero_intercepts(problem)
+        W[..., p] = np.tile(intercepts, (members, 1)).reshape(shape)
+        S[:] = np.repeat(intercepts, [task.n_samples for task in problem.tasks])
+    return W, S
 
 
-def _lam_max(blocks, W) -> list:
-    """lam_max of the last member of the batch of fits W on a core._layout
-    (reg_path's, or cross-validation's with the full-data fit last), W a
-    path's _start: one value for its joint fit, or one per task; taken
-    with the solver's batched gradient and prox_l21's row norms, so a path
-    from W then stays at zero rows at this penalty."""
+def _lam_max(blocks, W, S) -> np.ndarray:
+    """The gradient row norms (fits, p) of the batch of fits W on a
+    core._layout at a path's _start, with its scores S: the largest of a
+    fit's is its lam_max, taken with the solver's gradient and prox_l21's
+    row norms, so a path from W then stays at zero rows at this penalty.
+    A path's first strong set reads them too."""
     with np.errstate(over="ignore", invalid="ignore"):
-        grad = _batch_gradient(blocks, W, 0.0, 0.0)
-        norms = _row_norms(grad[..., : _n_features(blocks)])
+        norms = _gradient_norms(blocks, W, S, 0.0, 0.0)
     if not np.isfinite(norms).all():
         raise DataError("lam_max overflows: the cross products X^T y are too large; "
                         "rescale the features or outcomes")
-    return norms[-(W.shape[0] // _n_members(blocks)):].max(axis=1).tolist()
+    return norms
+
+
+def _gradient_norms(blocks, W, S, alpha, beta) -> np.ndarray:
+    """The row norms (fits, p) of the gradient of F at the batch W with
+    scores S: one product X^T R."""
+    return _row_norms(_gradient_from(blocks, W, S, alpha, beta)[..., : _n_features(blocks)])
 
 
 def lambda_sequence(lam_max_val: float, ratio: float = 0.01, n: int = 100) -> LambdaSequence:
@@ -253,28 +280,89 @@ def reg_path(
     """
     Hyperparameters(0.0, alpha, beta)  # rejects alpha and beta as fista_fit does
     opts = opts or path_options()
-    W, kept = _start(problem, 1, opts.fit_intercept), _KeptPath(problem.p)
-    for fits in _path(problem._blocks, sequence.values[:, None], alpha, beta, opts, W):
+    (W, S), kept = _start(problem, 1, opts.fit_intercept), _KeptPath(problem.p)
+    for fits in _path(problem._blocks, sequence.values[:, None], alpha, beta, opts, W, S):
         kept.keep(W, fits)
     return PathResult(sequence=sequence, fits=kept, nonzero_rows=kept.nonzero_rows())
 
 
-def _path(blocks, lams, alpha, beta, opts, W, S=None):
+def _strong_rows(norms, lam, previous) -> np.ndarray:
+    """The sequential strong set (Tibshirani et al. 2012) of a point at
+    penalties lam after one at previous: the rows whose gradient norm at
+    the previous solution reaches 2 lam - previous for some fit."""
+    return (norms >= (2.0 * lam - previous)[:, None]).any(axis=0)
+
+
+def _path(blocks, lams, alpha, beta, opts, W, S=None, norms=None):
     """Warm-started path of the batch of fits W on a core._layout (shape
     (fits, t_fit, p), or (fits, t_fit, p + 1) with each task's intercept
     last), fit m at lams[j][m] at point j: fits W in place, each point
     starting from the last, and yields each point's per-fit lists (those
     of solver._proximal_loop) once W holds its fits.  S, when given,
     holds W's scores (core._scores), and the path writes them in place
-    with W; without it the path scores W itself.  The points share one
-    workspace, and each point starts from the scores, and so from the F,
-    its predecessor ended with: the path takes no product with X outside
-    its line searches but for its start's scores.  A caller must not
+    with W; without it the path scores W itself.  norms are W's gradient
+    row norms (_lam_max's); without them the path takes them.
+
+    A point's working set is the batch's nonzero rows and its strong
+    rows.  While it has at most p // _GATHER_DIVISOR rows, the point is
+    solved on a layout gathered to them (core._feature_subset), from the
+    same scores (the rows left out are zero), and then certified by one
+    full gradient: a row outside the set whose gradient norm exceeds some
+    fit's penalty joins it, and the point is solved again from where it
+    stopped, its trace continued.  A descending path's sets only grow, so
+    the first point over that cap turns the path to the full layout for
+    good, with one workspace for the rest and no extra gradient.  So the
+    path takes no product with X outside its line searches but its start
+    gradient and one gradient per gathered solve.  A caller must not
     write W or S between points."""
-    work, S = _Workspace.like(W, blocks), _scores(blocks, W) if S is None else S
+    S = _scores(blocks, W) if S is None else S
+    p, work = _n_features(blocks), None
+    norms = _gradient_norms(blocks, W, S, alpha, beta) if norms is None else norms
+    previous = lams[0]
     for lam in lams:
-        try:
-            fits = _proximal_loop(blocks, lam, alpha, beta, opts, W, True, work, S)
-        except SolverError as err:
-            raise SolverError(f"path fit failed at lambda={float(lam[err.fit])!r}: {err}") from err
+        if work is None:
+            rows = W[..., :p].any(axis=(0, 1)) | _strong_rows(norms, lam, previous)
+            rows[norms.max(axis=0).argmax()] = True  # so no set is empty
+        previous, fits = lam, None
+        while True:
+            if work is None and np.count_nonzero(rows) > p // _GATHER_DIVISOR:
+                work = _Workspace.like(W, blocks)  # for the rest of the path
+            more = _solve(blocks, lam, alpha, beta, opts, W, S, work, rows, norms)
+            fits = more if fits is None else ([a + b for a, b in zip(fits[0], more[0])], *more[1:])
+            if work is not None:
+                break
+            norms = _gradient_norms(blocks, W, S, alpha, beta)
+            violators = (norms > lam[:, None]).any(axis=0) & ~rows
+            if not violators.any():
+                break
+            rows |= violators
         yield fits
+
+
+def _solve(blocks, lam, alpha, beta, opts, W, S, work, rows, norms):
+    """One point of _path: the batch W fitted in place at penalties lam,
+    with its scores S, on the full layout with the workspace work, or
+    without it on the layout gathered to the features flagged in rows
+    (and the intercepts, when fitted), whose copy lasts this solve; the
+    rows left out are zero, so S are the gathered batch's scores too.
+    norms are the gradient row norms at W."""
+    p = _n_features(blocks)
+    if work is None:
+        features = np.flatnonzero(rows)
+        cols = np.r_[features, p:W.shape[2]]
+        # A fit that is zero with every gradient norm at most lam is optimal
+        # in its rows: at twice lam they stay exactly zero, whatever the
+        # gathered products round to, and its trace (penalty term 0) is the
+        # same.
+        held = ~W[..., :p].any(axis=(1, 2)) & (norms <= lam[:, None]).all(axis=1)
+        solved = np.where(held, 2.0 * lam, lam)
+        layout, fitted = _feature_subset(blocks, features), W[..., cols]
+    else:
+        layout, fitted, solved = blocks, W, lam
+    try:
+        fits = _proximal_loop(layout, solved, alpha, beta, opts, fitted, True, work, S)
+    except SolverError as err:
+        raise SolverError(f"path fit failed at lambda={float(lam[err.fit])!r}: {err}") from err
+    if work is None:
+        W[..., cols] = fitted
+    return fits

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from mixedmtl import regpath
+from mixedmtl import modelselect, regpath
 from mixedmtl import (
     CoefficientMatrix,
     DataError,
@@ -31,6 +31,7 @@ from mixedmtl import (
     simulate,
     smooth_gradient,
 )
+from mixedmtl.core import _batch_gradient, _batch_objective, _n_features, _row_norms
 from mixedmtl.modelselect import _cross_validate
 from mixedmtl.regpath import NONZERO_ROW_THRESHOLD
 from mixedmtl.solver import _fit_result
@@ -303,8 +304,8 @@ def test_kept_path_reads_every_fit_of_the_dense_path(seed, fit_intercept, weight
     sequence = lambda_sequence(lam_max(problem, fit_intercept=fit_intercept), 0.02, 6)
     path = reg_path(problem, sequence, alpha, beta, opts)
 
-    W = regpath._start(problem, 1, fit_intercept)
-    points = regpath._path(problem._blocks, sequence.values[:, None], alpha, beta, opts, W)
+    W, S = regpath._start(problem, 1, fit_intercept)
+    points = regpath._path(problem._blocks, sequence.values[:, None], alpha, beta, opts, W, S)
     dense = [_fit_result(W.copy(), problem.p, fits, 0) for fits in points]
     reads = list(path.fits)
     assert len(path.fits) == len(reads) == len(dense) == sequence.length
@@ -450,3 +451,198 @@ def test_entry_points_reject_unusable_penalty_weights(name, value):
     ):
         with pytest.raises(ValueError, match=f"^{name} must be "):
             call()
+
+
+# ---------------------------------------------------------------------------
+# working sets
+
+
+def _recorded_points(run, divisor, strong=None):
+    """Run run() with the path's cap divisor set to divisor (and its strong
+    rule replaced by strong, when given).  Returns, per point of every path
+    it runs, each fit's full objective F + lam ||w||_{2,1} and the largest
+    full-row KKT violations relative to lam from a fresh gradient: on its
+    zero rows max(||g_j|| - lam, 0), on its nonzero rows
+    ||g_j + lam w_j / ||w_j|| ||; and the numbers of gathered solves and
+    of all solves."""
+    points, path, gathered, solves = [], regpath._path, [], []
+    feature_subset, proximal_loop = regpath._feature_subset, regpath._proximal_loop
+
+    def recording(blocks, lams, alpha, beta, opts, W, S=None, norms=None):
+        p = _n_features(blocks)
+        for lam, fits in zip(lams, path(blocks, lams, alpha, beta, opts, W, S, norms)):
+            row_norms = _row_norms(W[..., :p])
+            objective = _batch_objective(blocks, W, alpha, beta) + lam * row_norms.sum(axis=1)
+            grad = _batch_gradient(blocks, W, alpha, beta)[..., :p]
+            zero = row_norms == 0.0
+            unit = W[..., :p] / np.where(zero, 1.0, row_norms)[:, None, :]
+            violation = np.where(zero, np.maximum(_row_norms(grad) - lam[:, None], 0.0),
+                                 _row_norms(grad + lam[:, None, None] * unit))
+            points.append((objective, np.where(zero, violation, 0.0).max(axis=1) / lam,
+                           np.where(zero, 0.0, violation).max(axis=1) / lam))
+            yield fits
+
+    def counted(blocks, rows):
+        gathered.append(len(rows))
+        return feature_subset(blocks, rows)
+
+    def solving(*args):
+        solves.append(True)
+        return proximal_loop(*args)
+
+    with mock.patch.object(regpath, "_path", recording), \
+            mock.patch.object(modelselect, "_path", recording), \
+            mock.patch.object(regpath, "_feature_subset", counted), \
+            mock.patch.object(regpath, "_proximal_loop", solving), \
+            mock.patch.object(regpath, "_GATHER_DIVISOR", divisor), \
+            mock.patch.object(regpath, "_strong_rows", strong or regpath._strong_rows):
+        run()
+    return points, len(gathered), len(solves)
+
+
+def _working_set_case(seed, fit_intercept, weights, run):
+    """A random mixed problem with 64 to 96 features and a call of reg_path
+    or of joint or per-task cross-validation on it, under tight options."""
+    rng = np.random.default_rng(seed)
+    problem = random_mixed_problem(rng, p=int(rng.integers(64, 97)), t=int(rng.integers(1, 4)),
+                                   n_lo=12, n_hi=30)
+    # Every training split keeps both classes when each class has three samples.
+    assume(all(min(np.sum(task.y > 0), np.sum(task.y < 0)) >= 3
+               for task in problem.tasks if task.kind is TaskKind.CLASSIFICATION))
+    alpha, beta = (0.1, 0.05) if weights else (0.0, 0.0)
+    opts = SolverOptions(max_iter=20000, tol=1e-14, fit_intercept=fit_intercept)
+    ratio, n = (0.3, 8) if rng.integers(0, 2) else (0.05, 6)
+    if run == "path":
+        sequence = lambda_sequence(lam_max(problem, fit_intercept), ratio, n)
+        return lambda: reg_path(problem, sequence, alpha, beta, opts)
+    return lambda: _cross_validate(problem, alpha, beta, 3, seed % 1000, opts, n, ratio, False,
+                                   run == "per_task")
+
+
+def _check_against_the_full_layout(points, full):
+    # Criterion 5's tolerance on every fit's full objective at every point,
+    # and a fresh full-row KKT check: no zero row violates, and the nonzero
+    # rows are as stationary as the full layout's.
+    assert len(points) == len(full)
+    for (objective, zero_rows, nonzero_rows), (expected, _, full_rows) in zip(points, full):
+        assert np.abs(objective - expected).max() <= 1e-8
+        assert zero_rows.max() <= 1e-12
+        assert nonzero_rows.max() <= max(1e-5, 10.0 * full_rows.max())
+
+
+@settings(max_examples=24, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), fit_intercept=st.booleans(), weights=st.booleans(),
+       run=st.sampled_from(["path", "joint", "per_task"]), divisor=st.sampled_from([2, 32]))
+def test_working_set_path_matches_the_full_layout(seed, fit_intercept, weights, run, divisor):
+    # A path whose points are solved on gathered working sets fits what the
+    # path forced onto the full layout fits (a cap divisor above p leaves no
+    # set under the cap).  Divisor 2 gathers sets of up to half of p, so
+    # most points take a working set; 32 is the path's own cap.
+    call = _working_set_case(seed, fit_intercept, weights, run)
+    full, none, _ = _recorded_points(call, 10**9)
+    points, gathered, _ = _recorded_points(call, divisor)
+    # Cross-validation's folds can put more than p // 32 rows in a head's set.
+    assert none == 0 and (gathered >= 1 or divisor == 32)
+    _check_against_the_full_layout(points, full)
+
+
+@settings(max_examples=16, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 2**32 - 1), fit_intercept=st.booleans(), weights=st.booleans(),
+       run=st.sampled_from(["path", "joint", "per_task"]))
+def test_kkt_violators_join_the_working_set(seed, fit_intercept, weights, run):
+    # With a strong rule that selects nothing, a set holds only the active
+    # rows (and the row of largest gradient norm), so rows enter only as
+    # KKT violators, each joining after a solve that left it out: a point
+    # is solved again, and the path still fits the full layout's points.
+    call = _working_set_case(seed, fit_intercept, weights, run)
+    full, _, _ = _recorded_points(call, 10**9)
+    points, _, solves = _recorded_points(call, 2, lambda norms, lam, previous:
+                                         np.zeros(norms.shape[1], dtype=bool))
+    assert solves > len(points)  # some point was solved again
+    _check_against_the_full_layout(points, full)
+
+
+def test_a_re_solved_point_continues_its_trace():
+    # A point solved again reports one trace, the first solve's and then
+    # the re-solve's, and its final L and converged flag are the re-solve's.
+    problem = simulate(SimulationSpec(t_classification=2, t_regression=2, p=96, n_per_task=40,
+                                      sparsity=0.9, seed=4)).train
+    sequence = lambda_sequence(lam_max(problem), 0.2, 6)
+    solves = []
+    proximal_loop = regpath._proximal_loop
+
+    def recording(*args):
+        fits = proximal_loop(*args)
+        solves.append(fits)
+        return fits
+
+    with mock.patch.object(regpath, "_proximal_loop", recording), \
+            mock.patch.object(regpath, "_GATHER_DIVISOR", 2), \
+            mock.patch.object(regpath, "_strong_rows",
+                              lambda norms, lam, previous: np.zeros(norms.shape[1], dtype=bool)):
+        path = reg_path(problem, sequence)
+    assert len(solves) > len(path.fits)
+    at = 0
+    for fit in path.fits:
+        trace, parts = [], 0
+        while len(trace) < fit.iterations:
+            trace += solves[at + parts][0][0]
+            parts += 1
+        assert trace == fit.objective_trace.tolist()
+        assert (fit.final_L, fit.converged) == (solves[at + parts - 1][1][0],
+                                                solves[at + parts - 1][2][0])
+        at += parts
+    assert at == len(solves)
+
+
+def test_a_gathered_copy_is_at_most_a_32nd_of_x_and_ends_at_the_full_layout():
+    # Each gathered stack is at most 1/32 of its block's full stack, and
+    # once a point takes the full layout no later point gathers.
+    problem = simulate(SimulationSpec(t_classification=2, t_regression=2, p=640, n_per_task=60,
+                                      sparsity=0.99, seed=2)).train
+    full = [block.X.nbytes for block in problem._blocks]
+    solves = []  # per solve: gathered (True) or on the full layout
+    feature_subset, proximal_loop = regpath._feature_subset, regpath._proximal_loop
+
+    def gathering(blocks, rows):
+        subset = feature_subset(blocks, rows)
+        for block, nbytes in zip(subset, full):
+            assert 32 * block.X.nbytes <= nbytes
+        return subset
+
+    def recording(blocks, *args):
+        solves.append(blocks is not problem._blocks)
+        return proximal_loop(blocks, *args)
+
+    with mock.patch.object(regpath, "_feature_subset", gathering), \
+            mock.patch.object(regpath, "_proximal_loop", recording):
+        path = reg_path(problem, lambda_sequence(lam_max(problem), 0.01, 30))
+    switch = solves.index(False)
+    assert switch >= 3 and not any(solves[switch:])
+    assert max(path.nonzero_rows) > problem.p // 32
+
+
+def test_a_gathered_head_stays_exactly_zero():
+    # At the head of its grid a fit is optimal at zero, with its largest
+    # gradient norm equal to its penalty.  A gathered product can round
+    # that norm above it, so a fit that is zero with every norm at most its
+    # penalty is solved with its rows held at zero: reg_path's head and
+    # cross-validation's full-data fit at lam_max are exactly zero on a
+    # gathered working set too.
+    rng = np.random.default_rng(11)
+    with mock.patch.object(regpath, "_GATHER_DIVISOR", 2):
+        for kind in ("classification", "regression"):
+            for _ in range(5):
+                n, p = int(rng.integers(20, 41)), int(rng.integers(64, 201))
+                y = random_labels(rng, n) if kind == "classification" else rng.standard_normal(n)
+                y[:2] = [1.0, -1.0]
+                problem = MtlProblem((TaskDataset(rng.standard_normal((n, p)), y, kind, "t"),))
+                for fit_intercept in (False, True):
+                    opts = path_options(fit_intercept)
+                    top = lam_max(problem, fit_intercept)
+                    head = reg_path(problem, lambda_sequence(top, 0.1, 3), opts=opts).fits[0]
+                    assert not head.coef.W.any()
+                    for k in (3, 5):
+                        seed = int(rng.integers(100))
+                        fit = cross_validate(problem, k=k, seed=seed, opts=opts, n_lambda=1).fit
+                        assert not fit.coef.W.any()

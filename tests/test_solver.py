@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import mixedmtl.core as core_module
 import mixedmtl.modelselect as modelselect_module
 import mixedmtl.regpath as regpath_module
 import mixedmtl.solver as solver_module
@@ -16,6 +17,7 @@ from mixedmtl import (
     Hyperparameters,
     LambdaSequence,
     MtlProblem,
+    SimulationSpec,
     SolverError,
     SolverOptions,
     TaskDataset,
@@ -29,6 +31,7 @@ from mixedmtl import (
     make_centering,
     prox_l21,
     reg_path,
+    simulate,
     smooth_gradient,
     smooth_objective,
 )
@@ -503,38 +506,84 @@ def test_a_narrowed_batch_takes_x_once_per_trial_and_once_per_gradient(monkeypat
     assert calls["gradient"] == calls["turns"] > 1
 
 
-def _counted_scores(calls):
-    def counted(*args, **kwargs):
-        calls["scores"] += 1
-        return _scores(*args, **kwargs)
-
-    return counted
-
-
-def test_a_path_takes_x_once_at_its_start_and_once_per_trial(monkeypatch):
-    # A path point starts from the scores its predecessor ended with, and
-    # cross-validation scores its folds from the kept scores, so a path or
-    # a cross-validation takes one score pass at its start and one per
-    # line-search trial, joint or per task.
+def _count_path_products(monkeypatch):
+    """_count_products, plus the score and gradient passes taken through
+    core's, regpath's and modelselect's attributes, and the path's
+    working-set solves (one gathered layout each)."""
     calls = _count_products(monkeypatch)
-    for module in (regpath_module, modelselect_module):
-        monkeypatch.setattr(module, "_scores", _counted_scores(calls))
+    calls["solves"] = 0
+
+    def counted(module, name, attr):
+        fn = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    for module in (core_module, regpath_module, modelselect_module):
+        for name, attr in (("scores", "_scores"), ("gradient", "_gradient_from")):
+            if hasattr(module, attr):
+                counted(module, name, attr)
+    counted(regpath_module, "solves", "_feature_subset")
+    return calls
+
+
+def _balanced_problem(p):
     rng = np.random.default_rng(24)
-    problem = random_mixed_problem(rng, p=8, t=4, c=2, n_lo=12, n_hi=12)
-    problem = MtlProblem(tuple(
+    problem = random_mixed_problem(rng, p=p, t=4, c=2, n_lo=12, n_hi=12)
+    return MtlProblem(tuple(
         TaskDataset(task.X, task.y, task.kind, task.name) if task.kind is TaskKind.REGRESSION
         else TaskDataset(task.X, np.resize([1.0, -1.0], 12), task.kind, task.name)
         for task in problem.tasks
     ))
-    sequence = lambda_sequence(lam_max(problem), 0.05, 5)
-    for run in (lambda: reg_path(problem, sequence, 0.1, 0.05),
-                lambda: _cross_validate(problem, 0.0, 0.0, 3, 1, None, 5, 0.05, False),
-                lambda: _cross_validate(problem, 0.0, 0.0, 3, 1, None, 5, 0.05, False, True)):
+
+
+def _path_runs(problem, ratio, n):
+    """reg_path, joint cross-validation and per-task cross-validation."""
+    sequence = lambda_sequence(lam_max(problem), ratio, n)
+    return (lambda: reg_path(problem, sequence, 0.1, 0.05),
+            lambda: _cross_validate(problem, 0.0, 0.0, 3, 1, None, n, ratio, False),
+            lambda: _cross_validate(problem, 0.0, 0.0, 3, 1, None, n, ratio, False, True))
+
+
+def test_a_path_takes_x_once_at_its_start_and_once_per_trial(monkeypatch):
+    # A path starts at the null model, whose scores need no product, and
+    # each point starts from the scores its predecessor ended with;
+    # cross-validation scores its folds from the kept scores.  So a path
+    # or a cross-validation takes one gradient at its start (reg_path's
+    # own, or the one that gives cross-validation its grids) and, on the
+    # full layout, one score pass per line-search trial and one gradient
+    # per turn, joint or per task.  With 8 features no set is under the
+    # cap p // 32, so every point is solved on the full layout.
+    calls = _count_path_products(monkeypatch)
+    for run in _path_runs(_balanced_problem(8), 0.05, 5):
         calls.update(dict.fromkeys(calls, 0))
         run()
         assert calls["trials"] > calls["turns"] > 0
-        assert calls["scores"] == 1 + calls["trials"]
-        assert calls["gradient"] == calls["turns"]
+        assert calls["solves"] == 0
+        assert calls["scores"] == calls["trials"]
+        assert calls["gradient"] == calls["turns"] + 1
+
+
+def test_a_working_set_path_takes_one_gradient_per_gathered_solve(monkeypatch):
+    # A point solved on a gathered working set is certified by one full
+    # gradient, and a point solved again takes one more; the full layout
+    # takes none.  Score passes stay one per trial.
+    # A sparse signal, a fine grid and a cap of p // 2 rows let several
+    # points of each run gather before the path turns to the full layout.
+    problem = simulate(SimulationSpec(t_classification=2, t_regression=2, p=128, n_per_task=40,
+                                      sparsity=0.95, seed=1)).train
+    calls = _count_path_products(monkeypatch)
+    monkeypatch.setattr(regpath_module, "_GATHER_DIVISOR", 2)
+    for run in _path_runs(problem, 0.1, 20):
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        assert calls["trials"] > calls["turns"] > 0
+        assert calls["solves"] >= 5
+        assert calls["scores"] == calls["trials"]
+        assert calls["gradient"] == calls["turns"] + calls["solves"] + 1
 
 
 @settings(derandomize=True, max_examples=40, deadline=None,
